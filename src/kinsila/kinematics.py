@@ -34,11 +34,11 @@ from .exactla import (
 from .liecore import LieAlgebra
 from .repth import (
     Rep,
+    certify_copy,
+    check_simplicity,
     hom_space,
     invariant_complement,
     is_faithful,
-    is_simple,
-    match_decompositions,
     nondegenerate_invariant_form,
     rep_on_subspace,
     simple_decomposition,
@@ -77,6 +77,7 @@ class KinStructure:
     v_rep: Rep                    # action on parts[0] in its echelon basis
     invariant_form: Optional[Mat]
     sigma: Mat
+    sigma_check: Dict[str, bool]  # outcome of the involution check
     items: Tuple[Tuple[str, bool], ...]
 
     def to_p_coords(self, ambient_vec) -> Optional[tuple]:
@@ -209,14 +210,6 @@ _CHECKS = (
 )
 
 
-def _build_sigma(n: int, p_indices) -> Mat:
-    p_set = set(p_indices)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = -_ONE if i in p_set else _ONE
-    return Mat(rows)
-
-
 def canonical_involution(
     algebra: LieAlgebra,
     z_indices: Sequence[int],
@@ -229,7 +222,12 @@ def canonical_involution(
     input brackets break the grading this raises a validation error with
     code SIGMA_NOT_AUTOMORPHISM.
     """
-    sigma = _build_sigma(algebra.dim, p_indices)
+    n = algebra.dim
+    p_set = set(p_indices)
+    rows = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = -_ONE if i in p_set else _ONE
+    sigma = Mat(rows)
     if not algebra.is_involution(sigma) or not algebra.is_automorphism(sigma):
         raise ValidationError(
             "SIGMA_NOT_AUTOMORPHISM",
@@ -329,16 +327,15 @@ def validate(
             f"the momentum module splits into {len(parts)} simple pieces of "
             f"dimensions {[q.dim for q in parts]}, not two of equal dimension",
         )
-    try:
-        match_decompositions(p_rep, [parts[0]], p_rep, [parts[1]])
-    except ValueError:
+    # the decomposition offered the second piece an intertwiner from the
+    # first, so it is a copy of the first exactly when they are isomorphic
+    v_rep, w_rep = parts.modules
+    if w_rep.simplicity.source is not v_rep:
         fail(5, "the two simple pieces of the momentum module are not isomorphic")
     ok(5)
 
-    # 6: the summand is simple (already certified by the decomposition)
-    v_rep = rep_on_subspace(p_rep, parts[0])
-    simple, _ = is_simple(v_rep)
-    if not simple:
+    # 6: the summand is simple: re-check the decomposition's certificate
+    if not check_simplicity(v_rep):
         fail(6, "a decomposition summand failed its own simplicity certificate")
     ok(6)
 
@@ -362,8 +359,9 @@ def validate(
     ok(9)
 
     # 10: the grading involution is an involutive automorphism
-    sigma = _build_sigma(n, p_indices)
-    if not algebra.is_involution(sigma) or not algebra.is_automorphism(sigma):
+    try:
+        sigma = canonical_involution(algebra, z_indices, s_indices, p_indices)
+    except ValidationError:
         fail(10, "the grading involution is not an automorphism of the bracket")
     ok(10)
 
@@ -382,6 +380,7 @@ def validate(
         v_rep=v_rep,
         invariant_form=form,
         sigma=sigma,
+        sigma_check={"involutive": True, "automorphism": True},
         items=tuple(items),
     )
 
@@ -435,11 +434,7 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
                 {"radical_dim": rad.dim, "p_dim": dp},
             )
         rad_rep = rep_on_subspace(structure.p_rep, rad)
-        simple, _ = is_simple(rad_rep)
-        if not simple or (
-            structure.v_rep.dim != rad.dim
-            or not hom_space(structure.v_rep, rad_rep)
-        ):
+        if certify_copy(structure.v_rep, rad_rep) is None:
             raise InternalFault(
                 "two-form radical is not a copy of the simple summand",
                 {"radical_dim": rad.dim},
@@ -736,18 +731,12 @@ def poincare_certificate(
             f"complement in dim {pl.dim}",
         ))
 
-        iso_ok = False
-        if dims_ok and pr.dim > 0:
-            pr_rep = rep_on_subspace(structure.p_rep, pr)
-            pl_rep = rep_on_subspace(structure.p_rep, pl)
-            pr_simple, _ = is_simple(pr_rep)
-            pl_simple, _ = is_simple(pl_rep)
-            iso_ok = (
-                pr_simple
-                and pl_simple
-                and bool(hom_space(structure.v_rep, pr_rep))
-                and bool(hom_space(structure.v_rep, pl_rep))
-            )
+        iso_ok = dims_ok and pr.dim > 0 and all(
+            certify_copy(
+                structure.v_rep, rep_on_subspace(structure.p_rep, piece)
+            ) is not None
+            for piece in (pr, pl)
+        )
         items.append((
             "pieces-isomorphic-to-v",
             iso_ok,
@@ -831,10 +820,7 @@ def classify(
 
     base = dict(
         validation_items=structure.items,
-        sigma_check={
-            "involutive": algebra.is_involution(structure.sigma),
-            "automorphism": algebra.is_automorphism(structure.sigma),
-        },
+        sigma_check=dict(structure.sigma_check),
         omega=sym.omega,
         radical_case=sym.radical_case,
         radical_dim=sym.radical.dim,

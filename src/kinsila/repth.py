@@ -1,13 +1,15 @@
 """Representations of structure-constant Lie algebras over Q.
 
 Everything returns certificates: a reducibility verdict comes with a
-verified invariant subspace, splittings come with verified projections,
-and when the deterministic schedule cannot certify either answer it
-raises SimplicityUndecided rather than guessing.
+verified invariant subspace, a simplicity verdict leaves re-checkable
+evidence on the module, splittings come with verified projections, and
+when the deterministic schedule cannot certify either answer it raises
+SimplicityUndecided rather than guessing.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
@@ -64,6 +66,9 @@ class Rep:
         self.algebra = algebra
         self.mats = mats
         self.dim = d
+        # evidence that the module is simple, once is_simple or
+        # certify_copy has proved it
+        self.simplicity: Optional[Simplicity] = None
         if check:
             self._validate()
 
@@ -97,6 +102,31 @@ class Rep:
 
     def __repr__(self):
         return f"Rep(dim {self.dim} of algebra dim {self.algebra.dim})"
+
+
+@dataclass(frozen=True)
+class Simplicity:
+    """How a module was proved simple; `check_simplicity` re-verifies it.
+
+    kind is one of
+      "dimension-one"  the module is a line;
+      "nullity-one"    mats[0] is an enveloping-algebra element with a
+                       one-dimensional kernel whose vector spins to the
+                       whole space, as does the kernel vector of its
+                       transpose under the transposed action (Norton);
+      "burnside"       mats is a basis of the enveloping algebra with
+                       dim^2 elements, so it is all of End(V);
+      "field"          mats[0] is an enveloping-algebra element commuting
+                       with the action whose minimal polynomial is
+                       irreducible of degree dim, so V is a line over a
+                       field;
+      "intertwiner"    mats[0] is an invertible intertwiner from `source`,
+                       a module proved simple (Schur's lemma).
+    """
+
+    kind: str
+    mats: Tuple[Mat, ...] = ()
+    source: Optional[Rep] = None
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +479,38 @@ def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat]):
     return True, None
 
 
+def _proved(rep: Rep, kind: str, *mats: Mat):
+    rep.simplicity = Simplicity(kind, mats)
+    return True, None
+
+
 def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     """Decide irreducibility with a certificate.
 
     Returns (True, None) or (False, W) with W a verified proper nonzero
-    invariant subspace.  The decision procedure is a deterministic
-    schedule: kernel spins of singular elements (with the nullity-one
-    double spin conclusive in both directions), the enveloping-algebra
-    dimension count, the commutative primitive-element route, and
-    factored minimal polynomials to manufacture more singular elements.
-    If the whole schedule is inconclusive it raises SimplicityUndecided.
+    invariant subspace.  A True verdict records its evidence as
+    `rep.simplicity`, which `check_simplicity` re-verifies without a
+    search.  The decision procedure is a deterministic schedule: kernel
+    spins of singular elements (with the nullity-one double spin
+    conclusive in both directions), the enveloping-algebra dimension
+    count, the commutative primitive-element route, and factored minimal
+    polynomials to manufacture more singular elements.  If the whole
+    schedule is inconclusive it raises SimplicityUndecided.  A module
+    isomorphic to one already proved simple needs no schedule:
+    `certify_copy` carries simplicity along an invertible intertwiner.
     """
     d = rep.dim
     if d == 0:
         raise ValueError("simplicity of the zero module is not defined")
     if d == 1:
-        return True, None
+        return _proved(rep, "dimension-one")
     transposes = [m.transpose() for m in rep.mats]
+
+    def probe(a: Mat):
+        verdict = _norton_probe(rep, a, transposes)
+        if verdict is not None and verdict[0]:
+            return _proved(rep, "nullity-one", a)
+        return verdict
 
     # stage 1: the representing matrices and their pairwise products
     stage1: List[Mat] = [m for m in rep.mats if not m.is_zero()]
@@ -481,7 +526,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
         if a.entries in seen:
             continue
         seen.add(a.entries)
-        verdict = _norton_probe(rep, a, transposes)
+        verdict = probe(a)
         if verdict is not None:
             return verdict
 
@@ -489,7 +534,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     env = enveloping_basis(rep)
     dim_e = len(env)
     if dim_e == d * d:
-        return True, None
+        return _proved(rep, "burnside", *env)
     if dim_e == 1:
         return _certify_reducible(rep, Subspace.span(d, [unit_vec(d, 0)]))
 
@@ -497,7 +542,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
         if a.entries in seen:
             continue
         seen.add(a.entries)
-        verdict = _norton_probe(rep, a, transposes)
+        verdict = probe(a)
         if verdict is not None:
             return verdict
 
@@ -521,7 +566,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
             if len(factors) == 1 and factors[0][1] == 1:
                 # the enveloping algebra is a field
                 if d == dim_e:
-                    return True, None
+                    return _proved(rep, "field", x)
                 orbit = [b.apply(unit_vec(d, 0)) for b in env]
                 return _certify_reducible(rep, Subspace.span(d, orbit))
             # zero divisors: a proper factor has a proper invariant kernel
@@ -541,7 +586,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
             if b.is_zero() or b.entries in seen:
                 continue
             seen.add(b.entries)
-            verdict = _norton_probe(rep, b, transposes)
+            verdict = probe(b)
             if verdict is not None:
                 return verdict
 
@@ -549,6 +594,83 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
         f"no certificate found for a module of dimension {d} "
         f"with enveloping algebra of dimension {dim_e}"
     )
+
+
+def _is_isomorphism(source: Rep, target: Rep, t: Mat) -> bool:
+    return (
+        t.rows == target.dim
+        and t.cols == source.dim
+        and rank(t) == source.dim == target.dim
+        and all(t @ a == b @ t for a, b in zip(source.mats, target.mats))
+    )
+
+
+def check_simplicity(rep: Rep) -> bool:
+    """Re-verify the evidence recorded in `rep.simplicity`, with no search.
+
+    The recorded elements are taken to lie in the enveloping algebra, as
+    is_simple built them from the representing matrices; the criterion
+    they witness is checked again.  False when no evidence is recorded
+    or the check fails.
+    """
+    cert = rep.simplicity
+    if cert is None:
+        return False
+    d = rep.dim
+    if cert.kind == "dimension-one":
+        return d == 1
+    if cert.kind == "nullity-one":
+        transposes = [m.transpose() for m in rep.mats]
+        verdict = _norton_probe(rep, cert.mats[0], transposes)
+        return verdict is not None and verdict[0]
+    if cert.kind == "burnside":
+        flat = [
+            [m.entries[r][c] for r in range(d) for c in range(d)]
+            for m in cert.mats
+        ]
+        return rank(Mat(flat, cols=d * d)) == d * d
+    if cert.kind == "field":
+        x = cert.mats[0]
+        mp = min_poly(x)
+        return (
+            mp.degree == d
+            and _factor_over_q(mp) == [(mp, 1)]
+            and all(x @ m == m @ x for m in rep.mats)
+        )
+    if cert.kind == "intertwiner":
+        return check_simplicity(cert.source) and _is_isomorphism(
+            cert.source, rep, cert.mats[0]
+        )
+    return False
+
+
+def certify_copy(simple: Rep, module: Rep) -> Optional[Mat]:
+    """Prove `module` simple as an isomorphic copy of a simple module.
+
+    `simple` must already carry simplicity evidence.  Returns an
+    invertible intertwiner from `simple` onto `module`, recorded as
+    `module.simplicity`, or None when the dimensions differ or no nonzero
+    intertwiner exists, so the two are not isomorphic.  By Schur's lemma
+    a nonzero intertwiner out of a simple module into one of the same
+    dimension is invertible, so the first Hom basis element is taken; if
+    it fails the exact intertwining and rank check, a theorem has failed
+    and InternalFault is raised.
+    """
+    if simple.simplicity is None:
+        raise ValueError("the source module carries no simplicity evidence")
+    if simple.dim != module.dim:
+        return None
+    homs = hom_space(simple, module)
+    if not homs:
+        return None
+    t = homs[0]
+    if not _is_isomorphism(simple, module, t):
+        raise InternalFault(
+            "a nonzero intertwiner out of a simple module is not invertible",
+            {"intertwiner": t.entries},
+        )
+    module.simplicity = Simplicity("intertwiner", (t,), source=simple)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -605,26 +727,51 @@ def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
     )
 
 
-def simple_decomposition(rep: Rep) -> List[Subspace]:
+class Decomposition(list):
+    """Simple summands of a module, as invariant subspaces in order.
+
+    `modules[i]` is the action on the i-th summand in its echelon basis;
+    its `simplicity` records how that summand was proved simple.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.modules: List[Rep] = []
+
+
+def simple_decomposition(rep: Rep) -> Decomposition:
     """Split the module into simple invariant summands.
 
-    Raises DecompositionError when the module is not semisimple and
+    Pieces are taken depth first, the invariant subspace found by
+    is_simple before its complement.  A piece that `certify_copy` can
+    reach from a summand the schedule already certified is simple by an
+    invertible intertwiner; only the others run is_simple, so each
+    isomorphism type of summand is searched once.  Raises
+    DecompositionError when the module is not semisimple and
     SimplicityUndecided when irreducibility of a piece cannot be
     certified.  The returned subspaces are verified independent,
     spanning, and invariant.
     """
     d = rep.dim
-    simple, wit = is_simple(rep)
-    if simple:
-        return [Subspace.full(d)]
-    comp = invariant_complement(rep, wit)
-    parts = []
-    for piece in (wit, comp):
-        sub = rep_on_subspace(rep, piece)
-        basis_cols = Mat.from_cols([list(b) for b in piece.basis], rows=d)
-        for inner in simple_decomposition(sub):
-            vectors = [basis_cols.apply(v) for v in inner.basis]
-            parts.append(Subspace.span(d, vectors))
+    parts = Decomposition()
+    searched: List[Rep] = []
+    pending = [Subspace.full(d)]
+    while pending:
+        piece = pending.pop()
+        sub = rep if piece.is_full() else rep_on_subspace(rep, piece)
+        if not any(certify_copy(v, sub) is not None for v in searched):
+            simple, wit = is_simple(sub)
+            if not simple:
+                comp = invariant_complement(sub, wit)
+                cols = Mat.from_cols([list(b) for b in piece.basis], rows=d)
+                pending += [
+                    Subspace.span(d, [cols.apply(v) for v in half.basis])
+                    for half in (comp, wit)
+                ]
+                continue
+            searched.append(sub)
+        parts.append(piece)
+        parts.modules.append(sub)
     total = Subspace.zero(d)
     count = 0
     for p in parts:

@@ -1,9 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from kinsila import catalog
+from kinsila import catalog, repth
 from kinsila.errors import InternalFault, ValidationError
 from kinsila.exactla import Mat, Subspace, unit_vec, vadd, vsub
 from kinsila.kinematics import (
@@ -401,3 +402,35 @@ def test_dict_reports_are_deterministic_json():
     assert parsed["sigma_check"] == {"automorphism": True, "involutive": True}
     assert len(parsed["omega"]) == 8 and len(parsed["omega"][0]) == 8
     assert parsed["validation"][0] == ["partition", True]
+
+
+# sha256 of json.dumps(to_dict(), sort_keys=True, indent=2), recorded when
+# every copy of the simple summand still ran the full simplicity search
+REPORTS_BEFORE_TRANSPORT = {
+    "poincare": (
+        "poincare-type",
+        "627a61227eafc9fbf1d1bfbb6aea50c8d5391a4f910788639bee0d0ce22cf66d",
+    ),
+    "de_sitter": (
+        "three-graded-para-kahler",
+        "85db70c42193dbee3c85fad83c4e44c0ce762250d32e4813a211be13f3567bcb",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REPORTS_BEFORE_TRANSPORT))
+def test_one_enveloping_algebra_per_classify(monkeypatch, family):
+    calls = []
+    original = repth.enveloping_basis
+
+    def counted(rep):
+        calls.append(rep.dim)
+        return original(rep)
+
+    monkeypatch.setattr(repth, "enveloping_basis", counted)
+    r, _ = classify_entry(family, 4)
+    assert calls == [4]
+    label, digest = REPORTS_BEFORE_TRANSPORT[family]
+    assert r.label == label
+    text = json.dumps(r.to_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -3,11 +3,15 @@ import random
 import pytest
 
 from conftest import doubled, so_algebra_and_rep
-from kinsila.errors import DecompositionError, RepError
+from kinsila import repth
+from kinsila.errors import DecompositionError, InternalFault, RepError
 from kinsila.exactla import Mat, Subspace, inverse, unit_vec
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import (
     Rep,
+    Simplicity,
+    certify_copy,
+    check_simplicity,
     commutant,
     enveloping_basis,
     hom_space,
@@ -231,6 +235,70 @@ class TestDecomposition:
         parts = simple_decomposition(p)
         with pytest.raises(ValueError):
             match_decompositions(p, parts, p, [parts[0]])
+
+
+class TestCertifiedSimplicity:
+    def test_double_runs_the_schedule_once_per_isomorphism_type(
+        self, monkeypatch
+    ):
+        calls = {"is_simple": [], "enveloping_basis": []}
+        for name in calls:
+            original = getattr(repth, name)
+
+            def counted(rep, _name=name, _original=original):
+                calls[_name].append(rep.dim)
+                return _original(rep)
+
+            monkeypatch.setattr(repth, name, counted)
+        # so(3) closes on a nullity-one generator, so(4) by Burnside
+        for d, envelopes in ((3, []), (4, [4])):
+            for seen in calls.values():
+                seen.clear()
+            _, v = so_algebra_and_rep(d)
+            parts = simple_decomposition(doubled(v))
+            assert [q.dim for q in parts] == [d, d]
+            assert calls["is_simple"] == [2 * d, d]
+            assert calls["enveloping_basis"] == envelopes
+            first, second = parts.modules
+            assert second.simplicity.kind == "intertwiner"
+            assert second.simplicity.source is first
+            assert check_simplicity(first) and check_simplicity(second)
+
+    def test_recorded_evidence_rechecks(self):
+        _, rot = so2_line()
+        line = Rep(LieAlgebra(1, {}, labels=["J"]), [Mat([[0]])])
+        cases = [(rot, "field"), (line, "dimension-one")]
+        cases += [(so_algebra_and_rep(d)[1], kind)
+                  for d, kind in ((3, "nullity-one"), (4, "burnside"))]
+        for rep, kind in cases:
+            assert is_simple(rep) == (True, None)
+            assert rep.simplicity.kind == kind
+            assert check_simplicity(rep)
+
+    def test_altered_evidence_fails_the_recheck(self):
+        _, v = so_algebra_and_rep(4)
+        is_simple(v)
+        v.simplicity = Simplicity("burnside", v.simplicity.mats[:-1])
+        assert not check_simplicity(v)
+        v.simplicity = None
+        assert not check_simplicity(v)
+
+    def test_nonisomorphic_planes_are_not_copies(self):
+        alg = LieAlgebra(1, {}, labels=["J"])
+        one = Rep(alg, [Mat([[0, -1], [1, 0]])])
+        two = Rep(alg, [Mat([[0, -2], [2, 0]])])
+        assert is_simple(one)[0]
+        assert certify_copy(one, two) is None
+        assert two.simplicity is None
+
+    def test_singular_intertwiner_from_forged_evidence_is_a_fault(self):
+        # the zero action on a plane is not simple; claiming it is makes
+        # Schur's lemma fail on the first intertwiner
+        alg = LieAlgebra(1, {}, labels=["J"])
+        forged = Rep(alg, [Mat.zeros(2, 2)])
+        forged.simplicity = Simplicity("dimension-one")
+        with pytest.raises(InternalFault):
+            certify_copy(forged, Rep(alg, [Mat.zeros(2, 2)]))
 
 
 class TestSubmoduleIntersections:
