@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices, echelon-form subspaces, kernels and solvers, polynomial
-arithmetic, and the semisimple plus nilpotent splitting of a square
-matrix.  Scalars are `fractions.Fraction` throughout; nothing here
+Matrices, one incremental echelon builder with the echelon-form
+subspaces, kernels and solvers built on it, polynomial arithmetic, and
+the semisimple plus nilpotent splitting of a square matrix.  Scalars are `fractions.Fraction` throughout; nothing here
 rounds, samples, or depends on floating point.
 """
 
@@ -21,9 +21,8 @@ __all__ = [
     "vadd",
     "vsub",
     "vscale",
-    "vdot",
-    "is_zero_vec",
     "Mat",
+    "Echelon",
     "Subspace",
     "kernel",
     "image",
@@ -92,18 +91,6 @@ def vscale(c, a):
     return tuple(c * x for x in a)
 
 
-def vdot(a, b):
-    total = _ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            total += x * y
-    return total
-
-
-def is_zero_vec(a) -> bool:
-    return not any(a)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -143,10 +130,6 @@ class Mat:
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([unit_vec(n, i) for i in range(n)], cols=n)
-
-    @staticmethod
-    def from_rows(rows, cols: Optional[int] = None) -> "Mat":
-        return Mat(rows, cols=cols)
 
     @staticmethod
     def from_cols(cols, rows: Optional[int] = None) -> "Mat":
@@ -270,52 +253,75 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# reduced row echelon form
+# row echelon form: the one elimination kernel
 
-def _rref(rows):
-    """Reduce a list of row vectors in place.
+class Echelon:
+    """Incremental row echelon form over Q.
 
-    Returns (nonzero reduced rows, pivot column indices).  The output is
-    the unique reduced echelon form of the row span, which is what makes
-    Subspace comparison a plain tuple comparison.
+    Rows go in one at a time through `add`: each is reduced against the
+    rows already stored, scaled to a leading 1, and kept only when it is
+    independent of them.  A stored row is zero before its pivot and at
+    the pivots of the rows stored before it, so reducing in storage order
+    clears every pivot.  `subspace` back-substitutes to the unique reduced
+    echelon form of the row span, which is what makes Subspace comparison
+    a plain tuple comparison.  Every elimination in the package runs here.
     """
-    work = [list(r) for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if work[i][col]:
-                pivot_row = i
+
+    __slots__ = ("width", "rows", "pivots")
+
+    def __init__(self, width: int, rows: Iterable[Sequence] = ()):
+        self.width = width
+        self.rows: list = []
+        self.pivots: list = []
+        for r in rows:
+            self.add(r)
+
+    def residual(self, v) -> list:
+        """v minus the multiples of stored rows that clear every pivot."""
+        w = list(v)
+        n = self.width
+        for row, p in zip(self.rows, self.pivots):
+            c = w[p]
+            if c:
+                for j in range(p, n):
+                    x = row[j]
+                    if x:
+                        w[j] -= c * x
+        return w
+
+    def add(self, v) -> Optional[tuple]:
+        """Store v's residual scaled to a leading 1 and return it.
+
+        Returns None, storing nothing, when v is in the span of the rows.
+        """
+        if len(self.rows) == self.width:
+            return None
+        w = self.residual(v)
+        for p, x in enumerate(w):
+            if x:
                 break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        prow = work[r]
-        pv = prow[col]
-        if pv != 1:
-            inv = _ONE / pv
-            for j in range(col, n):
-                if prow[j]:
-                    prow[j] *= inv
-        for i in range(m):
-            if i == r:
-                continue
-            f = work[i][col]
-            if not f:
-                continue
-            irow = work[i]
-            for j in range(col, n):
-                p = prow[j]
-                if p:
-                    irow[j] -= f * p
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return [tuple(row) for row in work[:r]], pivots
+        else:
+            return None
+        if x != 1:
+            inv = _ONE / x
+            w[p:] = [y * inv if y else y for y in w[p:]]
+        row = tuple(w)
+        self.rows.append(row)
+        self.pivots.append(p)
+        return row
+
+    def subspace(self) -> "Subspace":
+        """The row span, in reduced echelon form sorted by pivot.
+
+        Rows are taken from the last pivot back, each cleared at the
+        pivots of the rows already done; those are zero before their own
+        pivots, so the leading 1 stays where it is.
+        """
+        done = Echelon(self.width)
+        for p, row in sorted(zip(self.pivots, self.rows), key=lambda pr: -pr[0]):
+            done.rows.append(tuple(done.residual(row)))
+            done.pivots.append(p)
+        return Subspace(self.width, tuple(done.rows[::-1]), tuple(done.pivots[::-1]))
 
 
 class Subspace:
@@ -343,8 +349,7 @@ class Subspace:
             if len(t) != ambient_dim:
                 raise ValueError("vector does not live in the ambient space")
             rows.append(t)
-        basis, pivots = _rref(rows)
-        return Subspace(ambient_dim, tuple(basis), tuple(pivots))
+        return Echelon(ambient_dim, rows).subspace()
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -364,21 +369,17 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
-    def _residual(self, v):
-        w = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            if c:
-                for j in range(p, self.ambient_dim):
-                    x = row[j]
-                    if x:
-                        w[j] -= c * x
-        return w
+    def echelon(self) -> Echelon:
+        """A builder holding this basis, ready to take more rows."""
+        ech = Echelon(self.ambient_dim)
+        ech.rows += self.basis
+        ech.pivots += self.pivots
+        return ech
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
-        return not any(self._residual(v))
+        return not any(self.echelon().residual(v))
 
     def coordinates_of(self, v) -> Optional[tuple]:
         """Coefficients of v in this basis, or None when v is outside.
@@ -402,12 +403,16 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains(v) for v in other.basis)
+        ech = self.echelon()
+        return not any(any(ech.residual(v)) for v in other.basis)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.span(self.ambient_dim, list(self.basis) + list(other.basis))
+        ech = self.echelon()
+        for v in other.basis:
+            ech.add(v)
+        return ech.subspace()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of [U^T | -W^T]."""
@@ -433,19 +438,6 @@ class Subspace:
             vectors.append(tuple(v))
         return Subspace.span(self.ambient_dim, vectors)
 
-    def standard_complement(self) -> list:
-        """Unit vectors at the non-pivot coordinates.
-
-        Together with the basis they span the ambient space, which gives a
-        deterministic complement without any choice of inner product.
-        """
-        taken = set(self.pivots)
-        return [
-            unit_vec(self.ambient_dim, i)
-            for i in range(self.ambient_dim)
-            if i not in taken
-        ]
-
     def basis_matrix(self) -> Mat:
         """Basis vectors as the rows of a matrix."""
         return Mat(self.basis or [], cols=self.ambient_dim)
@@ -464,20 +456,26 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def kernel(m: Mat) -> Subspace:
-    """Null space {v : m v = 0}, as a canonical Subspace of Q^cols."""
-    reduced, pivots = _rref(m.entries)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vectors = []
-    for f in free:
-        v = list(zero_vec(m.cols))
+def _null_space(reduced: Subspace, cols: int) -> Subspace:
+    """Solutions of the system whose reduced echelon rows are `reduced`,
+    in its first `cols` coordinates (every pivot lies among them)."""
+    pivot_set = set(reduced.pivots)
+    ech = Echelon(cols)
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = list(zero_vec(cols))
         v[f] = _ONE
-        for row, p in zip(reduced, pivots):
+        for row, p in zip(reduced.basis, reduced.pivots):
             if row[f]:
                 v[p] = -row[f]
-        vectors.append(v)
-    return Subspace.span(m.cols, vectors)
+        ech.add(v)
+    return ech.subspace()
+
+
+def kernel(m: Mat) -> Subspace:
+    """Null space {v : m v = 0}, as a canonical Subspace of Q^cols."""
+    return _null_space(Echelon(m.cols, m.entries).subspace(), m.cols)
 
 
 def image(m: Mat) -> Subspace:
@@ -486,8 +484,7 @@ def image(m: Mat) -> Subspace:
 
 
 def rank(m: Mat) -> int:
-    _, pivots = _rref(m.entries)
-    return len(pivots)
+    return len(Echelon(m.cols, m.entries).rows)
 
 
 class SolveResult:
@@ -512,27 +509,27 @@ def solve(m: Mat, b: Sequence) -> Optional[SolveResult]:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    augmented = [list(row) + [q(x)] for row, x in zip(m.entries, b)]
-    if not augmented:
+    if not m.rows:
         return SolveResult(zero_vec(m.cols), Subspace.full(m.cols))
-    reduced, pivots = _rref(augmented)
-    if m.cols in pivots:
+    augmented = [row + (q(x),) for row, x in zip(m.entries, b)]
+    reduced = Echelon(m.cols + 1, augmented).subspace()
+    if m.cols in reduced.pivots:
         return None
     x = list(zero_vec(m.cols))
-    for row, p in zip(reduced, pivots):
+    for row, p in zip(reduced.basis, reduced.pivots):
         x[p] = row[m.cols]
-    return SolveResult(tuple(x), kernel(m))
+    return SolveResult(tuple(x), _null_space(reduced, m.cols))
 
 
 def inverse(m: Mat) -> Mat:
     if not m.is_square():
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    augmented = [list(row) + list(unit_vec(n, i)) for i, row in enumerate(m.entries)]
-    reduced, pivots = _rref(augmented)
-    if list(pivots) != list(range(n)):
+    augmented = [row + unit_vec(n, i) for i, row in enumerate(m.entries)]
+    reduced = Echelon(2 * n, augmented).subspace()
+    if reduced.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Mat([row[n:] for row in reduced], cols=n)
+    return Mat([row[n:] for row in reduced.basis], cols=n)
 
 
 # ---------------------------------------------------------------------------
@@ -793,43 +790,16 @@ def min_poly(m: Mat) -> Poly:
         seed = unit_vec(n, i)
         if _poly_apply(result, m, seed) == zero_vec(n):
             continue
-        # rows: (residual list, pivot index, combination coefficients)
-        stored = []
+        # rows [m^k e_i | e_k]: the first whose residual vanishes on the
+        # first n coordinates holds the coefficients of the annihilator
+        krylov = Echelon(2 * n + 1)
         v = seed
-        combo = [_ONE]
-        while True:
-            resid = list(v)
-            coeffs = list(combo) + [_ZERO] * (len(stored) + 1 - len(combo))
-            for res_row, piv, row_combo in stored:
-                c = resid[piv]
-                if c:
-                    for j in range(n):
-                        x = res_row[j]
-                        if x:
-                            resid[j] -= c * x
-                    for j, x in enumerate(row_combo):
-                        if x:
-                            coeffs[j] -= c * x
-            piv = None
-            for j in range(n):
-                if resid[j]:
-                    piv = j
-                    break
-            if piv is None:
-                # coeffs expresses 0 = sum coeffs_k m^k seed; leading index
-                # is the current power, so normalize to a monic annihilator
-                k = len(combo) - 1
-                lead = coeffs[k]
-                ann = Poly([c / lead for c in coeffs[: k + 1]])
-                result = poly_lcm(result, ann)
+        for k in range(n + 1):
+            row = krylov.add(v + unit_vec(n + 1, k))
+            if krylov.pivots[-1] >= n:
+                result = poly_lcm(result, Poly(row[n:]).monic())
                 break
-            inv = _ONE / resid[piv]
-            resid = [x * inv for x in resid]
-            coeffs = [x * inv for x in coeffs]
-            stored.append((resid, piv, coeffs))
             v = m.apply(v)
-            combo = [_ZERO] * (len(stored) + 1)
-            combo[len(stored)] = _ONE
     return result
 
 

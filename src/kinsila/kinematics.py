@@ -80,9 +80,6 @@ class KinStructure:
     sigma_check: Dict[str, bool]  # outcome of the involution check
     items: Tuple[Tuple[str, bool], ...]
 
-    def to_p_coords(self, ambient_vec) -> Optional[tuple]:
-        return self.p_space.coordinates_of(ambient_vec)
-
     def from_p_coords(self, coords) -> tuple:
         v = list(zero_vec(self.algebra.dim))
         for c, b in zip(coords, self.p_space.basis):
@@ -528,6 +525,28 @@ def z_action_split(structure: KinStructure) -> ZActionData:
 # ---------------------------------------------------------------------------
 # semisimple branch
 
+def _lagrangian_pair(
+    omega: Mat, first: Subspace, second: Subspace
+) -> Tuple[bool, bool]:
+    """Whether omega vanishes on each of the two subspaces of P, and
+    whether it pairs them with rank half of dim P."""
+
+    def form(x, y):
+        return sum((c * d for c, d in zip(omega.apply(x), y)), _ZERO)
+
+    lagrangian = all(
+        not form(x, y)
+        for space in (first, second)
+        for x in space.basis
+        for y in space.basis
+    )
+    pairing = Mat(
+        [[form(x, y) for y in second.basis] for x in first.basis],
+        cols=second.dim,
+    )
+    return lagrangian, rank(pairing) == omega.rows // 2
+
+
 def kahler_split(
     structure: KinStructure,
     zdata: ZActionData,
@@ -593,20 +612,9 @@ def kahler_split(
                 if any(structure.algebra.bracket(x, y)):
                     abelian = False
     checks["eigenspaces-abelian"] = abelian
-    lagrangian = True
-    for space in (lpos, lneg):
-        for x in space.basis:
-            wx = sym.omega.apply(x)
-            for y in space.basis:
-                if sum((c * d for c, d in zip(wx, y)), _ZERO):
-                    lagrangian = False
+    lagrangian, pairing_ok = _lagrangian_pair(sym.omega, lpos, lneg)
     checks["eigenspaces-lagrangian"] = lagrangian
-    pairing = Mat(
-        [[sum((c * d for c, d in zip(sym.omega.apply(x), y)), _ZERO)
-          for y in lneg.basis] for x in lpos.basis],
-        cols=lneg.dim,
-    )
-    checks["duality-pairing-full-rank"] = rank(pairing) == dp // 2
+    checks["duality-pairing-full-rank"] = pairing_ok
     if not all(checks.values()):
         raise InternalFault(
             "eigenspace certificates failed for a semisimple positive square",
@@ -709,21 +717,9 @@ def poincare_certificate(
         pl = _to_p_subspace(structure, p_levi_amb)
 
         dims_ok = pr.dim == half and pl.dim == half
-        lag_ok = dims_ok
-        pairing_ok = False
+        lag_ok = pairing_ok = False
         if dims_ok:
-            for space in (pr, pl):
-                for x in space.basis:
-                    wx = sym.omega.apply(x)
-                    for y in space.basis:
-                        if sum((c * d for c, d in zip(wx, y)), _ZERO):
-                            lag_ok = False
-            pairing = Mat(
-                [[sum((c * d for c, d in zip(sym.omega.apply(x), y)), _ZERO)
-                  for y in pl.basis] for x in pr.basis],
-                cols=pl.dim,
-            )
-            pairing_ok = rank(pairing) == half
+            lag_ok, pairing_ok = _lagrangian_pair(sym.omega, pr, pl)
         items.append((
             "p-splits-lagrangian-dual",
             dims_ok and lag_ok and pairing_ok,

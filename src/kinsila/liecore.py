@@ -12,6 +12,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
+    Echelon,
     Mat,
     Subspace,
     inverse,
@@ -186,15 +187,6 @@ class LieAlgebra:
                     vectors.append(w)
         return Subspace.span(self.dim, vectors)
 
-    def subalgebra_closure(self, vectors) -> Subspace:
-        """Smallest subalgebra containing the given vectors."""
-        s = Subspace.span(self.dim, list(vectors))
-        while True:
-            grown = s.sum_with(self.bracket_span(s, s))
-            if grown.dim == s.dim:
-                return s
-            s = grown
-
     def centralizer(self, of: Subspace, within: Optional[Subspace] = None) -> Subspace:
         """{x in `within` : [x, v] = 0 for all v in `of`}."""
         if within is None:
@@ -292,36 +284,7 @@ class LieAlgebra:
     def is_involution(self, t: Mat) -> bool:
         return t.is_square() and t.rows == self.dim and (t @ t).is_identity()
 
-    # -- derived algebras -----------------------------------------------------
-    def quotient(self, ideal: Subspace, labels=None):
-        """Quotient algebra by an ideal plus the projection matrix.
-
-        The quotient basis is the image of the unit vectors at the ideal's
-        non-pivot coordinates; the projection maps defining-basis
-        coordinates to quotient coordinates.
-        """
-        if not self.is_ideal(ideal):
-            raise ValueError("quotient by a non-ideal")
-        comp = ideal.standard_complement()
-        k = len(comp)
-        m = Mat.from_cols(
-            [list(c) for c in comp] + [list(b) for b in ideal.basis],
-            rows=self.dim,
-        )
-        minv = inverse(m)
-        proj = Mat(minv.entries[:k], cols=self.dim)
-        pairs = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                v = self.bracket(comp[a], comp[b])
-                if any(v):
-                    w = proj.apply(v)
-                    if any(w):
-                        pairs[(a, b)] = w
-        if labels is None:
-            labels = [f"q{i}" for i in range(k)]
-        return LieAlgebra(k, pairs, labels), proj
-
+    # -- subalgebras -----------------------------------------------------------
     def restrict(self, space: Subspace, labels=None):
         """Subalgebra on the echelon basis of `space`, plus the embedding."""
         if not self.is_subalgebra(space):
@@ -405,22 +368,20 @@ class LieAlgebra:
             for part, radpart, eps in ((cp, radp, 1), (cm, radm, -1)):
                 for c in part.basis:
                     wdata.append((c, eps, True))
-                cur = part.sum_with(radpart)
+                cur = Echelon(n, part.basis + radpart.basis)
                 side = gplus if eps == 1 else gminus
                 for v in side.basis:
-                    if not cur.contains(v):
-                        cur = cur.sum_with(Subspace.span(n, [v]))
+                    if cur.add(v) is not None:
                         wdata.append((v, eps, False))
         else:
-            cur = rad
+            cur = rad.echelon()
             if contain is not None:
                 for c in contain.basis:
                     wdata.append((c, 0, True))
-                cur = rad.sum_with(contain)
+                    cur.add(c)
             for i in range(n):
                 v = unit_vec(n, i)
-                if not cur.contains(v):
-                    cur = cur.sum_with(Subspace.span(n, [v]))
+                if cur.add(v) is not None:
                     wdata.append((v, 0, False))
 
         k = len(wdata)

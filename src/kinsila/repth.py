@@ -14,10 +14,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
-import sympy
-
 from .errors import DecompositionError, InternalFault, RepError, SimplicityUndecided
 from .exactla import (
+    Echelon,
     Mat,
     Poly,
     Subspace,
@@ -26,7 +25,6 @@ from .exactla import (
     min_poly,
     rank,
     unit_vec,
-    zero_vec,
 )
 from .liecore import LieAlgebra
 
@@ -86,19 +84,6 @@ class Rep:
                     raise RepError(
                         f"matrices fail the bracket condition on basis pair ({i}, {j})"
                     )
-
-    def rho(self, x) -> Mat:
-        """Matrix of the algebra element with coefficient vector x."""
-        if len(x) != self.algebra.dim:
-            raise ValueError("coefficient vector length mismatch")
-        acc = Mat.zeros(self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                acc = acc + self.mats[i].scale(c)
-        return acc
-
-    def act(self, x, v) -> tuple:
-        return self.rho(x).apply(v)
 
     def __repr__(self):
         return f"Rep(dim {self.dim} of algebra dim {self.algebra.dim})"
@@ -198,42 +183,13 @@ def spin(rep: Rep, v) -> Subspace:
 
 
 def _spin_mats(mats: Sequence[Mat], v, d: int) -> Subspace:
-    rows: List[tuple] = []
-    pivots: List[int] = []
-
-    def reduce_add(w):
-        w = list(w)
-        for row, p in zip(rows, pivots):
-            c = w[p]
-            if c:
-                for j in range(p, d):
-                    x = row[j]
-                    if x:
-                        w[j] -= c * x
-        piv = None
-        for j in range(d):
-            if w[j]:
-                piv = j
-                break
-        if piv is None:
-            return None
-        inv = _ONE / w[piv]
-        w = tuple(x * inv for x in w)
-        rows.append(w)
-        pivots.append(piv)
-        return w
-
-    queue = []
-    first = reduce_add(v)
-    if first is not None:
-        queue.append(first)
+    found = Echelon(d)
+    queue = [found.add(v)]
     while queue:
         u = queue.pop()
-        for m in mats:
-            w = reduce_add(m.apply(u))
-            if w is not None:
-                queue.append(w)
-    return Subspace.span(d, rows)
+        if u is not None:
+            queue += [found.add(m.apply(u)) for m in mats]
+    return found.subspace()
 
 
 def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
@@ -337,28 +293,38 @@ def invariant_symmetric_forms(rep: Rep) -> List[Mat]:
     ]
 
 
+def _combination(combo: Sequence[int], mats: Sequence[Mat]) -> Mat:
+    acc = Mat.zeros(mats[0].rows, mats[0].cols)
+    for c, m in zip(combo, mats):
+        if c:
+            acc = acc + m.scale(c)
+    return acc
+
+
+def _full_rank_combination(mats: Sequence[Mat], k: int) -> Optional[tuple]:
+    """First nonzero c on the grid {0..k}^r, in lexicographic order, with
+    sum c_i mats[i] of rank k; None when there is none.
+
+    For k x k matrices the determinant of the combination is a polynomial
+    of degree at most k in the c_i, so if it is not identically zero it is
+    nonzero somewhere on this grid; scanning it is an exact, deterministic
+    replacement for a random choice, at up to (k+1)^r exact ranks.
+    """
+    for combo in iproduct(range(k + 1), repeat=len(mats)):
+        if any(combo) and rank(_combination(combo, mats)) == k:
+            return combo
+    return None
+
+
 def nondegenerate_invariant_form(rep: Rep) -> Optional[Mat]:
     """A nondegenerate invariant symmetric form, or None when none exists.
 
-    The determinant of a combination sum c_i B_i is a polynomial of degree
-    at most d in the c_i, so if it is not identically zero it is nonzero
-    somewhere on the integer grid {0..d}^r; scanning that grid is an
-    exact, deterministic replacement for a random choice.
+    The first full-rank combination of the invariant forms on the grid of
+    `_full_rank_combination` is taken.
     """
     basis = invariant_symmetric_forms(rep)
-    if not basis:
-        return None
-    d = rep.dim
-    for combo in iproduct(range(d + 1), repeat=len(basis)):
-        if not any(combo):
-            continue
-        cand = Mat.zeros(d, d)
-        for c, b in zip(combo, basis):
-            if c:
-                cand = cand + b.scale(c)
-        if rank(cand) == d:
-            return cand
-    return None
+    combo = _full_rank_combination(basis, rep.dim)
+    return None if combo is None else _combination(combo, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -367,36 +333,12 @@ def nondegenerate_invariant_form(rep: Rep) -> Optional[Mat]:
 def enveloping_basis(rep: Rep) -> List[Mat]:
     """Basis of the unital algebra generated by the representing matrices."""
     d = rep.dim
-    flat_dim = d * d
-
-    rows: List[tuple] = []
-    pivots: List[int] = []
+    found = Echelon(d * d)
     elements: List[Mat] = []
 
-    def reduce_vec(w):
-        w = list(w)
-        for row, p in zip(rows, pivots):
-            c = w[p]
-            if c:
-                for j in range(p, flat_dim):
-                    x = row[j]
-                    if x:
-                        w[j] -= c * x
-        piv = None
-        for j in range(flat_dim):
-            if w[j]:
-                piv = j
-                break
-        return w, piv
-
     def try_add(m: Mat) -> bool:
-        flat = tuple(m.entries[r][c] for r in range(d) for c in range(d))
-        w, piv = reduce_vec(flat)
-        if piv is None:
+        if found.add([x for row in m.entries for x in row]) is None:
             return False
-        inv = _ONE / w[piv]
-        rows.append(tuple(x * inv for x in w))
-        pivots.append(piv)
         elements.append(m)
         return True
 
@@ -419,6 +361,10 @@ def _factor_over_q(p: Poly) -> List[Tuple[Poly, int]]:
     """Irreducible factorization of p over Q as (factor, multiplicity) pairs."""
     if p.degree < 1:
         return []
+    # imported here, the one place it is needed, to keep it out of the
+    # start-up of every other use of the package
+    import sympy
+
     t = sympy.Symbol("t")
     expr = sum(
         sympy.Rational(c.numerator, c.denominator) * t ** i
@@ -694,37 +640,25 @@ def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
         raise ValueError("complement asked for a non-invariant subspace")
     sub = rep_on_subspace(rep, space)
     homs = hom_space(rep, sub)
-    if homs:
-        wcols = Mat.from_cols([list(b) for b in space.basis], rows=d)
-        restrictions = [h @ wcols for h in homs]
-        for combo in iproduct(range(k + 1), repeat=len(homs)):
-            if not any(combo):
-                continue
-            restr = Mat.zeros(k, k)
-            for c, r in zip(combo, restrictions):
-                if c:
-                    restr = restr + r.scale(c)
-            if rank(restr) != k:
-                continue
-            pi = Mat.zeros(k, d)
-            for c, h in zip(combo, homs):
-                if c:
-                    pi = pi + h.scale(c)
-            comp = kernel(pi)
-            if comp.dim != d - k or not space.intersect(comp).is_zero():
-                raise InternalFault(
-                    "projection kernel is not a complement",
-                    {"pi": pi.entries},
-                )
-            if not _invariant_under(rep, comp):
-                raise InternalFault(
-                    "kernel of an intertwiner is not invariant",
-                    {"pi": pi.entries},
-                )
-            return comp
-    raise DecompositionError(
-        "invariant subspace admits no invariant complement"
-    )
+    wcols = Mat.from_cols([list(b) for b in space.basis], rows=d)
+    combo = _full_rank_combination([h @ wcols for h in homs], k)
+    if combo is None:
+        raise DecompositionError(
+            "invariant subspace admits no invariant complement"
+        )
+    pi = _combination(combo, homs)
+    comp = kernel(pi)
+    if comp.dim != d - k or not space.intersect(comp).is_zero():
+        raise InternalFault(
+            "projection kernel is not a complement",
+            {"pi": pi.entries},
+        )
+    if not _invariant_under(rep, comp):
+        raise InternalFault(
+            "kernel of an intertwiner is not invariant",
+            {"pi": pi.entries},
+        )
+    return comp
 
 
 class Decomposition(list):
@@ -812,20 +746,9 @@ def match_decompositions(
             if j in used or s1.dim != s2.dim:
                 continue
             homs = hom_space(s1, s2)
-            iso = None
-            k = s1.dim
-            for combo in iproduct(range(k + 1), repeat=len(homs)):
-                if not any(combo):
-                    continue
-                cand = Mat.zeros(k, k)
-                for c, h in zip(combo, homs):
-                    if c:
-                        cand = cand + h.scale(c)
-                if rank(cand) == k:
-                    iso = cand
-                    break
-            if iso is not None:
-                found = (j, iso)
+            combo = _full_rank_combination(homs, s1.dim)
+            if combo is not None:
+                found = (j, _combination(combo, homs))
                 break
         if found is None:
             raise ValueError(f"summand {i} matches nothing on the other side")

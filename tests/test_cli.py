@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,18 @@ def good_doc():
         ],
         "roles": {"Z": ["H"], "s": [], "P": ["B1", "P1"]},
     }
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # sympy only factors minimal polynomials for a rare certificate, so the
+    # command line must not pay for importing it on every call
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, kinsila.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,6 @@ class TestSubspace:
         assert xy.intersect(yz) == Subspace.span(3, [(0, 1, 0)])
         assert xy.intersect(Subspace.zero(3)).is_zero()
 
-    def test_standard_complement(self):
-        s = Subspace.span(4, [(1, 0, 2, 0), (0, 1, 5, 0)])
-        comp = s.standard_complement()
-        assert comp == [unit_vec(4, 2), unit_vec(4, 3)]
-        total = Subspace.span(4, list(s.basis) + comp)
-        assert total.is_full()
-
     def test_containment_order(self):
         big = Subspace.full(3)
         small = Subspace.span(3, [(1, 2, 3)])
@@ -167,6 +160,53 @@ class TestKernelImageSolve:
             # every kernel vector actually annihilates
             for v in kernel(m).basis:
                 assert m.apply(v) == zero_vec(n)
+
+        # rank-deficient rational rows, whose reduction needs the
+        # back-substitution: the span does not depend on the spanning rows
+        def rat():
+            return F(rng.randint(-4, 4), rng.randint(1, 5))
+
+        for _ in range(40):
+            cols = rng.randint(1, 6)
+            gens = [[rat() for _ in range(cols)] for _ in range(rng.randint(0, cols - 1))]
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                row = zero_vec(cols)
+                for g in gens:
+                    row = vadd(row, vscale(rat(), g))
+                rows.append(row)
+            m = Mat(rows, cols=cols)
+            span = Subspace.span(cols, rows)
+            permuted = rng.sample(rows, len(rows))
+            rescaled = [vscale(F(rng.choice([-3, -1, 2, 7]), rng.randint(1, 4)), r) for r in rows]
+            extended = rows + [
+                vadd(vscale(rat(), rng.choice(rows)), vscale(rat(), rng.choice(rows)))
+                for _ in range(3)
+            ]
+            for other in (permuted, rescaled, extended):
+                assert Subspace.span(cols, other) == span
+            assert span.dim == rank(m) < cols
+            assert all(span.contains(r) for r in rows)
+            # solve: a consistent right-hand side and an inconsistent one
+            b = m.apply([rat() for _ in range(cols)])
+            res = solve(m, b)
+            assert res is not None and m.apply(res.particular) == b
+            assert res.kernel == kernel(m) and res.kernel.dim == cols - rank(m)
+            if rank(m) < m.rows:
+                y = kernel(m.transpose()).basis[0]
+                assert solve(m, y) is None
+            # inverse: the square part of the rows is singular; a full-rank
+            # square matrix is inverted on both sides
+            if m.rows >= cols:
+                with pytest.raises(ValueError):
+                    inverse(Mat(rows[:cols], cols=cols))
+            sq = Mat([[rat() for _ in range(cols)] for _ in range(cols)])
+            if rank(sq) == cols:
+                inv = inverse(sq)
+                assert (inv @ sq).is_identity() and (sq @ inv).is_identity()
+            else:
+                with pytest.raises(ValueError):
+                    inverse(sq)
 
 
 class TestPoly:
@@ -240,6 +280,9 @@ class TestCharAndMinPoly:
             mp, cp = min_poly(m), char_poly(m)
             assert (cp % mp).is_zero()
             assert matrix_poly(mp, m).is_zero()
+            # minimal: no lower power of m depends on the ones before it
+            flat = [[x for row in m.power(k).entries for x in row] for k in range(n + 1)]
+            assert mp.degree == rank(Mat(flat))
 
     def test_zero_by_zero(self):
         z = Mat([], cols=0)

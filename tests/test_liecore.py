@@ -116,12 +116,6 @@ class TestDerivedObjects:
         rad = g.solvable_radical()
         assert g.centralizer(rad, within=rad) == rad
 
-    def test_subalgebra_closure(self):
-        g = sl2()
-        # e and f generate everything
-        assert g.subalgebra_closure([unit_vec(3, 1), unit_vec(3, 2)]).is_full()
-        assert g.subalgebra_closure([unit_vec(3, 1)]).dim == 1
-
 
 class TestPredicates:
     def test_ideal_and_subalgebra(self):
@@ -153,17 +147,6 @@ class TestPredicates:
 
 
 class TestQuotientRestrict:
-    def test_quotient_heisenberg_by_center(self):
-        h = heisenberg()
-        quot, proj = h.quotient(Subspace.span(3, [(0, 0, 1)]))
-        assert quot.dim == 2
-        assert quot.derived_subalgebra().is_zero()
-        assert proj.apply((1, 2, 5)) == (1, 2)
-
-    def test_quotient_requires_ideal(self):
-        with pytest.raises(ValueError):
-            sl2().quotient(Subspace.span(3, [(0, 1, 0)]))
-
     def test_restrict_levi(self):
         g = sl2_on_plane()
         levi = Subspace.span(5, [unit_vec(5, i) for i in range(3)])

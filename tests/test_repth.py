@@ -46,13 +46,6 @@ class TestRepConstruction:
         with pytest.raises(RepError):
             Rep(alg, rep.mats[:2])
 
-    def test_rho_is_linear(self):
-        _, rep = so_algebra_and_rep(3)
-        x = (1, 2, -1)
-        assert rep.rho(x) == (
-            rep.mats[0] + rep.mats[1].scale(2) - rep.mats[2]
-        )
-
     def test_zero_algebra_module(self):
         zero = LieAlgebra(0, {})
         rep = Rep(zero, [], dim=3)
