@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "Q",
     "q",
-    "vec",
     "zero_vec",
     "unit_vec",
     "vadd",
@@ -25,7 +24,6 @@ __all__ = [
     "Echelon",
     "Subspace",
     "kernel",
-    "image",
     "rank",
     "solve",
     "SolveResult",
@@ -64,10 +62,6 @@ def q(value) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # vectors: plain tuples of Fraction
-
-def vec(values) -> tuple:
-    return tuple(q(v) for v in values)
-
 
 def zero_vec(n: int) -> tuple:
     return (_ZERO,) * n
@@ -141,9 +135,6 @@ class Mat:
         return Mat([[c[i] for c in cols] for i in range(height)], cols=len(cols))
 
     # -- access --------------------------------------------------------
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 
@@ -390,15 +381,34 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
         coords = tuple(q(v[p]) for p in self.pivots)
-        check = list(zero_vec(self.ambient_dim))
+        if self.vector(coords) != tuple(q(x) for x in v):
+            return None
+        return coords
+
+    def vector(self, coords) -> tuple:
+        """The vector with these coefficients in this basis; the inverse
+        of `coordinates_of`."""
+        if len(coords) != self.dim:
+            raise ValueError("need one coefficient per basis vector")
+        v = [_ZERO] * self.ambient_dim
         for c, row in zip(coords, self.basis):
             if c:
                 for j, x in enumerate(row):
                     if x:
-                        check[j] += c * x
-        if tuple(check) != tuple(q(x) for x in v):
-            return None
-        return coords
+                        v[j] += c * x
+        return tuple(v)
+
+    def matrix_of(self, f) -> Optional[Mat]:
+        """Matrix, in this basis, of a linear map f (a function on ambient
+        vectors) that preserves the subspace; None when f sends a basis
+        vector outside it."""
+        cols = []
+        for b in self.basis:
+            coords = self.coordinates_of(f(b))
+            if coords is None:
+                return None
+            cols.append(coords)
+        return Mat.from_cols(cols, rows=self.dim)
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -427,20 +437,9 @@ class Subspace:
             row += [-other.basis[b][i] for b in range(dw)]
             rows.append(row)
         combos = kernel(Mat(rows, cols=du + dw))
-        vectors = []
-        for c in combos.basis:
-            v = list(zero_vec(self.ambient_dim))
-            for a in range(du):
-                if c[a]:
-                    for j, x in enumerate(self.basis[a]):
-                        if x:
-                            v[j] += c[a] * x
-            vectors.append(tuple(v))
-        return Subspace.span(self.ambient_dim, vectors)
-
-    def basis_matrix(self) -> Mat:
-        """Basis vectors as the rows of a matrix."""
-        return Mat(self.basis or [], cols=self.ambient_dim)
+        return Subspace.span(
+            self.ambient_dim, [self.vector(c[:du]) for c in combos.basis]
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -476,11 +475,6 @@ def _null_space(reduced: Subspace, cols: int) -> Subspace:
 def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0}, as a canonical Subspace of Q^cols."""
     return _null_space(Echelon(m.cols, m.entries).subspace(), m.cols)
-
-
-def image(m: Mat) -> Subspace:
-    """Column space, as a Subspace of Q^rows."""
-    return Subspace.span(m.rows, [m.col(j) for j in range(m.cols)])
 
 
 def rank(m: Mat) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -29,7 +30,6 @@ from .exactla import (
     sn_decomposition,
     sqrt_rational,
     unit_vec,
-    zero_vec,
 )
 from .liecore import LieAlgebra
 from .repth import (
@@ -79,15 +79,6 @@ class KinStructure:
     sigma: Mat
     sigma_check: Dict[str, bool]  # outcome of the involution check
     items: Tuple[Tuple[str, bool], ...]
-
-    def from_p_coords(self, coords) -> tuple:
-        v = list(zero_vec(self.algebra.dim))
-        for c, b in zip(coords, self.p_space.basis):
-            if c:
-                for j, x in enumerate(b):
-                    if x:
-                        v[j] += c * x
-        return tuple(v)
 
 
 @dataclass
@@ -285,33 +276,17 @@ def validate(
     ok(2)
 
     # 3: the central line commutes with s
-    if not all(
-        not any(algebra.bracket(z0, unit_vec(n, i))) for i in s_indices
-    ):
+    if any(any(algebra.bracket(z0, x)) for x in s_space.basis):
         fail(3, "the central line does not commute with the rotation subalgebra")
     ok(3)
 
     # 4: P is an s-module
     s_algebra, _ = algebra.restrict(s_space)
-    p_mats = []
-    good = True
-    for i in s_indices:
-        cols = []
-        for j in p_indices:
-            w = algebra.bracket(unit_vec(n, i), unit_vec(n, j))
-            coords = p_space.coordinates_of(w)
-            if coords is None:
-                good = False
-                break
-            cols.append(coords)
-        if not good:
-            break
-        p_mats.append(Mat.from_cols(cols, rows=len(p_indices)))
-    if not good:
+    p_mats = [p_space.matrix_of(partial(algebra.bracket, x)) for x in s_space.basis]
+    if None in p_mats:
         fail(4, "the bracket of a rotation with a momentum leaves the momentum space")
     ok(4)
-    dp = len(p_indices)
-    p_rep = Rep(s_algebra, p_mats, dim=dp)
+    p_rep = Rep(s_algebra, p_mats, dim=p_space.dim)
 
     # 5: P is a sum of two isomorphic simple modules
     try:
@@ -392,17 +367,10 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
     theorems here, so violations raise InternalFault.
     """
     alg = structure.algebra
-    n = alg.dim
     zi = structure.z_indices[0]
-    p_idx = structure.p_indices
-    dp = len(p_idx)
-    rows = []
-    for i in p_idx:
-        row = []
-        for j in p_idx:
-            w = alg.bracket(unit_vec(n, i), unit_vec(n, j))
-            row.append(w[zi])
-        rows.append(row)
+    momenta = structure.p_space.basis
+    dp = len(momenta)
+    rows = [[alg.bracket(x, y)[zi] for y in momenta] for x in momenta]
     omega = Mat(rows, cols=dp)
     if omega.transpose() != -omega:
         raise InternalFault("central two-form is not antisymmetric",
@@ -410,8 +378,7 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
 
     # invariance under z and s actions on P
     actors = [("z", _ad_on_p(structure, structure.z0))]
-    for k, i in enumerate(structure.s_indices):
-        actors.append((f"s{k}", structure.p_rep.mats[k]))
+    actors += [(f"s{k}", m) for k, m in enumerate(structure.p_rep.mats)]
     for name, m in actors:
         if not (m.transpose() @ omega + omega @ m).is_zero():
             raise InternalFault(
@@ -440,9 +407,9 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
 
     # brackets of radical vectors with momenta stay inside the rotations
     for r in rad.basis:
-        amb_r = structure.from_p_coords(r)
-        for j in p_idx:
-            w = alg.bracket(amb_r, unit_vec(n, j))
+        amb_r = structure.p_space.vector(r)
+        for y in momenta:
+            w = alg.bracket(amb_r, y)
             if not structure.s_space.contains(w):
                 raise InternalFault(
                     "bracket of a radical vector with momenta leaves the rotations",
@@ -453,19 +420,13 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
 
 def _ad_on_p(structure: KinStructure, ambient_vec) -> Mat:
     """Matrix of ad(ambient_vec) restricted to P, in P coordinates."""
-    alg = structure.algebra
-    n = alg.dim
-    cols = []
-    for j in structure.p_indices:
-        w = alg.bracket(ambient_vec, unit_vec(n, j))
-        coords = structure.p_space.coordinates_of(w)
-        if coords is None:
-            raise InternalFault(
-                "fixed-part action does not preserve the momentum space",
-                {"vector": ambient_vec},
-            )
-        cols.append(coords)
-    return Mat.from_cols(cols, rows=len(structure.p_indices))
+    m = structure.p_space.matrix_of(partial(structure.algebra.bracket, ambient_vec))
+    if m is None:
+        raise InternalFault(
+            "fixed-part action does not preserve the momentum space",
+            {"vector": ambient_vec},
+        )
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +567,7 @@ def kahler_split(
     checks["stable-under-fixed-part"] = stable
     abelian = True
     for space in (lpos, lneg):
-        amb = [structure.from_p_coords(b) for b in space.basis]
+        amb = [structure.p_space.vector(b) for b in space.basis]
         for x in amb:
             for y in amb:
                 if any(structure.algebra.bracket(x, y)):
@@ -621,8 +582,8 @@ def kahler_split(
             {"checks": checks},
         )
     n = structure.algebra.dim
-    g_plus = Subspace.span(n, [structure.from_p_coords(b) for b in lpos.basis])
-    g_minus = Subspace.span(n, [structure.from_p_coords(b) for b in lneg.basis])
+    g_plus = Subspace.span(n, [structure.p_space.vector(b) for b in lpos.basis])
+    g_minus = Subspace.span(n, [structure.p_space.vector(b) for b in lneg.basis])
     g_zero = structure.z_space.sum_with(structure.s_space)
     grading = {"-1": g_minus, "0": g_zero, "1": g_plus}
     # re-verify the three-step grading on the recorded subspaces
@@ -911,21 +872,17 @@ def _heisenberg_certificates(
     alg = structure.algebra
     n = alg.dim
     rad = sym.radical
-    rad_ambient = Subspace.span(
-        n, [structure.from_p_coords(b) for b in rad.basis]
-    )
+    rad_ambient = Subspace.span(n, [structure.p_space.vector(b) for b in rad.basis])
     comp = invariant_complement(structure.p_rep, rad)
-    comp_ambient = Subspace.span(
-        n, [structure.from_p_coords(b) for b in comp.basis]
-    )
+    comp_ambient = Subspace.span(n, [structure.p_space.vector(b) for b in comp.basis])
     ww = alg.bracket_span(comp_ambient, comp_ambient)
     if ww != structure.z_space:
         raise InternalFault(
             "complement brackets do not span exactly the central line",
             {"ww_dim": ww.dim},
         )
-    for j in structure.p_indices:
-        if any(alg.bracket(structure.z0, unit_vec(n, j))):
+    for y in structure.p_space.basis:
+        if any(alg.bracket(structure.z0, y)):
             raise InternalFault(
                 "central element acts on momenta in the degenerate-summand case",
                 {},

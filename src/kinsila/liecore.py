@@ -7,6 +7,7 @@ construction time, so an instance that exists is a Lie algebra.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -21,6 +22,7 @@ from .exactla import (
     rank,
     solve,
     unit_vec,
+    vadd,
     zero_vec,
 )
 
@@ -129,24 +131,6 @@ class LieAlgebra:
                             out[m] += f * c
         return tuple(out)
 
-    def ad(self, x) -> Mat:
-        """Matrix of y -> [x, y] in the defining basis."""
-        if len(x) != self.dim:
-            raise ValueError("vector length does not match dimension")
-        n = self.dim
-        cols = []
-        for j in range(n):
-            col = [_ZERO] * n
-            for i, xi in enumerate(x):
-                if xi:
-                    cij = self._tensor[i][j]
-                    if cij is not None:
-                        for m, c in enumerate(cij):
-                            if c:
-                                col[m] += xi * c
-            cols.append(col)
-        return Mat.from_cols(cols, rows=n)
-
     # -- derived objects ---------------------------------------------------
     def killing_form(self) -> Mat:
         """Gram matrix of (x, y) -> trace(ad x ad y) in the defining basis."""
@@ -202,16 +186,7 @@ class LieAlgebra:
             for m in range(self.dim):
                 rows.append([block[a][m] for a in range(len(gens))])
         combos = kernel(Mat(rows, cols=len(gens)))
-        vectors = []
-        for c in combos.basis:
-            v = [_ZERO] * self.dim
-            for a, ca in enumerate(c):
-                if ca:
-                    for m, x in enumerate(gens[a]):
-                        if x:
-                            v[m] += ca * x
-            vectors.append(v)
-        return Subspace.span(self.dim, vectors)
+        return Subspace.span(self.dim, [within.vector(c) for c in combos.basis])
 
     # -- predicates on subspaces -----------------------------------------
     def is_subalgebra(self, space: Subspace) -> bool:
@@ -406,18 +381,12 @@ class LieAlgebra:
                 struct[(a, b)] = (coords[:k], coords[k:])
 
         # action of each complement vector on the radical, rad coordinates
-        pmats = []
-        for a in range(k):
-            cols = []
-            for r in rad.basis:
-                rc = rad.coordinates_of(self.bracket(wvecs[a], r))
-                if rc is None:
-                    raise InternalFault(
-                        "radical escaped under bracket with complement",
-                        {"index": a},
-                    )
-                cols.append(rc)
-            pmats.append(cols)
+        pmats = [rad.matrix_of(functools.partial(self.bracket, w)) for w in wvecs]
+        if None in pmats:
+            raise InternalFault(
+                "radical escaped under bracket with complement",
+                {"index": pmats.index(None)},
+            )
 
         free = [a for a, (_, _, pin) in enumerate(wdata) if not pin]
         offset = {a: idx * d for idx, a in enumerate(free)}
@@ -431,13 +400,13 @@ class LieAlgebra:
                 if b in offset:
                     ob = offset[b]
                     for s in range(d):
-                        val = pmats[a][s][t]
+                        val = pmats[a][t, s]
                         if val:
                             row[ob + s] += val
                 if a in offset:
                     oa = offset[a]
                     for s in range(d):
-                        val = pmats[b][s][t]
+                        val = pmats[b][t, s]
                         if val:
                             row[oa + s] -= val
                 for e in range(k):
@@ -448,19 +417,16 @@ class LieAlgebra:
                     rows.append(row)
                     rhs.append(-rvec[t])
         if sigma is not None and free:
-            scols = []
-            for r in rad.basis:
-                sc = rad.coordinates_of(sigma.apply(r))
-                if sc is None:
-                    raise InternalFault("radical not stable under sigma")
-                scols.append(sc)
+            smat = rad.matrix_of(sigma.apply)
+            if smat is None:
+                raise InternalFault("radical not stable under sigma")
             for a in free:
                 eps = wdata[a][1]
                 oa = offset[a]
                 for t in range(d):
                     row = [_ZERO] * width
                     for s in range(d):
-                        val = scols[s][t]
+                        val = smat[t, s]
                         if val:
                             row[oa + s] += val
                     row[oa + t] -= eps
@@ -482,18 +448,10 @@ class LieAlgebra:
                 return None
             x = ()
 
-        lvecs = []
-        for a, (w, _, _) in enumerate(wdata):
-            v = list(w)
-            if a in offset:
-                oa = offset[a]
-                for s in range(d):
-                    c = x[oa + s]
-                    if c:
-                        for j, rb in enumerate(rad.basis[s]):
-                            if rb:
-                                v[j] += c * rb
-            lvecs.append(tuple(v))
+        lvecs = [
+            vadd(w, rad.vector(x[offset[a]:offset[a] + d])) if a in offset else w
+            for a, (w, _, _) in enumerate(wdata)
+        ]
         levi = Subspace.span(n, lvecs)
 
         cert = {"levi_basis": levi.basis}

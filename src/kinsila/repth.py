@@ -119,19 +119,12 @@ class Simplicity:
 
 def rep_on_subspace(rep: Rep, space: Subspace) -> Rep:
     """Restriction of `rep` to an invariant subspace, in its echelon basis."""
-    k = space.dim
-    if k == 0:
+    if space.is_zero():
         raise ValueError("restriction to the zero subspace")
-    mats = []
-    for m in rep.mats:
-        cols = []
-        for b in space.basis:
-            coords = space.coordinates_of(m.apply(b))
-            if coords is None:
-                raise ValueError("subspace is not invariant")
-            cols.append(coords)
-        mats.append(Mat.from_cols(cols, rows=k))
-    return Rep(rep.algebra, mats, check=False, dim=k)
+    mats = [space.matrix_of(m.apply) for m in rep.mats]
+    if None in mats:
+        raise ValueError("subspace is not invariant")
+    return Rep(rep.algebra, mats, check=False, dim=space.dim)
 
 
 def wedge_square(rep: Rep) -> Rep:
@@ -198,6 +191,8 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
         raise ValueError("intertwiners need representations of the same algebra")
     d1, d2 = rep1.dim, rep2.dim
     width = d1 * d2
+    # different generators often give the same equation row; hashing a
+    # repeat is cheaper than reducing it to zero in the kernel
     seen = set()
     rows = []
     for m1, m2 in zip(rep1.mats, rep2.mats):
@@ -223,41 +218,6 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
     for v in combos.basis:
         out.append(Mat([v[r * d1:(r + 1) * d1] for r in range(d2)], cols=d1))
     return out
-
-
-def commutant(rep: Rep) -> List[Mat]:
-    """Basis of the algebra of matrices commuting with the whole image.
-
-    Closure under products is asserted; it holds by definition, so a
-    violation is an internal fault, not bad input.
-    """
-    basis = hom_space(rep, rep)
-    flat = Subspace.span(
-        rep.dim ** 2,
-        [tuple(b.entries[r][c] for r in range(rep.dim) for c in range(rep.dim))
-         for b in basis],
-    )
-    for x in basis:
-        for y in basis:
-            p = x @ y
-            v = tuple(p.entries[r][c] for r in range(rep.dim) for c in range(rep.dim))
-            if not flat.contains(v):
-                raise InternalFault(
-                    "commutant basis not closed under products",
-                    {"x": x.entries, "y": y.entries},
-                )
-    return basis
-
-
-def isotypical_component(rep: Rep, simple: Rep) -> Subspace:
-    """Sum of the images of all intertwiners from `simple` into `rep`."""
-    vectors = []
-    for t in hom_space(simple, rep):
-        for j in range(t.cols):
-            col = t.col(j)
-            if any(col):
-                vectors.append(col)
-    return Subspace.span(rep.dim, vectors)
 
 
 def invariant_symmetric_forms(rep: Rep) -> List[Mat]:
@@ -697,9 +657,8 @@ def simple_decomposition(rep: Rep) -> Decomposition:
             simple, wit = is_simple(sub)
             if not simple:
                 comp = invariant_complement(sub, wit)
-                cols = Mat.from_cols([list(b) for b in piece.basis], rows=d)
                 pending += [
-                    Subspace.span(d, [cols.apply(v) for v in half.basis])
+                    Subspace.span(d, [piece.vector(v) for v in half.basis])
                     for half in (comp, wit)
                 ]
                 continue

@@ -1,0 +1,104 @@
+"""The classification depends on the subspaces Z, s, P, not on the order
+in which a document lists its basis or its roles.
+
+Reordering `roles.s` or `roles.P` leaves the report byte for byte the
+same.  Reordering `basis` moves the P coordinates, so the fields written
+in them (omega, certificates) follow the new order, while every field
+listed in BASIS_INDEPENDENT stays the same.
+"""
+
+import functools
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+from kinsila import catalog
+from kinsila.cli import main
+from kinsila.documents import entry_to_document
+
+SEED = 4404
+
+BASIS_INDEPENDENT = (
+    "label",
+    "validation",
+    "sigma_check",
+    "radical_case",
+    "radical_dim",
+    "z_action",
+    "holonomy_dim",
+    "flat",
+    "indecomposable",
+    "mu_sign",
+)
+
+
+def shuffled(rng, items):
+    """A permutation of items other than the identity (items has two or
+    more distinct elements)."""
+    while True:
+        out = rng.sample(items, len(items))
+        if out != items:
+            return out
+
+
+@functools.lru_cache(maxsize=None)
+def json_report(text):
+    """The `classify --json` report of a document given as JSON text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "report.json")
+        with open(doc, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["classify", doc, "--json", "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def catalog_document(family):
+    return entry_to_document(catalog.make(family, 4))
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_role_order_leaves_report_bytes(family):
+    rng = random.Random(f"{SEED}-roles-{family}")
+    doc = catalog_document(family)
+    base = json_report(json.dumps(doc))
+    for key in ("s", "P"):
+        doc["roles"][key] = shuffled(rng, doc["roles"][key])
+    assert json_report(json.dumps(doc)) == base
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_basis_order_leaves_basis_independent_fields(family):
+    rng = random.Random(f"{SEED}-basis-{family}")
+    doc = catalog_document(family)
+    base = json.loads(json_report(json.dumps(doc)))
+    doc["basis"] = shuffled(rng, doc["basis"])
+    moved = json.loads(json_report(json.dumps(doc)))
+    assert {k: moved.get(k) for k in BASIS_INDEPENDENT} == {
+        k: base.get(k) for k in BASIS_INDEPENDENT
+    }
+
+
+def test_cli_classifies_a_reordered_document(tmp_path):
+    rng = random.Random(SEED)
+    doc = catalog_document("poincare")
+    doc["basis"] = shuffled(rng, doc["basis"])
+    for key in ("s", "P"):
+        doc["roles"][key] = shuffled(rng, doc["roles"][key])
+    path = tmp_path / "reordered.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "kinsila.cli", "classify", str(path), "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stdout)["label"] == "poincare-type"

@@ -8,7 +8,6 @@ from kinsila.exactla import (
     Poly,
     Subspace,
     char_poly,
-    image,
     inverse,
     is_nilpotent,
     is_semisimple,
@@ -105,6 +104,33 @@ class TestSubspace:
         coords = s.coordinates_of((2, 1, 7))
         assert coords == (2, 1)
         assert s.coordinates_of((0, 0, 1)) is None
+        assert s.vector(coords) == (2, 1, 7)
+        with pytest.raises(ValueError):
+            s.vector((1, 2, 3))
+
+    def test_vector_inverts_coordinates_seeded(self):
+        rng = random.Random(7301)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            s = Subspace.span(n, [[F(rng.randint(-3, 3), rng.randint(1, 3))
+                                   for _ in range(n)]
+                                  for _ in range(rng.randint(0, n))])
+            coords = tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
+                           for _ in range(s.dim))
+            v = s.vector(coords)
+            assert s.contains(v)
+            assert s.coordinates_of(v) == coords
+
+    def test_matrix_of(self):
+        # the shear maps the plane z = 0 into itself and moves the z axis
+        shear = Mat([[1, 1, 1], [0, 2, 0], [0, 0, 1]])
+        plane = Subspace.span(3, [(1, 1, 0), (0, 1, 0)])
+        m = plane.matrix_of(shear.apply)
+        assert m == Mat([[1, 1], [0, 2]])
+        for c in ((1, 0), (0, 1), (2, -3)):
+            assert plane.vector(m.apply(c)) == shear.apply(plane.vector(c))
+        assert Subspace.span(3, [(0, 0, 1)]).matrix_of(shear.apply) is None
+        assert Subspace.zero(3).matrix_of(shear.apply) == Mat([], cols=0)
 
     def test_sum_and_intersection(self):
         xy = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
@@ -125,10 +151,6 @@ class TestKernelImageSolve:
         # rank-1 matrix, kernel is the line through (-2, 1)
         k = kernel(Mat([[1, 2], [2, 4]]))
         assert k == Subspace.span(2, [(-2, 1)])
-
-    def test_image_oracle(self):
-        im = image(Mat([[1, 2], [2, 4], [0, 0]]))
-        assert im == Subspace.span(3, [(1, 2, 0)])
 
     def test_solve_underdetermined(self):
         res = solve(Mat([[1, 1]]), (2,))
@@ -156,7 +178,6 @@ class TestKernelImageSolve:
             cols = rng.randint(1, 6)
             m = Mat([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(n)])
             assert rank(m) + kernel(m).dim == cols
-            assert image(m).dim == rank(m)
             # every kernel vector actually annihilates
             for v in kernel(m).basis:
                 assert m.apply(v) == zero_vec(n)

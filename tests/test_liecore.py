@@ -78,13 +78,6 @@ class TestConstruction:
         x, y = (1, 2, 3), (0, 1, 1)
         assert g.bracket(x, y) == tuple(-c for c in g.bracket(y, x))
 
-    def test_ad_matches_bracket(self):
-        g = sl2()
-        x = (1, -1, 2)
-        adx = g.ad(x)
-        for i in range(3):
-            assert adx.col(i) == g.bracket(x, unit_vec(3, i))
-
 
 class TestDerivedObjects:
     def test_killing_form_sl2(self):
