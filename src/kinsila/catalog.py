@@ -176,20 +176,16 @@ def make(family: str, d: int) -> CatalogEntry:
     piv = span.pivots
     small = Mat([[flat[j][p] for j in range(g)] for p in piv], cols=g)
     small_inv = inverse(small)
+    generators = Mat.from_cols(flat)
 
     def coords_of(m: Mat, where) -> tuple:
         fv = _flatten(m)
         c = small_inv.apply(tuple(fv[p] for p in piv))
-        for pos in range(n * n):
-            s = _ZERO
-            for j, cj in enumerate(c):
-                if cj and flat[j][pos]:
-                    s += cj * flat[j][pos]
-            if s != fv[pos]:
-                raise InternalFault(
-                    "commutator is not in the generator span",
-                    {"family": family, "d": d, "pair": where},
-                )
+        if generators.apply(c) != fv:
+            raise InternalFault(
+                "commutator is not in the generator span",
+                {"family": family, "d": d, "pair": where},
+            )
         return c
 
     pairs: Dict[Tuple[int, int], tuple] = {}
@@ -212,6 +208,3 @@ def make(family: str, d: int) -> CatalogEntry:
         p_labels=b_labels + p_labels,
     )
 
-
-def all_entries(dims=(4, 5)) -> List[CatalogEntry]:
-    return [make(f, d) for f in FAMILIES for d in dims]

@@ -55,6 +55,9 @@ def q(value) -> Fraction:
     Floats are rejected on purpose: accepting one would smuggle rounding
     error into computations whose entire point is exactness.
     """
+    if type(value) is Fraction:
+        # immutable, so the value itself is already the answer
+        return value
     if isinstance(value, float):
         raise TypeError("refusing float %r: use an exact rational (p/q)" % value)
     return Fraction(value)
@@ -92,10 +95,12 @@ class Mat:
     """Dense exact-rational matrix, immutable after construction.
 
     Rows and columns may be zero; a 0 x n or n x 0 matrix is legal and
-    behaves as expected under products and transposition.
+    behaves as expected under products and transposition.  Products, sums
+    and `apply` read a private sparse view, per row the (column, entry) pairs
+    of the nonzero entries, built on first use.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nonzeros")
 
     def __init__(self, entries, cols: Optional[int] = None):
         rows = []
@@ -142,22 +147,34 @@ class Mat:
         i, j = ij
         return self.entries[i][j]
 
+    def _row_nonzeros(self) -> tuple:
+        try:
+            return self._nonzeros
+        except AttributeError:
+            nz = tuple(
+                tuple((j, a) for j, a in enumerate(row) if a) for row in self.entries
+            )
+            object.__setattr__(self, "_nonzeros", nz)
+            return nz
+
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(
-            [vadd(a, b) for a, b in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        out = [list(r) for r in self.entries]
+        for row, brow in zip(out, other._row_nonzeros()):
+            for j, b in brow:
+                row[j] += b
+        return Mat(out, cols=self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(
-            [vsub(a, b) for a, b in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        out = [list(r) for r in self.entries]
+        for row, brow in zip(out, other._row_nonzeros()):
+            for j, b in brow:
+                row[j] -= b
+        return Mat(out, cols=self.cols)
 
     def __neg__(self) -> "Mat":
         return Mat([vscale(-_ONE, r) for r in self.entries], cols=self.cols)
@@ -169,17 +186,14 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        oent = other.entries
-        for i, arow in enumerate(self.entries):
-            rrow = out[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = oent[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        rrow[j] += a * b
+        bnz = other._row_nonzeros()
+        out = []
+        for arow in self._row_nonzeros():
+            rrow = [_ZERO] * other.cols
+            for k, a in arow:
+                for j, b in bnz[k]:
+                    rrow[j] += a * b
+            out.append(rrow)
         return Mat(out, cols=other.cols)
 
     def apply(self, v: Sequence) -> tuple:
@@ -187,10 +201,11 @@ class Mat:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         out = []
-        for row in self.entries:
+        for row in self._row_nonzeros():
             s = _ZERO
-            for a, x in zip(row, v):
-                if a and x:
+            for j, a in row:
+                x = v[j]
+                if x:
                     s += a * x
             out.append(s)
         return tuple(out)

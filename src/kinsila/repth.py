@@ -191,29 +191,32 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
         raise ValueError("intertwiners need representations of the same algebra")
     d1, d2 = rep1.dim, rep2.dim
     width = d1 * d2
-    # different generators often give the same equation row; hashing a
-    # repeat is cheaper than reducing it to zero in the kernel
+    # different generators often give the same equation row; hashing the
+    # sparse key of a repeat is cheaper than reducing it to zero in the kernel
     seen = set()
     rows = []
     for m1, m2 in zip(rep1.mats, rep2.mats):
-        # equation block: T m1 - m2 T = 0, unknown T is d2 x d1, row-major
+        # equation block: T m1 - m2 T = 0, unknown T is d2 x d1, row-major;
+        # each row is kept as its sorted nonzero (unknown, coefficient) pairs
+        m1_cols = [[] for _ in range(d1)]
+        for k, m1_row in enumerate(m1._row_nonzeros()):
+            for c, a in m1_row:
+                m1_cols[c].append((k, a))
+        m2_rows = m2._row_nonzeros()
         for r in range(d2):
             for c in range(d1):
-                row = [_ZERO] * width
-                for k in range(d1):
-                    a = m1[k, c]
-                    if a:
-                        row[r * d1 + k] += a
-                for k in range(d2):
-                    b = m2[r, k]
-                    if b:
-                        row[k * d1 + c] -= b
-                if any(row):
-                    t = tuple(row)
-                    if t not in seen:
-                        seen.add(t)
-                        rows.append(t)
-    combos = kernel(Mat(rows, cols=width) if rows else Mat([], cols=width))
+                eq = {r * d1 + k: a for k, a in m1_cols[c]}
+                for k, b in m2_rows[r]:
+                    j = k * d1 + c
+                    eq[j] = eq.get(j, _ZERO) - b
+                key = tuple(sorted((j, x) for j, x in eq.items() if x))
+                if key and key not in seen:
+                    seen.add(key)
+                    row = [_ZERO] * width
+                    for j, x in key:
+                        row[j] = x
+                    rows.append(row)
+    combos = kernel(Mat(rows, cols=width))
     out = []
     for v in combos.basis:
         out.append(Mat([v[r * d1:(r + 1) * d1] for r in range(d2)], cols=d1))

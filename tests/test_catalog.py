@@ -90,12 +90,6 @@ def test_cache_identity():
     assert catalog.make("poincare", 4) is catalog.make("poincare", 4)
 
 
-def test_all_entries_count():
-    entries = catalog.all_entries(dims=(4, 5))
-    assert len(entries) == 16
-    assert len({(e.family, e.d) for e in entries}) == 16
-
-
 def test_bad_arguments():
     with pytest.raises(ValueError):
         catalog.make("euclidean", 4)

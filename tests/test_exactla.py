@@ -45,6 +45,17 @@ class TestScalarsAndVectors:
     def test_q_rejects_float(self):
         with pytest.raises(TypeError):
             q(0.5)
+        half = F(1, 2)
+        assert q(half) == half and type(q(half)) is F
+        for build in (
+            lambda: Mat([[0.5]]),
+            lambda: Mat.from_cols([[0.5]]),
+            lambda: Subspace.span(1, [[0.5]]),
+            lambda: Poly([0.5]),
+            lambda: solve(Mat([[1]]), [0.5]),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_vector_helpers(self):
         assert vadd((1, 2), (3, 4)) == (4, 6)
@@ -54,6 +65,56 @@ class TestScalarsAndVectors:
 
 
 class TestMat:
+    def test_sparse_paths_match_dense_reference_seeded(self):
+        # at least half of each matrix is zero; shapes include 0 x n and
+        # n x 0, so the sparse row view of an empty matrix is exercised too
+        rng = random.Random(6061)
+
+        def rand_sparse(rows, cols):
+            out = [[0] * cols for _ in range(rows)]
+            nonzero = rng.randint(0, rows * cols // 2)
+            for cell in rng.sample(range(rows * cols), nonzero):
+                x = F(rng.randint(1, 9), rng.randint(1, 5))
+                out[cell // cols][cell % cols] = rng.choice((x, -x))
+            return out
+
+        def exact(rows, expected):
+            assert [list(r) for r in rows] == expected
+            assert all(type(x) is F for r in rows for x in r)
+
+        for _ in range(240):
+            n, k, m = (rng.randint(0, 5) for _ in range(3))
+            a_rows, c_rows = rand_sparse(n, k), rand_sparse(n, k)
+            b_rows = rand_sparse(k, m)
+            a, b, c = Mat(a_rows, cols=k), Mat(b_rows, cols=m), Mat(c_rows, cols=k)
+            exact(
+                (a @ b).entries,
+                [
+                    [sum((a_rows[i][t] * b_rows[t][j] for t in range(k)), F(0))
+                     for j in range(m)]
+                    for i in range(n)
+                ],
+            )
+            v = [F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5
+                 else 0 for _ in range(k)]
+            exact(
+                [a.apply(v)],
+                [[sum((a_rows[i][t] * v[t] for t in range(k)), F(0))
+                  for i in range(n)]],
+            )
+            exact(a.transpose().entries,
+                  [[a_rows[i][j] for i in range(n)] for j in range(k)])
+            exact((a + c).entries,
+                  [[x + y for x, y in zip(r, t)] for r, t in zip(a_rows, c_rows)])
+            exact((a - c).entries,
+                  [[x - y for x, y in zip(r, t)] for r, t in zip(a_rows, c_rows)])
+            f = F(rng.randint(-3, 3), rng.randint(1, 3))
+            exact(a.scale(f).entries, [[f * x for x in r] for r in a_rows])
+            # the cached view leaves equality, hashing and reuse unchanged
+            again = Mat(a_rows, cols=k)
+            assert a == again and hash(a) == hash(again)
+            assert (a @ b) == (again @ b)
+
     def test_shapes_and_product(self):
         a = Mat([[1, 2], [3, 4], [5, 6]])
         b = Mat([[1, 0, 2], [0, 1, 3]])

@@ -5,7 +5,7 @@ import pytest
 from conftest import doubled, so_algebra_and_rep
 from kinsila import repth
 from kinsila.errors import DecompositionError, InternalFault, RepError
-from kinsila.exactla import Mat, Subspace, inverse, unit_vec
+from kinsila.exactla import Mat, Subspace, inverse, kernel, unit_vec
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import (
     Rep,
@@ -115,6 +115,46 @@ class TestHomAndCommutant:
         for d, expected in ((3, 1), (4, 0), (5, 0)):
             _, v = so_algebra_and_rep(d)
             assert len(hom_space(v, wedge_square(v))) == expected
+
+
+    def test_sparse_equations_match_dense_rows_seeded(self):
+        # reference: the equation rows of T m1 - m2 T written out densely
+        def dense_hom(rep1, rep2):
+            d1, d2 = rep1.dim, rep2.dim
+            rows = []
+            for m1, m2 in zip(rep1.mats, rep2.mats):
+                for r in range(d2):
+                    for c in range(d1):
+                        row = [0] * (d1 * d2)
+                        for k in range(d1):
+                            row[r * d1 + k] += m1[k, c]
+                        for k in range(d2):
+                            row[k * d1 + c] -= m2[r, k]
+                        rows.append(row)
+            basis = kernel(Mat(rows, cols=d1 * d2)).basis
+            return [
+                Mat([v[r * d1:(r + 1) * d1] for r in range(d2)], cols=d1)
+                for v in basis
+            ]
+
+        def unit_triangular(n, upper):
+            return Mat([
+                [1 if i == j else rng.randint(-1, 1) if (i < j) == upper else 0
+                 for j in range(n)]
+                for i in range(n)
+            ])
+
+        rng = random.Random(2210)
+        _, v = so_algebra_and_rep(3)
+        p = doubled(v)
+        for _ in range(4):
+            # an integer change of basis with an integer inverse, so the
+            # conjugated module has nonzero diagonals but small entries
+            t = unit_triangular(p.dim, False) @ unit_triangular(p.dim, True)
+            skew = Rep(p.algebra, [t @ m @ inverse(t) for m in p.mats])
+            pairs = ((p, skew), (skew, p), (v, skew), (skew, v), (skew, skew))
+            for rep1, rep2 in pairs:
+                assert hom_space(rep1, rep2) == dense_hom(rep1, rep2)
 
 
 class TestInvariantForms:
