@@ -85,7 +85,7 @@ def vsub(a, b):
 def vscale(c, a):
     if not c:
         return zero_vec(len(a))
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else x for x in a)
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,10 @@ class LieAlgebra:
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
         vectors = []
-        for u in a.basis:
-            for v in b.basis:
+        # [u, v] = -[v, u] and [u, u] = 0, so [a, a] needs each unordered pair once
+        same = a == b
+        for i, u in enumerate(a.basis):
+            for v in b.basis[i + 1:] if same else b.basis:
                 w = self.bracket(u, v)
                 if any(w):
                     vectors.append(w)

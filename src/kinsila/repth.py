@@ -75,11 +75,7 @@ class Rep:
         for i in range(g):
             for j in range(i + 1, g):
                 lhs = self.mats[i] @ self.mats[j] - self.mats[j] @ self.mats[i]
-                cij = self.algebra.structure_constant(i, j)
-                rhs = Mat.zeros(self.dim, self.dim)
-                for k, c in enumerate(cij):
-                    if c:
-                        rhs = rhs + self.mats[k].scale(c)
+                rhs = _combination(self.algebra.structure_constant(i, j), self.mats)
                 if lhs != rhs:
                     raise RepError(
                         f"matrices fail the bracket condition on basis pair ({i}, {j})"
@@ -180,8 +176,13 @@ def _spin_mats(mats: Sequence[Mat], v, d: int) -> Subspace:
     queue = [found.add(v)]
     while queue:
         u = queue.pop()
-        if u is not None:
-            queue += [found.add(m.apply(u)) for m in mats]
+        if u is None:
+            continue
+        for m in mats:
+            if len(found.rows) == d:
+                # a full span stores no further row, so no image can change it
+                return found.subspace()
+            queue.append(found.add(m.apply(u)))
     return found.subspace()
 
 
@@ -294,7 +295,15 @@ def nondegenerate_invariant_form(rep: Rep) -> Optional[Mat]:
 # enveloping algebra and simplicity
 
 def enveloping_basis(rep: Rep) -> List[Mat]:
-    """Basis of the unital algebra generated by the representing matrices."""
+    """Basis of the unital algebra generated by the representing matrices.
+
+    The element order is part of `is_simple`'s schedule: stages 2-4 probe
+    the elements and their +- pairwise sums in this order, and the first
+    probe that closes picks the certificate.  So another basis of the same
+    algebra is no drop-in replacement: a left-multiplication spin of the
+    identity left P (dimension 8, envelope 16) of a dense d = 4 Poincare
+    and de Sitter draw SimplicityUndecided.
+    """
     d = rep.dim
     found = Echelon(d * d)
     elements: List[Mat] = []
@@ -313,7 +322,11 @@ def enveloping_basis(rep: Rep) -> List[Mat]:
         fresh = []
         for a in frontier:
             for b in list(elements):
-                for p in (a @ b, b @ a):
+                for x, y in ((a, b), (b, a)):
+                    if len(elements) == d * d:
+                        # all of End(V): no further product can be new
+                        return elements
+                    p = x @ y
                     if try_add(p):
                         fresh.append(p)
         frontier = fresh

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kinsila.errors import JacobiError, NonAbelianRadicalError
@@ -120,6 +122,16 @@ class TestPredicates:
         assert g.is_subalgebra(levi)
         assert g.is_abelian_space(rad)
         assert not g.is_abelian_space(levi)
+
+    def test_bracket_span_of_a_space_with_itself_seeded(self):
+        # reference: every ordered pair of basis vectors bracketed
+        g = sl2_on_plane()
+        rng = random.Random(2210)
+        for _ in range(20):
+            a = Subspace.span(5, [[rng.randint(-2, 2) for _ in range(5)]
+                                  for _ in range(rng.randint(1, 4))])
+            every = [g.bracket(u, v) for u in a.basis for v in a.basis]
+            assert g.bracket_span(a, a) == Subspace.span(5, every)
 
     def test_solvability(self):
         g = sl2_on_plane()

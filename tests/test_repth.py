@@ -5,7 +5,7 @@ import pytest
 from conftest import doubled, so_algebra_and_rep
 from kinsila import repth
 from kinsila.errors import DecompositionError, InternalFault, RepError
-from kinsila.exactla import Mat, Subspace, inverse, kernel, unit_vec
+from kinsila.exactla import Echelon, Mat, Subspace, inverse, kernel, unit_vec
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import (
     Rep,
@@ -30,6 +30,22 @@ from kinsila.repth import (
 def so2_line():
     alg = LieAlgebra(1, {}, labels=["J"])
     return alg, Rep(alg, [Mat([[0, -1], [1, 0]])])
+
+
+def unit_triangular(rng, n, upper):
+    return Mat([
+        [1 if i == j else rng.randint(-1, 1) if (i < j) == upper else 0
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def unimodular_conjugate(rep, rng):
+    """(rep conjugated by t, t) for an integer change of basis t with an
+    integer inverse, so the conjugate has nonzero diagonals but small
+    entries; t takes rep's coordinates to the conjugate's."""
+    t = unit_triangular(rng, rep.dim, False) @ unit_triangular(rng, rep.dim, True)
+    return Rep(rep.algebra, [t @ m @ inverse(t) for m in rep.mats]), t
 
 
 class TestRepConstruction:
@@ -65,6 +81,62 @@ class TestSimplicity:
         ok, _ = is_simple(rot)
         assert ok
         assert len(enveloping_basis(rot)) == 2
+
+    def test_enveloping_basis_matches_quadratic_closure(self, monkeypatch):
+        # reference: the closure run until no product is new
+        def closure(rep):
+            d = rep.dim
+            found = Echelon(d * d)
+            elements = []
+
+            def try_add(m):
+                if found.add([x for row in m.entries for x in row]) is None:
+                    return False
+                elements.append(m)
+                return True
+
+            try_add(Mat.identity(d))
+            for m in rep.mats:
+                try_add(m)
+            frontier = list(elements)
+            while frontier:
+                fresh = []
+                for a in frontier:
+                    for b in list(elements):
+                        for p in (a @ b, b @ a):
+                            if try_add(p):
+                                fresh.append(p)
+                frontier = fresh
+            return elements
+
+        products = [0]
+        original = Mat.__matmul__
+
+        def matmul(a, b):
+            products[0] += 1
+            return original(a, b)
+
+        def counted(build, rep):
+            products[0] = 0
+            out = build(rep)
+            return out, products[0]
+
+        rng = random.Random(2210)
+        _, v3 = so_algebra_and_rep(3)
+        _, v4 = so_algebra_and_rep(4)
+        _, rot = so2_line()
+        cases = [v3, v4, doubled(v3), rot]
+        cases += [unimodular_conjugate(rep, rng)[0]
+                  for rep in (v3, v4, doubled(v3)) for _ in range(2)]
+        monkeypatch.setattr(Mat, "__matmul__", matmul)
+        for rep in cases:
+            got, made = counted(enveloping_basis, rep)
+            want, reference_made = counted(closure, rep)
+            assert got == want
+            if len(want) == rep.dim ** 2:
+                assert made < reference_made
+            else:
+                assert made == reference_made
 
     def test_doubled_module_reducible(self):
         _, v = so_algebra_and_rep(3)
@@ -137,21 +209,11 @@ class TestHomAndCommutant:
                 for v in basis
             ]
 
-        def unit_triangular(n, upper):
-            return Mat([
-                [1 if i == j else rng.randint(-1, 1) if (i < j) == upper else 0
-                 for j in range(n)]
-                for i in range(n)
-            ])
-
         rng = random.Random(2210)
         _, v = so_algebra_and_rep(3)
         p = doubled(v)
         for _ in range(4):
-            # an integer change of basis with an integer inverse, so the
-            # conjugated module has nonzero diagonals but small entries
-            t = unit_triangular(p.dim, False) @ unit_triangular(p.dim, True)
-            skew = Rep(p.algebra, [t @ m @ inverse(t) for m in p.mats])
+            skew, _ = unimodular_conjugate(p, rng)
             pairs = ((p, skew), (skew, p), (v, skew), (skew, v), (skew, skew))
             for rep1, rep2 in pairs:
                 assert hom_space(rep1, rep2) == dense_hom(rep1, rep2)
@@ -183,6 +245,63 @@ class TestSpinAndFaithful:
         alg = LieAlgebra(1, {}, labels=["J"])
         rep = Rep(alg, [Mat([[0, 1], [0, 0]])])
         assert spin(rep, (1, 0)) == Subspace.span(2, [(1, 0)])
+
+    def test_spin_stops_once_the_span_is_full(self, monkeypatch):
+        builders = []
+
+        class Watched(Echelon):
+            def __init__(self, *args):
+                super().__init__(*args)
+                builders.append(self)
+
+        applies = []
+        original = Mat.apply
+
+        def apply(m, u):
+            applies.append(any(len(e.rows) == e.width for e in builders))
+            return original(m, u)
+
+        monkeypatch.setattr(repth, "Echelon", Watched)
+        monkeypatch.setattr(Mat, "apply", apply)
+        for d in (3, 4, 5):
+            _, v = so_algebra_and_rep(d)
+            builders.clear()
+            applies.clear()
+            assert spin(v, unit_vec(d, 0)).is_full()
+            # each apply before the span fills finds a new basis vector here
+            assert applies == [False] * (d - 1)
+
+    def test_spin_matches_full_closure_seeded(self):
+        def full_closure(rep, v):
+            span = Subspace.span(rep.dim, [v])
+            while True:
+                images = [m.apply(b) for m in rep.mats for b in span.basis]
+                bigger = Subspace.span(rep.dim, list(span.basis) + images)
+                if bigger == span:
+                    return span
+                span = bigger
+
+        rng = random.Random(2210)
+        _, v = so_algebra_and_rep(3)
+        p = doubled(v)
+        modules = [(p, Mat.identity(6))]
+        modules += [unimodular_conjugate(p, rng) for _ in range(3)]
+        # halves (a, c a) of p spin to a proper submodule; t carries it
+        # to one of the conjugate
+        for rep, t in modules:
+            dims = set()
+            for _ in range(12):
+                a = [rng.randint(-2, 2) for _ in range(3)]
+                if rng.random() < 0.5:
+                    w = a + [rng.randint(-2, 2) for _ in range(3)]
+                else:
+                    c = rng.randint(-2, 2)
+                    w = a + [c * x for x in a]
+                w = t.apply(w)
+                got = spin(rep, w)
+                assert got == full_closure(rep, w)
+                dims.add(got.dim)
+            assert dims & {1, 2, 3, 4, 5}
 
     def test_faithful(self):
         _, v = so_algebra_and_rep(4)
