@@ -13,10 +13,8 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .errors import InternalFault
-from .exactla import Mat, Subspace, inverse
+from .exactla import _ZERO, Mat, Subspace, inverse
 from .liecore import LieAlgebra
-
-_ZERO = Fraction(0)
 
 FAMILIES = (
     "static",

@@ -47,6 +47,7 @@ __all__ = [
 Q = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_FRACTION_ONLY = frozenset((Fraction,))
 
 
 def q(value) -> Fraction:
@@ -61,6 +62,13 @@ def q(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing float %r: use an exact rational (p/q)" % value)
     return Fraction(value)
+
+
+def _exact(t: tuple) -> tuple:
+    """t with every entry coerced by `q`; t itself when all are Fractions."""
+    if _FRACTION_ONLY.issuperset(map(type, t)):
+        return t
+    return tuple(q(x) for x in t)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +114,7 @@ class Mat:
         rows = []
         width = cols
         for row in entries:
-            t = tuple(q(x) for x in row)
+            t = _exact(tuple(row))
             if width is None:
                 width = len(t)
             elif len(t) != width:
@@ -132,7 +140,7 @@ class Mat:
 
     @staticmethod
     def from_cols(cols, rows: Optional[int] = None) -> "Mat":
-        cols = [tuple(q(x) for x in c) for c in cols]
+        cols = [tuple(c) for c in cols]
         if cols:
             height = len(cols[0])
         else:
@@ -261,6 +269,11 @@ class Mat:
 # ---------------------------------------------------------------------------
 # row echelon form: the one elimination kernel
 
+def _tail_support(row, p: int) -> tuple:
+    """Columns of the nonzero entries of row after its pivot p."""
+    return tuple(j for j in range(p + 1, len(row)) if row[j])
+
+
 class Echelon:
     """Incremental row echelon form over Q.
 
@@ -268,31 +281,32 @@ class Echelon:
     rows already stored, scaled to a leading 1, and kept only when it is
     independent of them.  A stored row is zero before its pivot and at
     the pivots of the rows stored before it, so reducing in storage order
-    clears every pivot.  `subspace` back-substitutes to the unique reduced
-    echelon form of the row span, which is what makes Subspace comparison
-    a plain tuple comparison.  Every elimination in the package runs here.
+    clears every pivot.  Next to each row, `support` keeps the columns of
+    its nonzero entries after the pivot, so a reduction touches only those.
+    `subspace` back-substitutes to the unique reduced echelon form of the
+    row span, which is what makes Subspace comparison a plain tuple
+    comparison.  Every elimination in the package runs here.
     """
 
-    __slots__ = ("width", "rows", "pivots")
+    __slots__ = ("width", "rows", "pivots", "support")
 
     def __init__(self, width: int, rows: Iterable[Sequence] = ()):
         self.width = width
         self.rows: list = []
         self.pivots: list = []
+        self.support: list = []
         for r in rows:
             self.add(r)
 
     def residual(self, v) -> list:
         """v minus the multiples of stored rows that clear every pivot."""
         w = list(v)
-        n = self.width
-        for row, p in zip(self.rows, self.pivots):
+        for row, p, cols in zip(self.rows, self.pivots, self.support):
             c = w[p]
             if c:
-                for j in range(p, n):
-                    x = row[j]
-                    if x:
-                        w[j] -= c * x
+                w[p] = _ZERO
+                for j in cols:
+                    w[j] -= c * row[j]
         return w
 
     def add(self, v) -> Optional[tuple]:
@@ -308,12 +322,16 @@ class Echelon:
                 break
         else:
             return None
+        cols = _tail_support(w, p)
         if x != 1:
             inv = _ONE / x
-            w[p:] = [y * inv if y else y for y in w[p:]]
+            w[p] = _ONE
+            for j in cols:
+                w[j] *= inv
         row = tuple(w)
         self.rows.append(row)
         self.pivots.append(p)
+        self.support.append(cols)
         return row
 
     def subspace(self) -> "Subspace":
@@ -325,24 +343,35 @@ class Echelon:
         """
         done = Echelon(self.width)
         for p, row in sorted(zip(self.pivots, self.rows), key=lambda pr: -pr[0]):
-            done.rows.append(tuple(done.residual(row)))
+            row = tuple(done.residual(row))
+            done.rows.append(row)
             done.pivots.append(p)
-        return Subspace(self.width, tuple(done.rows[::-1]), tuple(done.pivots[::-1]))
+            done.support.append(_tail_support(row, p))
+        return Subspace(
+            self.width,
+            tuple(done.rows[::-1]),
+            tuple(done.pivots[::-1]),
+            tuple(done.support[::-1]),
+        )
 
 
 class Subspace:
     """A linear subspace stored as its unique reduced-echelon basis.
 
     Two Subspace objects are equal exactly when they are the same
-    subspace of the same ambient space; no tolerance is involved.
+    subspace of the same ambient space; no tolerance is involved.  The
+    `Echelon.support` of the basis rows is kept in a private slot, built
+    on first use unless the builder handed it over.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_support")
 
-    def __init__(self, ambient_dim, basis, pivots):
+    def __init__(self, ambient_dim, basis, pivots, support=None):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
+        if support is not None:
+            object.__setattr__(self, "_support", support)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -351,7 +380,7 @@ class Subspace:
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rows = []
         for v in vectors:
-            t = tuple(q(x) for x in v)
+            t = _exact(tuple(v))
             if len(t) != ambient_dim:
                 raise ValueError("vector does not live in the ambient space")
             rows.append(t)
@@ -377,9 +406,15 @@ class Subspace:
 
     def echelon(self) -> Echelon:
         """A builder holding this basis, ready to take more rows."""
+        try:
+            support = self._support
+        except AttributeError:
+            support = tuple(map(_tail_support, self.basis, self.pivots))
+            object.__setattr__(self, "_support", support)
         ech = Echelon(self.ambient_dim)
         ech.rows += self.basis
         ech.pivots += self.pivots
+        ech.support += support
         return ech
 
     def contains(self, v) -> bool:
@@ -395,8 +430,9 @@ class Subspace:
         """
         if len(v) != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
-        coords = tuple(q(v[p]) for p in self.pivots)
-        if self.vector(coords) != tuple(q(x) for x in v):
+        v = _exact(tuple(v))
+        coords = tuple(v[p] for p in self.pivots)
+        if self.vector(coords) != v:
             return None
         return coords
 

@@ -21,6 +21,8 @@ from .errors import (
     ValidationError,
 )
 from .exactla import (
+    _ONE,
+    _ZERO,
     Mat,
     Subspace,
     is_nilpotent,
@@ -54,9 +56,6 @@ LABELS = frozenset({
     "poincare-type",
     "unclassified",
 })
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass

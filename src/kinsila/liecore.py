@@ -8,11 +8,11 @@ construction time, so an instance that exists is a Lie algebra.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
+    _ZERO,
     Echelon,
     Mat,
     Subspace,
@@ -25,8 +25,6 @@ from .exactla import (
     vadd,
     zero_vec,
 )
-
-_ZERO = Fraction(0)
 
 
 class LieAlgebra:

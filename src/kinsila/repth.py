@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, permutations
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, InternalFault, RepError, SimplicityUndecided
 from .exactla import (
+    _ONE,
+    _ZERO,
     Echelon,
     Mat,
     Poly,
@@ -27,9 +30,6 @@ from .exactla import (
     unit_vec,
 )
 from .liecore import LieAlgebra
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Rep:
@@ -372,21 +372,26 @@ def _certify_reducible(rep: Rep, space: Subspace):
     return False, space
 
 
-def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat]):
+def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat], spun: set):
     """Inspect one singular element of the enveloping algebra.
 
     Returns (False, W) when a kernel vector generates a proper submodule,
     (True, None) when nullity is one and both spins fill everything (the
     nullity-one criterion is conclusive), or None when inconclusive.
+    `spun` holds kernel vectors already seen to spin to the whole module;
+    they are skipped, and every new one is added.
     """
     d = rep.dim
     ker = kernel(a)
     if ker.is_zero() or ker.dim == d:
         return None
     for v in ker.basis:
+        if v in spun:
+            continue
         closure = _spin_mats(rep.mats, v, d)
         if closure.dim < d:
             return _certify_reducible(rep, closure)
+        spun.add(v)
     if ker.dim != 1:
         return None
     kert = kernel(a.transpose())
@@ -420,6 +425,11 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     schedule is inconclusive it raises SimplicityUndecided.  A module
     isomorphic to one already proved simple needs no schedule:
     `certify_copy` carries simplicity along an invertible intertwiner.
+
+    Within one call each kernel vector is spun at most once: a spin under
+    the fixed matrices depends only on the vector, so a repeat could only
+    fill the space again.  The stage-1 products are formed one at a time,
+    as the probes reach them.
     """
     d = rep.dim
     if d == 0:
@@ -427,25 +437,20 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     if d == 1:
         return _proved(rep, "dimension-one")
     transposes = [m.transpose() for m in rep.mats]
+    spun: set = set()
 
     def probe(a: Mat):
-        verdict = _norton_probe(rep, a, transposes)
+        verdict = _norton_probe(rep, a, transposes, spun)
         if verdict is not None and verdict[0]:
             return _proved(rep, "nullity-one", a)
         return verdict
 
-    # stage 1: the representing matrices and their pairwise products
-    stage1: List[Mat] = [m for m in rep.mats if not m.is_zero()]
-    g = len(stage1)
-    for i in range(g):
-        for j in range(g):
-            if i != j:
-                p = stage1[i] @ stage1[j]
-                if not p.is_zero():
-                    stage1.append(p)
+    # stage 1: the nonzero representing matrices, then their products
+    # in pairs of distinct indices
+    gens = [m for m in rep.mats if not m.is_zero()]
     seen = set()
-    for a in stage1:
-        if a.entries in seen:
+    for a in chain(gens, (x @ y for x, y in permutations(gens, 2))):
+        if a.is_zero() or a.entries in seen:
             continue
         seen.add(a.entries)
         verdict = probe(a)
@@ -543,7 +548,7 @@ def check_simplicity(rep: Rep) -> bool:
         return d == 1
     if cert.kind == "nullity-one":
         transposes = [m.transpose() for m in rep.mats]
-        verdict = _norton_probe(rep, cert.mats[0], transposes)
+        verdict = _norton_probe(rep, cert.mats[0], transposes, set())
         return verdict is not None and verdict[0]
     if cert.kind == "burnside":
         flat = [

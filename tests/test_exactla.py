@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from kinsila import catalog, exactla, kinematics, liecore, repth
 from kinsila.exactla import (
+    Echelon,
     Mat,
     Poly,
     Subspace,
@@ -56,6 +58,20 @@ class TestScalarsAndVectors:
         ):
             with pytest.raises(TypeError):
                 build()
+        with pytest.raises(TypeError):
+            Mat([[half, 0.5]])
+        # a row that is not all Fractions is coerced entry by entry
+        for row in ([1, half, 2], [True, False, half], [True, False]):
+            (got,) = Mat([row]).entries
+            assert got == tuple(F(x) for x in row)
+            assert all(type(x) is F for x in got)
+        coords = Subspace.span(3, [(1, 0, 2), (0, 1, 3)]).coordinates_of((2, 1, 7))
+        assert coords == (2, 1) and all(type(x) is F for x in coords)
+
+    def test_one_shared_zero_and_one(self):
+        for module in (liecore, repth, kinematics, catalog):
+            assert module._ZERO is exactla._ZERO
+        assert repth._ONE is kinematics._ONE is exactla._ONE
 
     def test_vector_helpers(self):
         assert vadd((1, 2), (3, 4)) == (4, 6)
@@ -205,6 +221,108 @@ class TestSubspace:
         small = Subspace.span(3, [(1, 2, 3)])
         assert big.contains_space(small)
         assert not small.contains_space(big)
+
+
+def dense_residual(rows, pivots, v):
+    """Reduction of v against echelon rows that scans every column after
+    each pivot: the reference for the stored column indices."""
+    w = list(v)
+    for row, p in zip(rows, pivots):
+        c = w[p]
+        if c:
+            for j in range(p, len(w)):
+                if row[j]:
+                    w[j] -= c * row[j]
+    return w
+
+
+def dense_add(rows, pivots, v):
+    w = dense_residual(rows, pivots, v)
+    p = next((j for j, x in enumerate(w) if x), None)
+    if p is None or len(rows) == len(w):
+        return None
+    row = tuple(x / w[p] for x in w)
+    rows.append(row)
+    pivots.append(p)
+    return row
+
+
+def dense_subspace(rows, pivots):
+    done_rows, done_pivots = [], []
+    for p, row in sorted(zip(pivots, rows), key=lambda pr: -pr[0]):
+        done_rows.append(tuple(dense_residual(done_rows, done_pivots, row)))
+        done_pivots.append(p)
+    return done_rows[::-1], done_pivots[::-1]
+
+
+class TestEchelon:
+    def test_stored_columns_match_dense_reduction_seeded(self):
+        rng = random.Random(8819)
+
+        def rand_row(n, density):
+            return [F(rng.randint(-6, 6), rng.randint(1, 4))
+                    if rng.random() < density else F(0) for _ in range(n)]
+
+        def rand_rows(n, density, count):
+            # some rows are combinations of the others, so not all are kept
+            rows = []
+            for _ in range(count):
+                if rows and rng.random() < 0.3:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                    rows.append([x + c * y for x, y in zip(a, b)])
+                else:
+                    rows.append(rand_row(n, density))
+            return rows
+
+        def exact(v):
+            return all(type(x) is F for x in v)
+
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            density = rng.choice((0.2, 0.5, 1.0))
+            ech, rows, pivots = Echelon(n), [], []
+            for v in rand_rows(n, density, rng.randint(0, n + 2)):
+                got = ech.residual(v)
+                assert got == dense_residual(rows, pivots, v) and exact(got)
+                assert ech.add(v) == dense_add(rows, pivots, v)
+                assert (ech.rows, ech.pivots) == (rows, pivots)
+            assert ech.support == [
+                tuple(j for j in range(p + 1, n) if row[j])
+                for row, p in zip(rows, pivots)
+            ]
+            basis, basis_pivots = dense_subspace(rows, pivots)
+            built = ech.subspace()
+            assert list(built.basis) == basis and list(built.pivots) == basis_pivots
+            # the same subspace without handed-over columns builds its own
+            bare = Subspace(n, built.basis, built.pivots)
+            more = rand_rows(n, density, rng.randint(0, 3))
+            for space in (built, bare):
+                ext = space.echelon()
+                ref_rows, ref_pivots = list(basis), list(basis_pivots)
+                for v in more:
+                    assert ext.add(v) == dense_add(ref_rows, ref_pivots, v)
+                sub = ext.subspace()
+                assert (list(sub.basis), list(sub.pivots)) == dense_subspace(
+                    ref_rows, ref_pivots
+                )
+            other = Echelon(n, rand_rows(n, density, rng.randint(0, n))).subspace()
+            rows2, pivots2 = list(basis), list(basis_pivots)
+            for v in other.basis:
+                dense_add(rows2, pivots2, v)
+            ref_sum = dense_subspace(rows2, pivots2)
+            for space in (built, bare):
+                for v in more:
+                    assert space.contains(v) == (
+                        not any(dense_residual(basis, basis_pivots, v))
+                    )
+                assert space.contains_space(other) == all(
+                    not any(dense_residual(basis, basis_pivots, v))
+                    for v in other.basis
+                )
+                total = space.sum_with(other)
+                assert (list(total.basis), list(total.pivots)) == ref_sum
+                assert total == other.sum_with(space)
 
 
 class TestKernelImageSolve:

@@ -158,6 +158,83 @@ class TestSimplicity:
         assert ok
 
 
+class TestProbeWorkIsNotRepeated:
+    def test_each_vector_spins_once_per_call(self, monkeypatch):
+        spins = []
+        original = repth._spin_mats
+
+        def counted(mats, v, d):
+            spins.append((mats, tuple(v)))
+            return original(mats, v, d)
+
+        monkeypatch.setattr(repth, "_spin_mats", counted)
+        for d in (4, 5):
+            _, v = so_algebra_and_rep(d)
+            spins.clear()
+            assert is_simple(v) == (True, None)
+            under_mats = [u for mats, u in spins if mats is v.mats]
+            assert under_mats
+            assert len(under_mats) == len(set(under_mats))
+
+    def test_stage_one_forms_no_product_before_its_first_probe(
+        self, monkeypatch
+    ):
+        products = [0]
+        before_probe = []
+        matmul, probe = Mat.__matmul__, repth._norton_probe
+
+        def counted_matmul(a, b):
+            products[0] += 1
+            return matmul(a, b)
+
+        def watched_probe(*args):
+            before_probe.append(products[0])
+            return probe(*args)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
+        monkeypatch.setattr(repth, "_norton_probe", watched_probe)
+        for d in (3, 4, 5):
+            _, v = so_algebra_and_rep(d)
+            rep = doubled(v)
+            products[0] = 0
+            before_probe.clear()
+            ok, wit = is_simple(rep)
+            # the first generator already has a kernel vector whose spin
+            # is one of the two copies
+            assert not ok and wit.dim == d
+            assert before_probe == [0]
+
+    def test_shared_spins_leave_every_outcome_unchanged_seeded(
+        self, monkeypatch
+    ):
+        def outcomes(reps):
+            out = []
+            for rep in reps:
+                ok, wit = is_simple(rep)
+                cert = rep.simplicity
+                out.append((ok, wit, cert and (cert.kind, cert.mats)))
+            return out
+
+        def modules():
+            rng = random.Random(4157)
+            reps = [so_algebra_and_rep(d)[1] for d in (3, 4, 5)]
+            reps += [doubled(reps[0]), so2_line()[1]]
+            reps += [unimodular_conjugate(rep, rng)[0]
+                     for rep in list(reps) for _ in range(2)]
+            return reps
+
+        shared = outcomes(modules())
+        original = repth._norton_probe
+        monkeypatch.setattr(
+            repth, "_norton_probe",
+            lambda rep, a, transposes, spun: original(rep, a, transposes, set()),
+        )
+        assert outcomes(modules()) == shared
+        assert [ok for ok, _, _ in shared] == [True] * 3 + [False, True] + (
+            [True] * 6 + [False] * 2 + [True] * 2
+        )
+
+
 class TestHomAndCommutant:
     def test_schur_line_for_absolutely_irreducible(self):
         _, v = so_algebra_and_rep(3)
