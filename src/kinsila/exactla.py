@@ -2,8 +2,11 @@
 
 Matrices, one incremental echelon builder with the echelon-form
 subspaces, kernels and solvers built on it, polynomial arithmetic, and
-the semisimple plus nilpotent splitting of a square matrix.  Scalars are `fractions.Fraction` throughout; nothing here
-rounds, samples, or depends on floating point.
+the semisimple plus nilpotent splitting of a square matrix.  Every
+scalar a caller gets back is an exact `fractions.Fraction`; inside,
+`Echelon` eliminates on integer rows and builds Fractions only for the
+canonical reduced echelon form.  Nothing here rounds, samples, or
+depends on floating point.
 """
 
 from __future__ import annotations
@@ -269,23 +272,42 @@ class Mat:
 # ---------------------------------------------------------------------------
 # row echelon form: the one elimination kernel
 
-def _tail_support(row, p: int) -> tuple:
-    """Columns of the nonzero entries of row after its pivot p."""
-    return tuple(j for j in range(p + 1, len(row)) if row[j])
+def _integer_row(v) -> list:
+    """v times the lcm of its entries' denominators, as a list of ints."""
+    # most zeros are the shared _ZERO: skipping it by identity spares two
+    # property calls per entry; any other zero takes the general path
+    den = math.lcm(*[x.denominator for x in v if x is not _ZERO])
+    if den == 1:
+        return [0 if x is _ZERO else x.numerator for x in v]
+    return [0 if x is _ZERO else x.numerator * (den // x.denominator) for x in v]
+
+
+def _rational_row(row: tuple, p: int) -> tuple:
+    """The integer row divided by its pivot entry, as exact Fractions."""
+    d = row[p]
+    if d == 1:
+        return tuple(Fraction(x) if x else _ZERO for x in row)
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
 class Echelon:
-    """Incremental row echelon form over Q.
+    """Incremental fraction-free row echelon form over Q.
 
-    Rows go in one at a time through `add`: each is reduced against the
-    rows already stored, scaled to a leading 1, and kept only when it is
-    independent of them.  A stored row is zero before its pivot and at
-    the pivots of the rows stored before it, so reducing in storage order
-    clears every pivot.  Next to each row, `support` keeps the columns of
-    its nonzero entries after the pivot, so a reduction touches only those.
-    `subspace` back-substitutes to the unique reduced echelon form of the
-    row span, which is what makes Subspace comparison a plain tuple
-    comparison.  Every elimination in the package runs here.
+    Rows go in one at a time through `add`: each is scaled to integers by
+    the lcm of its denominators, reduced against the rows already stored,
+    and kept only when it is independent of them.  A stored row is a
+    primitive integer tuple (its entries have gcd 1) with a positive
+    pivot entry; it is zero before its pivot and at the pivots of the rows
+    stored before it, so reducing in storage order clears every pivot.
+    Next to each row, `support` keeps the columns of its nonzero entries
+    after the pivot, so a reduction touches only those.  Reduction is
+    fraction-free (after Bareiss, Math. Comp. 22, 1968): against a row
+    with pivot entry a, a vector w with entry c at that column becomes
+    (a/g) w - (c/g) row with g = gcd(a, c).  `subspace` back-substitutes
+    in integers to the unique reduced echelon form of the row span and is
+    the one place that builds Fractions, which is what makes Subspace
+    comparison a plain tuple comparison.  Every elimination in the package
+    runs here.
     """
 
     __slots__ = ("width", "rows", "pivots", "support")
@@ -299,39 +321,54 @@ class Echelon:
             self.add(r)
 
     def residual(self, v) -> list:
-        """v minus the multiples of stored rows that clear every pivot."""
-        w = list(v)
+        """A nonzero integer multiple of v minus the combination of stored
+        rows that clears every pivot; all zero exactly when v is in the
+        span of the rows."""
+        return self._reduce(_integer_row(v))
+
+    def _reduce(self, w: list) -> list:
+        """The integer row w reduced fraction-free at every stored pivot."""
         for row, p, cols in zip(self.rows, self.pivots, self.support):
             c = w[p]
             if c:
-                w[p] = _ZERO
+                a = row[p]
+                if a != 1:
+                    g = math.gcd(a, c)
+                    a //= g
+                    c //= g
+                    if a != 1:
+                        w = [a * x for x in w]
+                w[p] = 0
                 for j in cols:
                     w[j] -= c * row[j]
         return w
 
     def add(self, v) -> Optional[tuple]:
-        """Store v's residual scaled to a leading 1 and return it.
+        """Store v's residual as a primitive integer row with a positive
+        pivot entry and return it: a nonzero multiple of v reduced.
 
         Returns None, storing nothing, when v is in the span of the rows.
         """
         if len(self.rows) == self.width:
             return None
         w = self.residual(v)
-        for p, x in enumerate(w):
-            if x:
-                break
-        else:
+        if not any(w):
             return None
-        cols = _tail_support(w, p)
-        if x != 1:
-            inv = _ONE / x
-            w[p] = _ONE
-            for j in cols:
-                w[j] *= inv
+        return self._store(w)
+
+    def _store(self, w: list) -> tuple:
+        """Append the nonzero integer row w, divided by the gcd of its
+        entries and signed so that its pivot entry is positive."""
+        cols = [j for j, x in enumerate(w) if x]
+        g = math.gcd(*w)
+        if w[cols[0]] < 0:
+            g = -g
+        if g != 1:
+            w = [x // g for x in w]
         row = tuple(w)
         self.rows.append(row)
-        self.pivots.append(p)
-        self.support.append(cols)
+        self.pivots.append(cols[0])
+        self.support.append(tuple(cols[1:]))
         return row
 
     def subspace(self) -> "Subspace":
@@ -339,19 +376,16 @@ class Echelon:
 
         Rows are taken from the last pivot back, each cleared at the
         pivots of the rows already done; those are zero before their own
-        pivots, so the leading 1 stays where it is.
+        pivots, so the pivot stays where it is.  Each integer row is then
+        divided by its pivot entry into exact Fractions.
         """
         done = Echelon(self.width)
-        for p, row in sorted(zip(self.pivots, self.rows), key=lambda pr: -pr[0]):
-            row = tuple(done.residual(row))
-            done.rows.append(row)
-            done.pivots.append(p)
-            done.support.append(_tail_support(row, p))
+        for _, row in sorted(zip(self.pivots, self.rows), reverse=True):
+            done._store(done._reduce(list(row)))
         return Subspace(
             self.width,
-            tuple(done.rows[::-1]),
+            tuple(map(_rational_row, done.rows[::-1], done.pivots[::-1])),
             tuple(done.pivots[::-1]),
-            tuple(done.support[::-1]),
         )
 
 
@@ -360,18 +394,18 @@ class Subspace:
 
     Two Subspace objects are equal exactly when they are the same
     subspace of the same ambient space; no tolerance is involved.  The
-    `Echelon.support` of the basis rows is kept in a private slot, built
-    on first use unless the builder handed it over.
+    basis entries are exact Fractions.  The `Echelon` rows of the basis
+    (each basis row times the lcm of its denominators, which is primitive
+    with a positive pivot entry) and their `support` are kept in a private
+    slot, built by the first `echelon()`: most subspaces never need them.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_support")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_integer")
 
-    def __init__(self, ambient_dim, basis, pivots, support=None):
+    def __init__(self, ambient_dim, basis, pivots):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-        if support is not None:
-            object.__setattr__(self, "_support", support)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -406,13 +440,15 @@ class Subspace:
 
     def echelon(self) -> Echelon:
         """A builder holding this basis, ready to take more rows."""
-        try:
-            support = self._support
-        except AttributeError:
-            support = tuple(map(_tail_support, self.basis, self.pivots))
-            object.__setattr__(self, "_support", support)
         ech = Echelon(self.ambient_dim)
-        ech.rows += self.basis
+        try:
+            rows, support = self._integer
+        except AttributeError:
+            for b in self.basis:
+                ech._store(_integer_row(b))
+            object.__setattr__(self, "_integer", (tuple(ech.rows), tuple(ech.support)))
+            return ech
+        ech.rows += rows
         ech.pivots += self.pivots
         ech.support += support
         return ech

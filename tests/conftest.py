@@ -1,6 +1,6 @@
 """Shared builders for the test suite."""
 
-from kinsila.exactla import Mat
+from kinsila.exactla import Mat, inverse
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import Rep
 
@@ -66,3 +66,19 @@ def doubled(rep):
                 rows[d + i][d + j] = m[i, j]
         mats.append(Mat(rows))
     return Rep(rep.algebra, mats)
+
+
+def unit_triangular(rng, n, upper):
+    return Mat([
+        [1 if i == j else rng.randint(-1, 1) if (i < j) == upper else 0
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def unimodular_conjugate(rep, rng):
+    """(rep conjugated by t, t) for an integer change of basis t with an
+    integer inverse, so the conjugate has nonzero diagonals but small
+    entries; t takes rep's coordinates to the conjugate's."""
+    t = unit_triangular(rng, rep.dim, False) @ unit_triangular(rng, rep.dim, True)
+    return Rep(rep.algebra, [t @ m @ inverse(t) for m in rep.mats]), t

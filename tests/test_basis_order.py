@@ -1,25 +1,31 @@
 """The classification depends on the subspaces Z, s, P, not on the order
-in which a document lists its basis or its roles.
+in which a document lists its basis or its roles, nor on the basis.
 
 Reordering `roles.s` or `roles.P` leaves the report byte for byte the
 same.  Reordering `basis` moves the P coordinates, so the fields written
 in them (omega, certificates) follow the new order, while every field
-listed in BASIS_INDEPENDENT stays the same.
+listed in BASIS_INDEPENDENT stays the same.  A role-preserving change of
+basis that scales Z by lam keeps the label and the radical, Z-action and
+holonomy data, and multiplies mu by lam^2.
 """
 
 import functools
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.documents import entry_to_document
+from kinsila.kinematics import classify
+from kinsila.liecore import LieAlgebra
 
 SEED = 4404
 
@@ -56,6 +62,20 @@ def json_report(text):
         assert main(["classify", doc, "--json", "--out", out]) == 0
         with open(out, encoding="utf-8") as fh:
             return fh.read()
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@functools.lru_cache(maxsize=None)
+def bench_workloads():
+    """bench/workloads.py, for its seeded change of basis `rebase`."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def catalog_document(family):
@@ -102,3 +122,29 @@ def test_cli_classifies_a_reordered_document(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(out.stdout)["label"] == "poincare-type"
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_change_of_basis_keeps_invariants_and_scales_mu(family):
+    # Z' = lam Z, s' = A s, P' = B P with unimodular {-1, 0, 1} blocks A, B
+    workloads = bench_workloads()
+    entry = catalog.make(family, 4)
+    alg = entry.algebra
+    roles = workloads.entry_roles(entry)
+    pairs = {}
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            v = tuple(alg.structure_constant(i, j))
+            if any(v):
+                pairs[(i, j)] = v
+    rng = random.Random(f"{SEED}-rebase-{family}")
+    moved_pairs, lam = workloads.rebase(alg.dim, pairs, roles, rng)
+    assert moved_pairs != pairs
+    base = classify(alg, *roles)
+    moved = classify(LieAlgebra(alg.dim, moved_pairs, list(alg.labels)), *roles)
+    for key in ("label", "radical_case", "radical_dim", "z_action", "holonomy_dim"):
+        assert getattr(moved, key) == getattr(base, key), key
+    if base.mu is None:
+        assert moved.mu is None
+    else:
+        assert moved.mu == lam ** 2 * base.mu

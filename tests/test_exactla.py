@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import so_algebra_and_rep, unimodular_conjugate
 from kinsila import catalog, exactla, kinematics, liecore, repth
 from kinsila.exactla import (
     Echelon,
@@ -255,6 +257,102 @@ def dense_subspace(rows, pivots):
     return done_rows[::-1], done_pivots[::-1]
 
 
+def dense_span(n, vectors):
+    """Reduced echelon basis and pivots of the span of the vectors in Q^n,
+    by the dense Fraction reduction above."""
+    rows, pivots = [], []
+    for v in vectors:
+        assert len(v) == n
+        dense_add(rows, pivots, [F(x) for x in v])
+    return dense_subspace(rows, pivots)
+
+
+def dense_null_vectors(basis, pivots, cols):
+    out = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [F(0)] * cols
+            v[f] = F(1)
+            for row, p in zip(basis, pivots):
+                v[p] = -row[f]
+            out.append(v)
+    return out
+
+
+def dense_kernel(rows, cols):
+    return dense_span(cols, dense_null_vectors(*dense_span(cols, rows), cols))
+
+
+def dense_solve(rows, b, cols):
+    basis, pivots = dense_span(cols + 1, [list(r) + [x] for r, x in zip(rows, b)])
+    if cols in pivots:
+        return None
+    x = [F(0)] * cols
+    for row, p in zip(basis, pivots):
+        x[p] = row[cols]
+    return tuple(x), dense_span(cols, dense_null_vectors(basis, pivots, cols))
+
+
+def dense_inverse(rows):
+    n = len(rows)
+    basis, pivots = dense_span(2 * n, [list(r) + list(unit_vec(n, i))
+                                       for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in basis]
+
+
+def dense_min_poly(m):
+    n = m.rows
+    result = Poly.one()
+    for i in range(n):
+        if result.degree == n:
+            break
+        seed = unit_vec(n, i)
+        if matrix_poly(result, m).apply(seed) == zero_vec(n):
+            continue
+        rows, pivots, v = [], [], seed
+        for k in range(n + 1):
+            row = dense_add(rows, pivots, list(v) + list(unit_vec(n + 1, k)))
+            if pivots[-1] >= n:
+                result = poly_lcm(result, Poly(row[n:]).monic())
+                break
+            v = m.apply(v)
+    return result
+
+
+def dense_intersect(u, w, n):
+    rows = [[a[i] for a in u] + [-b[i] for b in w] for i in range(n)]
+    combos, _ = dense_kernel(rows, len(u) + len(w))
+    return dense_span(n, [
+        [sum((c[a] * u[a][i] for a in range(len(u))), F(0)) for i in range(n)]
+        for c in combos
+    ])
+
+
+def primitive(row):
+    """The integer multiple of a nonzero rational row whose entries have
+    gcd 1 and whose first nonzero entry is positive."""
+    den = math.lcm(*(F(x).denominator for x in row))
+    ints = [int(F(x) * den) for x in row]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def assert_nonzero_multiple(got, ref):
+    """got is an int list that is zero exactly when ref is, and otherwise
+    a nonzero multiple of it."""
+    assert all(type(x) is int for x in got)
+    if not any(ref):
+        assert not any(got)
+        return
+    p = next(j for j, x in enumerate(ref) if x)
+    k = F(got[p]) / ref[p]
+    assert k and list(got) == [k * x for x in ref]
+
+
 class TestEchelon:
     def test_stored_columns_match_dense_reduction_seeded(self):
         rng = random.Random(8819)
@@ -275,18 +373,30 @@ class TestEchelon:
                     rows.append(rand_row(n, density))
             return rows
 
-        def exact(v):
-            return all(type(x) is F for x in v)
+        def exact(space):
+            return all(type(x) is F for row in space.basis for x in row)
+
+        def add_both(ech, rows, pivots, v):
+            # the stored row is the primitive integer multiple, with a
+            # positive pivot, of the row the dense reduction stores
+            assert_nonzero_multiple(ech.residual(v), dense_residual(rows, pivots, v))
+            got = ech.add(v)
+            want = dense_add(rows, pivots, v)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == primitive(want)
+                assert ech.support[-1] == tuple(
+                    j for j in range(ech.pivots[-1] + 1, len(v)) if want[j]
+                )
 
         for _ in range(150):
             n = rng.randint(1, 8)
             density = rng.choice((0.2, 0.5, 1.0))
             ech, rows, pivots = Echelon(n), [], []
             for v in rand_rows(n, density, rng.randint(0, n + 2)):
-                got = ech.residual(v)
-                assert got == dense_residual(rows, pivots, v) and exact(got)
-                assert ech.add(v) == dense_add(rows, pivots, v)
-                assert (ech.rows, ech.pivots) == (rows, pivots)
+                add_both(ech, rows, pivots, v)
+            assert ech.rows == [primitive(row) for row in rows]
+            assert ech.pivots == pivots
             assert ech.support == [
                 tuple(j for j in range(p + 1, n) if row[j])
                 for row, p in zip(rows, pivots)
@@ -294,18 +404,22 @@ class TestEchelon:
             basis, basis_pivots = dense_subspace(rows, pivots)
             built = ech.subspace()
             assert list(built.basis) == basis and list(built.pivots) == basis_pivots
-            # the same subspace without handed-over columns builds its own
+            assert exact(built)
+            # one made directly from the basis; each builds its integer rows
+            # on the first echelon() and reuses them on every later one
             bare = Subspace(n, built.basis, built.pivots)
             more = rand_rows(n, density, rng.randint(0, 3))
             for space in (built, bare):
                 ext = space.echelon()
+                assert ext.rows == [primitive(row) for row in basis]
                 ref_rows, ref_pivots = list(basis), list(basis_pivots)
                 for v in more:
-                    assert ext.add(v) == dense_add(ref_rows, ref_pivots, v)
+                    add_both(ext, ref_rows, ref_pivots, v)
                 sub = ext.subspace()
                 assert (list(sub.basis), list(sub.pivots)) == dense_subspace(
                     ref_rows, ref_pivots
                 )
+                assert exact(sub)
             other = Echelon(n, rand_rows(n, density, rng.randint(0, n))).subspace()
             rows2, pivots2 = list(basis), list(basis_pivots)
             for v in other.basis:
@@ -322,7 +436,32 @@ class TestEchelon:
                 )
                 total = space.sum_with(other)
                 assert (list(total.basis), list(total.pivots)) == ref_sum
-                assert total == other.sum_with(space)
+                assert total == other.sum_with(space) and exact(total)
+
+    def test_outputs_are_exact_fractions_for_any_input_type(self):
+        # ints, ints mixed with Fractions, and Fractions all come out as
+        # exact Fractions, however few rescalings the reduction needs
+        line = repth.Rep(
+            liecore.LieAlgebra(1, {}, labels=["J"]), [Mat([[0, 1], [0, 0]])]
+        )
+        half = F(1, 2)
+        for rows in (
+            [(2, 0, 1), (0, 3, 0)],
+            [(1, 0, 0), (0, 1, 0)],
+            [(2, half, 1), (0, 3, F(0))],
+            [(F(2), F(0), F(1)), (F(0), F(3), F(0))],
+        ):
+            spaces = [
+                Echelon(3, rows).subspace(),
+                Subspace.span(3, rows),
+                kernel(Mat(rows)),
+                Subspace.span(3, rows).sum_with(Subspace.span(3, rows[:1])),
+            ]
+            for space in spaces:
+                assert all(type(x) is F for row in space.basis for x in row)
+        for v in ((1, 0), (0, 1), (half, 0), (F(1), 0)):
+            space = repth.spin(line, v)
+            assert all(type(x) is F for row in space.basis for x in row)
 
 
 class TestKernelImageSolve:
@@ -407,6 +546,84 @@ class TestKernelImageSolve:
             else:
                 with pytest.raises(ValueError):
                     inverse(sq)
+
+
+class TestFractionGrowth:
+    def test_large_denominators_and_dense_conjugates_match_dense_reference_seeded(self):
+        # entries whose denominators reach 10^6, and integer conjugates of
+        # the so(3) and so(4) actions, against the dense Fraction reduction
+        rng = random.Random(6247)
+
+        def big():
+            return F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+        def exact(entries):
+            entries = list(entries)
+            assert all(type(x) is F for x in entries)
+            return entries
+
+        def same_space(space, ref):
+            basis, pivots = ref
+            assert list(space.basis) == basis and list(space.pivots) == pivots
+            exact(x for row in space.basis for x in row)
+
+        matrices = []
+        for _ in range(10):
+            cols = rng.randint(1, 5)
+            gens = [[big() if rng.random() < 0.7 else F(0) for _ in range(cols)]
+                    for _ in range(rng.randint(1, cols))]
+            rows = [[sum((big() * g[j] for g in gens), F(0)) for j in range(cols)]
+                    for _ in range(rng.randint(1, 5))]
+            matrices.append(Mat(rows, cols=cols))
+            matrices.append(Mat([[big() for _ in range(cols)] for _ in range(cols)]))
+        for d in (3, 4):
+            _, rep = so_algebra_and_rep(d)
+            for _ in range(2):
+                conj, _ = unimodular_conjugate(rep, rng)
+                matrices += conj.mats
+                # every generator's entries as one column: the faithfulness system
+                matrices.append(Mat.from_cols(
+                    [[x for row in m.entries for x in row] for m in conj.mats]
+                ))
+
+        for m in matrices:
+            rows, cols = [list(r) for r in m.entries], m.cols
+            ref_kernel = dense_kernel(rows, cols)
+            same_space(kernel(m), ref_kernel)
+            assert rank(m) == len(dense_span(cols, rows)[0])
+            same_space(Subspace.span(cols, rows), dense_span(cols, rows))
+            # a consistent right-hand side, and an inconsistent one when
+            # the rows are dependent
+            b = m.apply([big() for _ in range(cols)])
+            res = solve(m, b)
+            particular, ref_res_kernel = dense_solve(rows, b, cols)
+            assert exact(res.particular) == list(particular)
+            same_space(res.kernel, ref_res_kernel)
+            left, _ = dense_kernel(m.transpose().entries, m.rows)
+            if left:
+                assert dense_solve(rows, left[0], cols) is None
+                assert solve(m, left[0]) is None
+            if m.is_square():
+                for sq in (m, m + Mat.identity(cols)):
+                    ref_inv = dense_inverse(sq.entries)
+                    if ref_inv is None:
+                        with pytest.raises(ValueError):
+                            inverse(sq)
+                    else:
+                        got = inverse(sq)
+                        assert [list(r) for r in got.entries] == [list(r) for r in ref_inv]
+                        exact(x for r in got.entries for x in r)
+                mp = min_poly(m)
+                assert mp == dense_min_poly(m) and exact(mp.coeffs)
+            # two spans inside Q^cols: their intersection and their sum
+            other = [[big() if rng.random() < 0.6 else F(0) for _ in range(cols)]
+                     for _ in range(rng.randint(1, cols))]
+            if rng.random() < 0.5:
+                other.append(rows[0])
+            u, w = Subspace.span(cols, rows), Subspace.span(cols, other)
+            ref_u, ref_w = dense_span(cols, rows)[0], dense_span(cols, other)[0]
+            same_space(u.intersect(w), dense_intersect(ref_u, ref_w, cols))
+            same_space(u.sum_with(w), dense_span(cols, ref_u + ref_w))
 
 
 class TestPoly:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import doubled, so_algebra_and_rep
+from conftest import doubled, so_algebra_and_rep, unimodular_conjugate
 from kinsila import repth
 from kinsila.errors import DecompositionError, InternalFault, RepError
 from kinsila.exactla import Echelon, Mat, Subspace, inverse, kernel, unit_vec
@@ -30,22 +30,6 @@ from kinsila.repth import (
 def so2_line():
     alg = LieAlgebra(1, {}, labels=["J"])
     return alg, Rep(alg, [Mat([[0, -1], [1, 0]])])
-
-
-def unit_triangular(rng, n, upper):
-    return Mat([
-        [1 if i == j else rng.randint(-1, 1) if (i < j) == upper else 0
-         for j in range(n)]
-        for i in range(n)
-    ])
-
-
-def unimodular_conjugate(rep, rng):
-    """(rep conjugated by t, t) for an integer change of basis t with an
-    integer inverse, so the conjugate has nonzero diagonals but small
-    entries; t takes rep's coordinates to the conjugate's."""
-    t = unit_triangular(rng, rep.dim, False) @ unit_triangular(rng, rep.dim, True)
-    return Rep(rep.algebra, [t @ m @ inverse(t) for m in rep.mats]), t
 
 
 class TestRepConstruction:
