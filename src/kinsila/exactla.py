@@ -162,8 +162,10 @@ class Mat:
         try:
             return self._nonzeros
         except AttributeError:
+            # the shared _ZERO is skipped by identity, sparing its __bool__
             nz = tuple(
-                tuple((j, a) for j, a in enumerate(row) if a) for row in self.entries
+                tuple((j, a) for j, a in enumerate(row) if a is not _ZERO and a)
+                for row in self.entries
             )
             object.__setattr__(self, "_nonzeros", nz)
             return nz

@@ -21,7 +21,6 @@ from .exactla import (
     q,
     rank,
     solve,
-    unit_vec,
     vadd,
     zero_vec,
 )
@@ -260,27 +259,21 @@ class LieAlgebra:
         return t.is_square() and t.rows == self.dim and (t @ t).is_identity()
 
     # -- subalgebras -----------------------------------------------------------
-    def restrict(self, space: Subspace, labels=None):
-        """Subalgebra on the echelon basis of `space`, plus the embedding."""
-        if not self.is_subalgebra(space):
-            raise ValueError("restriction to a non-subalgebra")
+    def restrict(self, space: Subspace) -> "LieAlgebra":
+        """Subalgebra on the echelon basis of `space`; ValueError when a
+        bracket of two basis vectors leaves `space`."""
         k = space.dim
         pairs = {}
         for a in range(k):
             for b in range(a + 1, k):
-                v = self.bracket(space.basis[a], space.basis[b])
-                coords = space.coordinates_of(v)
+                coords = space.coordinates_of(
+                    self.bracket(space.basis[a], space.basis[b])
+                )
                 if coords is None:
-                    raise InternalFault(
-                        "closed subspace has a bracket outside itself",
-                        {"pair": (a, b), "value": v},
-                    )
+                    raise ValueError("restriction to a non-subalgebra")
                 if any(coords):
                     pairs[(a, b)] = coords
-        if labels is None:
-            labels = [f"r{i}" for i in range(k)]
-        embed = Mat.from_cols([list(b) for b in space.basis], rows=self.dim)
-        return LieAlgebra(k, pairs, labels), embed
+        return LieAlgebra(k, pairs)
 
     # -- Levi complement --------------------------------------------------
     def levi_complement(
@@ -291,15 +284,15 @@ class LieAlgebra:
         """A subalgebra complementing the solvable radical.
 
         Requires the radical to be abelian (NonAbelianRadicalError
-        otherwise).  With `sigma` (an involutive automorphism) the result
-        is sigma-stable; with `contain` (a subalgebra meeting the radical
-        trivially) the result contains it.  Starting from any complement
-        of the radical, the correction making it a subalgebra is a linear
-        system in a map from the complement into the radical; with the
-        radical abelian the system is exactly the closure condition.
-        Returns None when the constrained system is unsolvable; the
-        unconstrained system always has a solution, so an unconstrained
-        call never returns None.
+        otherwise).  The result is stable under `sigma`, an involutive
+        automorphism (default the identity), and contains `contain`, a
+        subalgebra meeting the radical trivially (default zero).  Starting
+        from any complement of the radical, the correction making it a
+        subalgebra is a linear system in a map from the complement into
+        the radical; with the radical abelian the system is exactly the
+        closure condition.  Returns None when the constrained system is
+        unsolvable; the unconstrained system always has a solution, so an
+        unconstrained call never returns None.
         """
         n = self.dim
         rad = self.solvable_radical()
@@ -307,57 +300,44 @@ class LieAlgebra:
             raise NonAbelianRadicalError(
                 "complement search implemented for abelian radicals only"
             )
-        if contain is not None:
-            if not self.is_subalgebra(contain):
-                raise ValueError("contain is not a subalgebra")
-            if not contain.intersect(rad).is_zero():
-                return None
-        if sigma is not None:
-            if not self.is_involution(sigma) or not self.is_automorphism(sigma):
-                raise ValueError("sigma is not an involutive automorphism")
+        unconstrained = sigma is None and contain is None
+        if contain is None:
+            contain = Subspace.zero(n)
+        elif not self.is_subalgebra(contain):
+            raise ValueError("contain is not a subalgebra")
+        if not contain.intersect(rad).is_zero():
+            return None
+        ident = Mat.identity(n)
+        if sigma is None:
+            sigma = ident
+        elif not self.is_involution(sigma) or not self.is_automorphism(sigma):
+            raise ValueError("sigma is not an involutive automorphism")
         if rad.is_full():
-            if contain is not None and not contain.is_zero():
-                return None
-            return Subspace.zero(n)
+            return Subspace.zero(n) if contain.is_zero() else None
 
         # complement basis with eigenvalue tags and pinned flags
+        gplus = kernel(sigma - ident)
+        gminus = kernel(sigma + ident)
+        radp = rad.intersect(gplus)
+        radm = rad.intersect(gminus)
+        if radp.dim + radm.dim != rad.dim:
+            raise InternalFault(
+                "radical not split by an involutive automorphism",
+                {"rad_dim": rad.dim, "plus": radp.dim, "minus": radm.dim},
+            )
+        cp = contain.intersect(gplus)
+        cm = contain.intersect(gminus)
+        if cp.dim + cm.dim != contain.dim:
+            raise ValueError("contain is not spanned by sigma eigenvectors")
         wdata = []
-        if sigma is not None:
-            ident = Mat.identity(n)
-            gplus = kernel(sigma - ident)
-            gminus = kernel(sigma + ident)
-            radp = rad.intersect(gplus)
-            radm = rad.intersect(gminus)
-            if radp.dim + radm.dim != rad.dim:
-                raise InternalFault(
-                    "radical not split by an involutive automorphism",
-                    {"rad_dim": rad.dim, "plus": radp.dim, "minus": radm.dim},
-                )
-            if contain is not None:
-                cp = contain.intersect(gplus)
-                cm = contain.intersect(gminus)
-                if cp.dim + cm.dim != contain.dim:
-                    raise ValueError("contain is not spanned by sigma eigenvectors")
-            else:
-                cp = cm = Subspace.zero(n)
-            for part, radpart, eps in ((cp, radp, 1), (cm, radm, -1)):
-                for c in part.basis:
-                    wdata.append((c, eps, True))
-                cur = Echelon(n, part.basis + radpart.basis)
-                side = gplus if eps == 1 else gminus
-                for v in side.basis:
-                    if cur.add(v) is not None:
-                        wdata.append((v, eps, False))
-        else:
-            cur = rad.echelon()
-            if contain is not None:
-                for c in contain.basis:
-                    wdata.append((c, 0, True))
-                    cur.add(c)
-            for i in range(n):
-                v = unit_vec(n, i)
+        for part, radpart, eps in ((cp, radp, 1), (cm, radm, -1)):
+            for c in part.basis:
+                wdata.append((c, eps, True))
+            cur = Echelon(n, part.basis + radpart.basis)
+            side = gplus if eps == 1 else gminus
+            for v in side.basis:
                 if cur.add(v) is not None:
-                    wdata.append((v, 0, False))
+                    wdata.append((v, eps, False))
 
         k = len(wdata)
         d = rad.dim
@@ -416,7 +396,7 @@ class LieAlgebra:
                 if any(row) or rvec[t]:
                     rows.append(row)
                     rhs.append(-rvec[t])
-        if sigma is not None and free:
+        if free:
             smat = rad.matrix_of(sigma.apply)
             if smat is None:
                 raise InternalFault("radical not stable under sigma")
@@ -437,7 +417,7 @@ class LieAlgebra:
         if width:
             res = solve(Mat(rows, cols=width) if rows else Mat([], cols=width), rhs)
             if res is None:
-                if sigma is None and contain is None:
+                if unconstrained:
                     raise InternalFault(
                         "unconstrained complement correction has no solution"
                     )
@@ -463,11 +443,9 @@ class LieAlgebra:
             raise InternalFault("complement plus radical is not everything", cert)
         if not self.is_subalgebra(levi):
             raise InternalFault("corrected complement is not closed", cert)
-        if sigma is not None and not all(
-            levi.contains(sigma.apply(b)) for b in levi.basis
-        ):
+        if not all(levi.contains(sigma.apply(b)) for b in levi.basis):
             raise InternalFault("complement is not sigma-stable", cert)
-        if contain is not None and not levi.contains_space(contain):
+        if not levi.contains_space(contain):
             raise InternalFault("complement lost the required subalgebra", cert)
         return levi
 

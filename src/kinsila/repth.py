@@ -213,10 +213,11 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
                 key = tuple(sorted((j, x) for j, x in eq.items() if x))
                 if key and key not in seen:
                     seen.add(key)
+                    # a tuple, which Mat keeps as its row without a copy
                     row = [_ZERO] * width
                     for j, x in key:
                         row[j] = x
-                    rows.append(row)
+                    rows.append(tuple(row))
     combos = kernel(Mat(rows, cols=width))
     out = []
     for v in combos.basis:
@@ -225,35 +226,27 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
 
 
 def invariant_symmetric_forms(rep: Rep) -> List[Mat]:
-    """Basis of symmetric B with rho(x)^T B + B rho(x) = 0 for all x."""
+    """Basis of symmetric B with rho(x)^T B + B rho(x) = 0 for all x.
+
+    Those B are the symmetric intertwiners into the dual module, whose
+    matrices are -rho(x)^T; the basis is the reduced echelon basis of
+    their subspace of Q^(d^2), with B read row by row.
+    """
     d = rep.dim
-    width = d * d
-    rows = []
-    # symmetry
-    for r in range(d):
-        for c in range(r + 1, d):
-            row = [_ZERO] * width
-            row[r * d + c] += _ONE
-            row[c * d + r] -= _ONE
-            rows.append(row)
-    # invariance
-    for m in rep.mats:
-        for r in range(d):
-            for c in range(d):
-                row = [_ZERO] * width
-                for k in range(d):
-                    a = m[k, r]
-                    if a:
-                        row[k * d + c] += a
-                    b = m[k, c]
-                    if b:
-                        row[r * d + k] += b
-                if any(row):
-                    rows.append(row)
-    combos = kernel(Mat(rows, cols=width) if rows else Mat([], cols=width))
+    dual = Rep(rep.algebra, [-m.transpose() for m in rep.mats], check=False, dim=d)
+    homs = hom_space(rep, dual)
+    # sum c_i H_i is symmetric exactly when sum c_i (H_i - H_i^T) = 0
+    skew = [
+        [h[r, c] - h[c, r] for h in homs] for r in range(d) for c in range(r + 1, d)
+    ]
+    combos = kernel(Mat(skew, cols=len(homs)))
+    forms = Subspace.span(d * d, [
+        [x for row in _combination(c, homs).entries for x in row]
+        for c in combos.basis
+    ])
     return [
         Mat([v[r * d:(r + 1) * d] for r in range(d)], cols=d)
-        for v in combos.basis
+        for v in forms.basis
     ]
 
 
@@ -617,8 +610,6 @@ def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
     k = space.dim
     if k == 0 or k == d:
         raise ValueError("complement asked for a trivial subspace")
-    if not _invariant_under(rep, space):
-        raise ValueError("complement asked for a non-invariant subspace")
     sub = rep_on_subspace(rep, space)
     homs = hom_space(rep, sub)
     wcols = Mat.from_cols([list(b) for b in space.basis], rows=d)

@@ -24,7 +24,7 @@ import pytest
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.documents import entry_to_document
-from kinsila.kinematics import classify
+from kinsila.kinematics import classify, validate
 from kinsila.liecore import LieAlgebra
 
 SEED = 4404
@@ -124,9 +124,10 @@ def test_cli_classifies_a_reordered_document(tmp_path):
     assert json.loads(out.stdout)["label"] == "poincare-type"
 
 
-@pytest.mark.parametrize("family", catalog.FAMILIES)
-def test_change_of_basis_keeps_invariants_and_scales_mu(family):
-    # Z' = lam Z, s' = A s, P' = B P with unimodular {-1, 0, 1} blocks A, B
+def rebased(family):
+    """(catalog d = 4 entry, roles, the entry's algebra after the seeded
+    change of basis Z' = lam Z, s' = A s, P' = B P with unimodular
+    {-1, 0, 1} blocks A, B, lam)."""
     workloads = bench_workloads()
     entry = catalog.make(family, 4)
     alg = entry.algebra
@@ -140,11 +141,30 @@ def test_change_of_basis_keeps_invariants_and_scales_mu(family):
     rng = random.Random(f"{SEED}-rebase-{family}")
     moved_pairs, lam = workloads.rebase(alg.dim, pairs, roles, rng)
     assert moved_pairs != pairs
-    base = classify(alg, *roles)
-    moved = classify(LieAlgebra(alg.dim, moved_pairs, list(alg.labels)), *roles)
+    return entry, roles, LieAlgebra(alg.dim, moved_pairs, list(alg.labels)), lam
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_change_of_basis_keeps_invariants_and_scales_mu(family):
+    entry, roles, moved_alg, lam = rebased(family)
+    base = classify(entry.algebra, *roles)
+    moved = classify(moved_alg, *roles)
     for key in ("label", "radical_case", "radical_dim", "z_action", "holonomy_dim"):
         assert getattr(moved, key) == getattr(base, key), key
     if base.mu is None:
         assert moved.mu is None
     else:
         assert moved.mu == lam ** 2 * base.mu
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_p_module_bracket_condition_holds_without_its_check(family):
+    # validate builds P as an s-module unchecked, because the bracket
+    # condition is the Jacobi identity restricted to s and P; check it here
+    _, roles, moved_alg, _ = rebased(family)
+    algebras = [(moved_alg, roles)]
+    for d in (4, 5):
+        e = catalog.make(family, d)
+        algebras.append((e.algebra, bench_workloads().entry_roles(e)))
+    for alg, alg_roles in algebras:
+        validate(alg, *alg_roles).p_rep._validate()

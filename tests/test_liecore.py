@@ -155,9 +155,8 @@ class TestQuotientRestrict:
     def test_restrict_levi(self):
         g = sl2_on_plane()
         levi = Subspace.span(5, [unit_vec(5, i) for i in range(3)])
-        sub, embed = g.restrict(levi)
+        sub = g.restrict(levi)
         assert sub.killing_form() == Mat([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
-        assert embed.col(0) == unit_vec(5, 0)
 
     def test_restrict_requires_closure(self):
         g = sl2_on_plane()

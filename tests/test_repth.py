@@ -296,6 +296,44 @@ class TestInvariantForms:
         rep = Rep(alg, [Mat([[1]]), Mat([[0]])], check=False)
         assert nondegenerate_invariant_form(rep) is None
 
+    def test_forms_match_dense_reference_seeded(self):
+        def dense_forms(rep):
+            # reference: symmetry and invariance written out as one system
+            # in the d^2 entries of B, read row by row
+            d = rep.dim
+            rows = []
+            for r in range(d):
+                for c in range(r + 1, d):
+                    row = [0] * (d * d)
+                    row[r * d + c] += 1
+                    row[c * d + r] -= 1
+                    rows.append(row)
+            for m in rep.mats:
+                for r in range(d):
+                    for c in range(d):
+                        row = [0] * (d * d)
+                        for k in range(d):
+                            row[k * d + c] += m[k, r]
+                            row[r * d + k] += m[k, c]
+                        rows.append(row)
+            basis = kernel(Mat(rows, cols=d * d)).basis
+            return [
+                Mat([v[r * d:(r + 1) * d] for r in range(d)], cols=d)
+                for v in basis
+            ]
+
+        affine = LieAlgebra(2, {(0, 1): (0, 1)}, labels=["h", "x"])
+        reps = [
+            so_algebra_and_rep(3)[1],
+            so_algebra_and_rep(4)[1],
+            doubled(so_algebra_and_rep(3)[1]),
+            Rep(affine, [Mat([[1]]), Mat([[0]])]),
+        ]
+        rng = random.Random(3307)
+        for rep in reps:
+            for moved in [rep] + [unimodular_conjugate(rep, rng)[0] for _ in range(3)]:
+                assert invariant_symmetric_forms(moved) == dense_forms(moved)
+
 
 class TestSpinAndFaithful:
     def test_spin_full_on_simple(self):
