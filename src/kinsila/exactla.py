@@ -248,7 +248,8 @@ class Mat:
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        # the shared _ZERO is skipped by identity, sparing its __bool__
+        return all(x is _ZERO or not x for row in self.entries for x in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
-from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, InternalFault, RepError, SimplicityUndecided
@@ -27,6 +26,7 @@ from .exactla import (
     matrix_poly,
     min_poly,
     rank,
+    solve,
     unit_vec,
 )
 from .liecore import LieAlgebra
@@ -166,12 +166,8 @@ def is_faithful(rep: Rep) -> bool:
     return kernel(Mat.from_cols(cols)).is_zero()
 
 
-def spin(rep: Rep, v) -> Subspace:
-    """Smallest invariant subspace containing v (under the given matrices)."""
-    return _spin_mats(rep.mats, v, rep.dim)
-
-
-def _spin_mats(mats: Sequence[Mat], v, d: int) -> Subspace:
+def spin(mats: Sequence[Mat], v, d: int) -> Subspace:
+    """Smallest subspace of Q^d containing v and invariant under `mats`."""
     found = Echelon(d)
     queue = [found.add(v)]
     while queue:
@@ -258,30 +254,22 @@ def _combination(combo: Sequence[int], mats: Sequence[Mat]) -> Mat:
     return acc
 
 
-def _full_rank_combination(mats: Sequence[Mat], k: int) -> Optional[tuple]:
-    """First nonzero c on the grid {0..k}^r, in lexicographic order, with
-    sum c_i mats[i] of rank k; None when there is none.
-
-    For k x k matrices the determinant of the combination is a polynomial
-    of degree at most k in the c_i, so if it is not identically zero it is
-    nonzero somewhere on this grid; scanning it is an exact, deterministic
-    replacement for a random choice, at up to (k+1)^r exact ranks.
-    """
-    for combo in iproduct(range(k + 1), repeat=len(mats)):
-        if any(combo) and rank(_combination(combo, mats)) == k:
-            return combo
-    return None
-
-
 def nondegenerate_invariant_form(rep: Rep) -> Optional[Mat]:
-    """A nondegenerate invariant symmetric form, or None when none exists.
+    """A nondegenerate invariant symmetric form on a simple module, or None
+    when the module has no nonzero invariant symmetric form.
 
-    The first full-rank combination of the invariant forms on the grid of
-    `_full_rank_combination` is taken.
+    The module must be simple: there the radical of a nonzero invariant
+    form is a proper submodule, hence zero, so the last basis form is
+    taken.  A degenerate one proves the module is not simple and raises
+    ValueError.
     """
     basis = invariant_symmetric_forms(rep)
-    combo = _full_rank_combination(basis, rep.dim)
-    return None if combo is None else _combination(combo, basis)
+    if not basis:
+        return None
+    form = basis[-1]
+    if rank(form) != rep.dim:
+        raise ValueError("a degenerate invariant form: the module is not simple")
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +369,7 @@ def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat], spun: set):
     for v in ker.basis:
         if v in spun:
             continue
-        closure = _spin_mats(rep.mats, v, d)
+        closure = spin(rep.mats, v, d)
         if closure.dim < d:
             return _certify_reducible(rep, closure)
         spun.add(v)
@@ -391,7 +379,7 @@ def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat], spun: set):
     if kert.dim != 1:
         # rank is transpose-invariant, so the nullities must agree
         raise InternalFault("transpose changed a matrix rank", {"a": a.entries})
-    wclosure = _spin_mats(transposes, kert.basis[0], d)
+    wclosure = spin(transposes, kert.basis[0], d)
     if wclosure.dim < d:
         # orthogonal complement of a transpose-side submodule is invariant
         comp = kernel(Mat([list(r) for r in wclosure.basis], cols=d))
@@ -564,20 +552,14 @@ def check_simplicity(rep: Rep) -> bool:
     return False
 
 
-def certify_copy(simple: Rep, module: Rep) -> Optional[Mat]:
-    """Prove `module` simple as an isomorphic copy of a simple module.
+def _schur_isomorphism(simple: Rep, module: Rep) -> Optional[Mat]:
+    """The first Hom basis element from a simple module, checked invertible.
 
-    `simple` must already carry simplicity evidence.  Returns an
-    invertible intertwiner from `simple` onto `module`, recorded as
-    `module.simplicity`, or None when the dimensions differ or no nonzero
-    intertwiner exists, so the two are not isomorphic.  By Schur's lemma
-    a nonzero intertwiner out of a simple module into one of the same
-    dimension is invertible, so the first Hom basis element is taken; if
-    it fails the exact intertwining and rank check, a theorem has failed
-    and InternalFault is raised.
+    None when the dimensions differ or no nonzero intertwiner exists.  By
+    Schur's lemma a nonzero intertwiner out of a simple module into one of
+    the same dimension is invertible; if it fails the exact intertwining
+    and rank check, a theorem has failed and InternalFault is raised.
     """
-    if simple.simplicity is None:
-        raise ValueError("the source module carries no simplicity evidence")
     if simple.dim != module.dim:
         return None
     homs = hom_space(simple, module)
@@ -589,7 +571,22 @@ def certify_copy(simple: Rep, module: Rep) -> Optional[Mat]:
             "a nonzero intertwiner out of a simple module is not invertible",
             {"intertwiner": t.entries},
         )
-    module.simplicity = Simplicity("intertwiner", (t,), source=simple)
+    return t
+
+
+def certify_copy(simple: Rep, module: Rep) -> Optional[Mat]:
+    """Prove `module` simple as an isomorphic copy of a simple module.
+
+    `simple` must already carry simplicity evidence.  Returns an
+    invertible intertwiner from `simple` onto `module`, recorded as
+    `module.simplicity`, or None when the two are not isomorphic
+    (see `_schur_isomorphism`).
+    """
+    if simple.simplicity is None:
+        raise ValueError("the source module carries no simplicity evidence")
+    t = _schur_isomorphism(simple, module)
+    if t is not None:
+        module.simplicity = Simplicity("intertwiner", (t,), source=simple)
     return t
 
 
@@ -597,14 +594,18 @@ def certify_copy(simple: Rep, module: Rep) -> Optional[Mat]:
 # decomposition into simple summands
 
 def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
-    """An invariant complement of an invariant subspace.
+    """An invariant complement of an invariant subspace W, by one solve.
 
-    Searches for a projection-like intertwiner pi: M -> W whose
-    restriction to W is invertible; its kernel is then an invariant
-    complement.  The restriction determinant is polynomial of degree at
-    most dim W in the search coefficients, so the integer grid
-    {0..dim W}^r is exhaustive.  Raises DecompositionError when no
-    intertwiner works, which certifies the subspace does not split off.
+    The restrictions h|_W of the intertwiners h: M -> W form a left ideal
+    of End_s(W), which holds an invertible element only if it holds id_W.
+    So W splits off exactly when sum c_i h_i|_W = id_W is solvable over a
+    basis h_i of Hom_s(M, W); the kernel of pi = sum c_i h_i, for the
+    particular solution, is the complement returned.  Raises
+    DecompositionError when there is no solution.
+
+    No complement is canonical when M is isotypic: the invariant
+    complements form an affine space over Hom_s(M/W, W).  The one returned
+    is fixed by the bases of `rep` and `space`.
     """
     d = rep.dim
     k = space.dim
@@ -613,21 +614,23 @@ def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
     sub = rep_on_subspace(rep, space)
     homs = hom_space(rep, sub)
     wcols = Mat.from_cols([list(b) for b in space.basis], rows=d)
-    combo = _full_rank_combination([h @ wcols for h in homs], k)
-    if combo is None:
+    restricted = [
+        [x for row in (h @ wcols).entries for x in row] for h in homs
+    ]
+    identity = [x for row in Mat.identity(k).entries for x in row]
+    found = solve(Mat.from_cols(restricted, rows=k * k), identity)
+    # the failed solve is the proof that W has no invariant complement
+    if found is None:
         raise DecompositionError(
             "invariant subspace admits no invariant complement"
         )
-    pi = _combination(combo, homs)
+    pi = _combination(found.particular, homs)
     comp = kernel(pi)
+    # ker pi is invariant for any intertwiner; its size and its meet with W
+    # are re-checked as a guard, because the report prints this complement
     if comp.dim != d - k or not space.intersect(comp).is_zero():
         raise InternalFault(
             "projection kernel is not a complement",
-            {"pi": pi.entries},
-        )
-    if not _invariant_under(rep, comp):
-        raise InternalFault(
-            "kernel of an intertwiner is not invariant",
             {"pi": pi.entries},
         )
     return comp
@@ -655,8 +658,9 @@ def simple_decomposition(rep: Rep) -> Decomposition:
     isomorphism type of summand is searched once.  Raises
     DecompositionError when the module is not semisimple and
     SimplicityUndecided when irreducibility of a piece cannot be
-    certified.  The returned subspaces are verified independent,
-    spanning, and invariant.
+    certified.  A reducible piece is split along the invariant subspace
+    is_simple found and the complement `invariant_complement` solves for.
+    The returned subspaces are verified independent and spanning.
     """
     d = rep.dim
     parts = Decomposition()
@@ -702,36 +706,25 @@ def match_decompositions(
     and isos[i] is an invertible intertwiner between the restricted
     modules in their echelon coordinates.  Raises ValueError when no
     perfect matching exists (the decompositions then do not describe
-    isomorphic module lists).
+    isomorphic module lists).  The summands must be simple: an isomorphism
+    is taken by Schur's lemma as in `certify_copy`, and a singular one
+    raises InternalFault.
     """
     if len(parts1) != len(parts2):
         raise ValueError("decompositions have different lengths")
     subs1 = [rep_on_subspace(rep1, p) for p in parts1]
     subs2 = [rep_on_subspace(rep2, p) for p in parts2]
-    used = set()
     perm = []
     isos = []
     for i, s1 in enumerate(subs1):
-        found = None
         for j, s2 in enumerate(subs2):
-            if j in used or s1.dim != s2.dim:
+            if j in perm:
                 continue
-            homs = hom_space(s1, s2)
-            combo = _full_rank_combination(homs, s1.dim)
-            if combo is not None:
-                found = (j, _combination(combo, homs))
+            iso = _schur_isomorphism(s1, s2)
+            if iso is not None:
                 break
-        if found is None:
+        else:
             raise ValueError(f"summand {i} matches nothing on the other side")
-        j, iso = found
-        # re-verify the intertwiner equation exactly
-        for m1, m2 in zip(subs1[i].mats, subs2[j].mats):
-            if iso @ m1 != m2 @ iso:
-                raise InternalFault(
-                    "matching produced a non-intertwiner",
-                    {"i": i, "j": j},
-                )
-        used.add(j)
         perm.append(j)
         isos.append(iso)
     return perm, isos

@@ -82,3 +82,34 @@ def unimodular_conjugate(rep, rng):
     entries; t takes rep's coordinates to the conjugate's."""
     t = unit_triangular(rng, rep.dim, False) @ unit_triangular(rng, rep.dim, True)
     return Rep(rep.algebra, [t @ m @ inverse(t) for m in rep.mats]), t
+
+
+def heisenberg_like():
+    """so(2) acting on two planes; one plane brackets to the center, the
+    other is inert, so the central two-form degenerates on exactly one
+    simple summand."""
+    return LieAlgebra(6, {
+        (1, 2): (0, 0, 0, 1, 0, 0),
+        (1, 3): (0, 0, -1, 0, 0, 0),
+        (1, 4): (0, 0, 0, 0, 0, 1),
+        (1, 5): (0, 0, 0, 0, -1, 0),
+        (2, 3): (1, 0, 0, 0, 0, 0),
+    }, labels=["Z", "J", "W1", "W2", "D1", "D2"])
+
+
+def heisenberg_document(m):
+    """The Heisenberg algebra as a document: Z, s = 0, P = Q^m (m even)
+    with [p_i, p_(i + m/2)] = Z.  P splits into m lines, so it is not two
+    copies of one simple module."""
+    half = m // 2
+    names = [f"p{i}" for i in range(m)]
+    return {
+        "name": f"heisenberg-{m}",
+        "basis": ["Z"] + names,
+        "brackets": [
+            {"x": names[i], "y": names[half + i],
+             "result": [{"basis": "Z", "coeff": 1}]}
+            for i in range(half)
+        ],
+        "roles": {"Z": ["Z"], "s": [], "P": names},
+    }

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import heisenberg_like
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.documents import entry_to_document
@@ -124,6 +125,17 @@ def test_cli_classifies_a_reordered_document(tmp_path):
     assert json.loads(out.stdout)["label"] == "poincare-type"
 
 
+def structure_pairs(alg):
+    """The nonzero brackets [e_i, e_j], i < j, of an algebra."""
+    pairs = {}
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            v = tuple(alg.structure_constant(i, j))
+            if any(v):
+                pairs[(i, j)] = v
+    return pairs
+
+
 def rebased(family):
     """(catalog d = 4 entry, roles, the entry's algebra after the seeded
     change of basis Z' = lam Z, s' = A s, P' = B P with unimodular
@@ -132,12 +144,7 @@ def rebased(family):
     entry = catalog.make(family, 4)
     alg = entry.algebra
     roles = workloads.entry_roles(entry)
-    pairs = {}
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            v = tuple(alg.structure_constant(i, j))
-            if any(v):
-                pairs[(i, j)] = v
+    pairs = structure_pairs(alg)
     rng = random.Random(f"{SEED}-rebase-{family}")
     moved_pairs, lam = workloads.rebase(alg.dim, pairs, roles, rng)
     assert moved_pairs != pairs
@@ -155,6 +162,26 @@ def test_change_of_basis_keeps_invariants_and_scales_mu(family):
         assert moved.mu is None
     else:
         assert moved.mu == lam ** 2 * base.mu
+
+
+def test_change_of_basis_keeps_the_heisenberg_certificates_seeded():
+    # the invariant complement of the radical is not canonical, but every
+    # choice satisfies the four certificate checks
+    alg = heisenberg_like()
+    roles = ([0], [1], [2, 3, 4, 5])
+    pairs = structure_pairs(alg)
+    rng = random.Random(f"{SEED}-rebase-heisenberg")
+    for _ in range(5):
+        moved_pairs, _ = bench_workloads().rebase(alg.dim, pairs, roles, rng)
+        r = classify(LieAlgebra(alg.dim, moved_pairs, list(alg.labels)), *roles)
+        assert r.label == "flat-heisenberg"
+        assert r.radical_dim == 2
+        assert all(r.certificates[key] is True for key in (
+            "complement_brackets_span_center",
+            "center_acts_trivially",
+            "radical_commutes_with_complement",
+            "radical_abelian",
+        ))
 
 
 @pytest.mark.parametrize("family", catalog.FAMILIES)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conftest import heisenberg_document
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.documents import entry_to_document, parse_document, parse_text
@@ -247,6 +248,14 @@ def test_cli_validation_failure_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "WEDGE_CONDITION_FAILS" in err
     assert "[ ] wedge-condition" in err
+
+
+def test_cli_large_heisenberg_exit_1(tmp_path, capsys):
+    path = write_doc(tmp_path, heisenberg_document(18))
+    assert main(["classify", path]) == 1
+    err = capsys.readouterr().err
+    assert "P_NOT_TWO_COPIES" in err
+    assert "Traceback" not in err
 
 
 def test_cli_batch_summary_table(capsys):

@@ -460,7 +460,7 @@ class TestEchelon:
             for space in spaces:
                 assert all(type(x) is F for row in space.basis for x in row)
         for v in ((1, 0), (0, 1), (half, 0), (F(1), 0)):
-            space = repth.spin(line, v)
+            space = repth.spin(line.mats, v, line.dim)
             assert all(type(x) is F for row in space.basis for x in row)
 
 

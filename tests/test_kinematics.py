@@ -1,10 +1,13 @@
 import hashlib
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import heisenberg_document, heisenberg_like
 from kinsila import catalog, repth
+from kinsila.documents import parse_document
 from kinsila.errors import InternalFault, ValidationError
 from kinsila.exactla import Mat, Subspace, unit_vec, vadd, vsub
 from kinsila.kinematics import (
@@ -38,19 +41,6 @@ def alg(n, pairs, labels=None):
     return LieAlgebra(
         n, {k: tuple(F(x) for x in v) for k, v in pairs.items()}, labels=labels
     )
-
-
-def heisenberg_like():
-    # so(2) acting on two planes; one plane brackets to the center, the
-    # other is inert, so the central two-form degenerates on exactly one
-    # simple summand
-    return alg(6, {
-        (1, 2): (0, 0, 0, 1, 0, 0),
-        (1, 3): (0, 0, -1, 0, 0, 0),
-        (1, 4): (0, 0, 0, 0, 0, 1),
-        (1, 5): (0, 0, 0, 0, -1, 0),
-        (2, 3): (1, 0, 0, 0, 0, 0),
-    }, labels=["Z", "J", "W1", "W2", "D1", "D2"])
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +143,19 @@ def test_p_does_not_split():
     a = alg(4, {(1, 2): (0, 0, 0, 1)})
     err = expect_code("P_NOT_TWO_COPIES", a, [0], [1], [2, 3])
     assert "does not split" in str(err)
+
+
+@pytest.mark.parametrize("m", [18, 30])
+def test_large_heisenberg_momenta_rejected_quickly(m):
+    # P splits into m lines; each split is one linear solve, so the
+    # rejection time grows polynomially in m, not exponentially
+    parsed = parse_document(heisenberg_document(m))
+    start = time.perf_counter()
+    expect_code(
+        "P_NOT_TWO_COPIES", parsed.algebra,
+        parsed.z_indices, parsed.s_indices, parsed.p_indices,
+    )
+    assert time.perf_counter() - start < 1.0
 
 
 def test_v_not_faithful():

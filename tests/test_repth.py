@@ -145,13 +145,13 @@ class TestSimplicity:
 class TestProbeWorkIsNotRepeated:
     def test_each_vector_spins_once_per_call(self, monkeypatch):
         spins = []
-        original = repth._spin_mats
+        original = repth.spin
 
         def counted(mats, v, d):
             spins.append((mats, tuple(v)))
             return original(mats, v, d)
 
-        monkeypatch.setattr(repth, "_spin_mats", counted)
+        monkeypatch.setattr(repth, "spin", counted)
         for d in (4, 5):
             _, v = so_algebra_and_rep(d)
             spins.clear()
@@ -296,6 +296,11 @@ class TestInvariantForms:
         rep = Rep(alg, [Mat([[1]]), Mat([[0]])], check=False)
         assert nondegenerate_invariant_form(rep) is None
 
+    def test_degenerate_form_proves_the_module_is_not_simple(self):
+        for d in (3, 4):
+            with pytest.raises(ValueError):
+                nondegenerate_invariant_form(doubled(so_algebra_and_rep(d)[1]))
+
     def test_forms_match_dense_reference_seeded(self):
         def dense_forms(rep):
             # reference: symmetry and invariance written out as one system
@@ -338,12 +343,12 @@ class TestInvariantForms:
 class TestSpinAndFaithful:
     def test_spin_full_on_simple(self):
         _, v = so_algebra_and_rep(3)
-        assert spin(v, (1, 0, 0)).is_full()
+        assert spin(v.mats, (1, 0, 0), 3).is_full()
 
     def test_spin_proper_on_invariant_line(self):
         alg = LieAlgebra(1, {}, labels=["J"])
         rep = Rep(alg, [Mat([[0, 1], [0, 0]])])
-        assert spin(rep, (1, 0)) == Subspace.span(2, [(1, 0)])
+        assert spin(rep.mats, (1, 0), 2) == Subspace.span(2, [(1, 0)])
 
     def test_spin_stops_once_the_span_is_full(self, monkeypatch):
         builders = []
@@ -366,7 +371,7 @@ class TestSpinAndFaithful:
             _, v = so_algebra_and_rep(d)
             builders.clear()
             applies.clear()
-            assert spin(v, unit_vec(d, 0)).is_full()
+            assert spin(v.mats, unit_vec(d, 0), d).is_full()
             # each apply before the span fills finds a new basis vector here
             assert applies == [False] * (d - 1)
 
@@ -397,7 +402,7 @@ class TestSpinAndFaithful:
                     c = rng.randint(-2, 2)
                     w = a + [c * x for x in a]
                 w = t.apply(w)
-                got = spin(rep, w)
+                got = spin(rep.mats, w, rep.dim)
                 assert got == full_closure(rep, w)
                 dims.add(got.dim)
             assert dims & {1, 2, 3, 4, 5}
@@ -424,6 +429,19 @@ class TestDecomposition:
         assert invariant_complement(p, top) == Subspace.span(
             6, [unit_vec(6, i) for i in range(3, 6)]
         )
+
+    def test_complement_of_a_conjugated_summand_seeded(self):
+        rng = random.Random(5151)
+        for d in (2, 3, 4):
+            p = doubled(so_algebra_and_rep(d)[1])
+            for _ in range(5):
+                skew, t = unimodular_conjugate(p, rng)
+                # t carries the first copy of p onto a summand of skew
+                top = Subspace.span(2 * d, [t.apply(unit_vec(2 * d, i)) for i in range(d)])
+                comp = invariant_complement(skew, top)
+                assert comp.dim == d and top.sum_with(comp).is_full()
+                for m in skew.mats:
+                    assert all(comp.contains(m.apply(b)) for b in comp.basis)
 
     def test_nonsplit_extension_refused(self):
         alg = LieAlgebra(1, {}, labels=["J"])
@@ -551,8 +569,8 @@ class TestSubmoduleIntersections:
         _, v = so_algebra_and_rep(3)
         p = doubled(v)
         for _ in range(50):
-            a = spin(p, tuple(rng.randint(-3, 3) for _ in range(6)))
-            b = spin(p, tuple(rng.randint(-3, 3) for _ in range(6)))
+            a = spin(p.mats, tuple(rng.randint(-3, 3) for _ in range(6)), 6)
+            b = spin(p.mats, tuple(rng.randint(-3, 3) for _ in range(6)), 6)
             meet = a.intersect(b)
             join = a.sum_with(b)
             for m in p.mats:
