@@ -4,9 +4,12 @@ Matrices, one incremental echelon builder with the echelon-form
 subspaces, kernels and solvers built on it, polynomial arithmetic, and
 the semisimple plus nilpotent splitting of a square matrix.  Every
 scalar a caller gets back is an exact `fractions.Fraction`; inside,
-`Echelon` eliminates on integer rows and builds Fractions only for the
-canonical reduced echelon form.  Nothing here rounds, samples, or
-depends on floating point.
+the hot loops run on integers.  `Echelon` eliminates on integer rows
+and builds Fractions only for the canonical reduced echelon form, and
+`Mat` products, sums and `apply` work on one integer view of each
+matrix over a common denominator, building one Fraction per nonzero
+entry of the result.  Nothing here rounds, samples, or depends on
+floating point.
 """
 
 from __future__ import annotations
@@ -107,11 +110,13 @@ class Mat:
 
     Rows and columns may be zero; a 0 x n or n x 0 matrix is legal and
     behaves as expected under products and transposition.  Products, sums
-    and `apply` read a private sparse view, per row the (column, entry) pairs
-    of the nonzero entries, built on first use.
+    and `apply` read one private sparse integer view, built on first use:
+    a common denominator den of the entries and, per row, the (column,
+    entry * den) pairs of the nonzero entries.  They accumulate in ints
+    and build one Fraction per nonzero entry of the result.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_nonzeros")
+    __slots__ = ("rows", "cols", "entries", "_integer")
 
     def __init__(self, entries, cols: Optional[int] = None):
         rows = []
@@ -158,36 +163,50 @@ class Mat:
         i, j = ij
         return self.entries[i][j]
 
-    def _row_nonzeros(self) -> tuple:
+    def _integer_rows(self) -> tuple:
+        """(den, rows): den is the lcm of the entries' denominators, and
+        each row the (column, entry * den) pairs of its nonzero entries."""
         try:
-            return self._nonzeros
+            return self._integer
         except AttributeError:
             # the shared _ZERO is skipped by identity, sparing its __bool__
-            nz = tuple(
-                tuple((j, a) for j, a in enumerate(row) if a is not _ZERO and a)
+            den = math.lcm(*[
+                x.denominator for row in self.entries for x in row if x is not _ZERO
+            ])
+            view = (den, tuple(
+                tuple(
+                    (j, x.numerator * (den // x.denominator))
+                    for j, x in enumerate(row) if x is not _ZERO and x
+                )
                 for row in self.entries
-            )
-            object.__setattr__(self, "_nonzeros", nz)
-            return nz
+            ))
+            object.__setattr__(self, "_integer", view)
+            return view
 
     # -- arithmetic ----------------------------------------------------
-    def __add__(self, other: "Mat") -> "Mat":
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        out = [list(r) for r in self.entries]
-        for row, brow in zip(out, other._row_nonzeros()):
+        da, arows = self._integer_rows()
+        db, brows = other._integer_rows()
+        den = math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = []
+        for arow, brow in zip(arows, brows):
+            acc = [0] * self.cols
+            for j, a in arow:
+                acc[j] = fa * a
             for j, b in brow:
-                row[j] += b
+                acc[j] += fb * b
+            out.append(_fractions(acc, den))
         return Mat(out, cols=self.cols)
 
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        out = [list(r) for r in self.entries]
-        for row, brow in zip(out, other._row_nonzeros()):
-            for j, b in brow:
-                row[j] -= b
-        return Mat(out, cols=self.cols)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Mat":
         return Mat([vscale(-_ONE, r) for r in self.entries], cols=self.cols)
@@ -199,29 +218,31 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        bnz = other._row_nonzeros()
+        da, arows = self._integer_rows()
+        db, brows = other._integer_rows()
+        den = da * db
         out = []
-        for arow in self._row_nonzeros():
-            rrow = [_ZERO] * other.cols
+        for arow in arows:
+            acc = [0] * other.cols
             for k, a in arow:
-                for j, b in bnz[k]:
-                    rrow[j] += a * b
-            out.append(rrow)
+                for j, b in brows[k]:
+                    acc[j] += a * b
+            out.append(_fractions(acc, den))
         return Mat(out, cols=other.cols)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
+        den, rows = self._integer_rows()
+        dv, w = _integer_row(v)
         out = []
-        for row in self._row_nonzeros():
-            s = _ZERO
+        for row in rows:
+            s = 0
             for j, a in row:
-                x = v[j]
-                if x:
-                    s += a * x
+                s += a * w[j]
             out.append(s)
-        return tuple(out)
+        return _fractions(out, den * dv)
 
     def transpose(self) -> "Mat":
         return Mat(
@@ -275,22 +296,23 @@ class Mat:
 # ---------------------------------------------------------------------------
 # row echelon form: the one elimination kernel
 
-def _integer_row(v) -> list:
-    """v times the lcm of its entries' denominators, as a list of ints."""
+def _integer_row(v) -> tuple:
+    """(den, w): den is the lcm of v's denominators and w = v * den, as a
+    list of ints."""
     # most zeros are the shared _ZERO: skipping it by identity spares two
     # property calls per entry; any other zero takes the general path
     den = math.lcm(*[x.denominator for x in v if x is not _ZERO])
     if den == 1:
-        return [0 if x is _ZERO else x.numerator for x in v]
-    return [0 if x is _ZERO else x.numerator * (den // x.denominator) for x in v]
+        return den, [0 if x is _ZERO else x.numerator for x in v]
+    return den, [0 if x is _ZERO else x.numerator * (den // x.denominator) for x in v]
 
 
-def _rational_row(row: tuple, p: int) -> tuple:
-    """The integer row divided by its pivot entry, as exact Fractions."""
-    d = row[p]
-    if d == 1:
-        return tuple(Fraction(x) if x else _ZERO for x in row)
-    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+def _fractions(ints, den: int) -> tuple:
+    """The integers divided by den, as exact Fractions; zeros are the
+    shared _ZERO."""
+    if den == 1:
+        return tuple([Fraction(x) if x else _ZERO for x in ints])
+    return tuple([Fraction(x, den) if x else _ZERO for x in ints])
 
 
 class Echelon:
@@ -304,9 +326,11 @@ class Echelon:
     stored before it, so reducing in storage order clears every pivot.
     Next to each row, `support` keeps the columns of its nonzero entries
     after the pivot, so a reduction touches only those.  Reduction is
-    fraction-free (after Bareiss, Math. Comp. 22, 1968): against a row
-    with pivot entry a, a vector w with entry c at that column becomes
-    (a/g) w - (c/g) row with g = gcd(a, c).  `subspace` back-substitutes
+    fraction-free: against a row with pivot entry a, a vector w with entry
+    c at that column becomes (a/g) w - (c/g) row with g = gcd(a, c), and
+    a step that scaled w (a/g != 1) then divides w by the gcd of its
+    entries, so residuals keep the size of the stored rows rather than
+    swelling step by step.  `subspace` back-substitutes
     in integers to the unique reduced echelon form of the row span and is
     the one place that builds Fractions, which is what makes Subspace
     comparison a plain tuple comparison.  Every elimination in the package
@@ -324,10 +348,10 @@ class Echelon:
             self.add(r)
 
     def residual(self, v) -> list:
-        """A nonzero integer multiple of v minus the combination of stored
-        rows that clears every pivot; all zero exactly when v is in the
-        span of the rows."""
-        return self._reduce(_integer_row(v))
+        """An integer row: a nonzero multiple of v minus the combination of
+        stored rows that clears every pivot; all zero exactly when v is in
+        the span of the rows."""
+        return self._reduce(_integer_row(v)[1])
 
     def _reduce(self, w: list) -> list:
         """The integer row w reduced fraction-free at every stored pivot."""
@@ -344,6 +368,11 @@ class Echelon:
                 w[p] = 0
                 for j in cols:
                     w[j] -= c * row[j]
+                if a != 1:
+                    # a scaled step: divide out the content it may have left
+                    g = math.gcd(*w)
+                    if g > 1:
+                        w = [x // g for x in w]
         return w
 
     def add(self, v) -> Optional[tuple]:
@@ -385,10 +414,11 @@ class Echelon:
         done = Echelon(self.width)
         for _, row in sorted(zip(self.pivots, self.rows), reverse=True):
             done._store(done._reduce(list(row)))
+        rows, pivots = done.rows[::-1], done.pivots[::-1]
         return Subspace(
             self.width,
-            tuple(map(_rational_row, done.rows[::-1], done.pivots[::-1])),
-            tuple(done.pivots[::-1]),
+            tuple(_fractions(row, row[p]) for row, p in zip(rows, pivots)),
+            tuple(pivots),
         )
 
 
@@ -448,7 +478,7 @@ class Subspace:
             rows, support = self._integer
         except AttributeError:
             for b in self.basis:
-                ech._store(_integer_row(b))
+                ech._store(_integer_row(b)[1])
             object.__setattr__(self, "_integer", (tuple(ech.rows), tuple(ech.support)))
             return ech
         ech.rows += rows

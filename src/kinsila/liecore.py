@@ -3,6 +3,12 @@
 Brackets are supplied for index pairs i < j only; antisymmetry fills in
 the rest and the Jacobi identity is checked on every basis triple at
 construction time, so an instance that exists is a Lie algebra.
+
+The structure constants are held once, as a sparse table of integer
+rows over one common denominator (as structure-constant tables are in
+de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Brackets, the
+Jacobi check and the Killing form accumulate in integers and build an
+exact Fraction once per nonzero entry of what they return.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
     _ZERO,
+    _fractions,
+    _integer_row,
     Echelon,
     Mat,
     Subspace,
@@ -22,12 +30,15 @@ from .exactla import (
     rank,
     solve,
     vadd,
-    zero_vec,
 )
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra with exact rational structure constants."""
+    """Finite-dimensional Lie algebra with exact rational structure constants.
+
+    `_struct[i]` maps each j with [e_i, e_j] != 0 to the integer pairs
+    (m, c) with [e_i, e_j] = sum of c e_m / D, one denominator D = `_den`.
+    """
 
     def __init__(self, dim: int, pairs: Dict[Tuple[int, int], Sequence], labels=None):
         if dim < 0:
@@ -39,23 +50,25 @@ class LieAlgebra:
             raise ValueError("label count does not match dimension")
         if len(set(labels)) != dim:
             raise ValueError("duplicate basis labels")
-        tensor = [[None] * dim for _ in range(dim)]
+        values = {}
         for (i, j), v in pairs.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket pairs must have 0 <= i < j < dim")
             vv = tuple(q(x) for x in v)
             if len(vv) != dim:
                 raise ValueError("bracket value has wrong length")
-            if any(vv):
-                tensor[i][j] = vv
-                tensor[j][i] = tuple(-x for x in vv)
+            values[(i, j)] = vv
+        # the integer view of the matrix whose rows are the brackets
+        den, rows = Mat(list(values.values()), cols=dim)._integer_rows()
+        struct = [{} for _ in range(dim)]
+        for (i, j), row in zip(values, rows):
+            if row:
+                struct[i][j] = row
+                struct[j][i] = tuple((m, -c) for m, c in row)
         self.dim = dim
         self.labels = labels
-        self._tensor = tensor
-        self._nz = [
-            tuple(j for j in range(dim) if tensor[i][j] is not None)
-            for i in range(dim)
-        ]
+        self._den = den
+        self._struct = struct
         self._killing: Optional[Mat] = None
         self._derived: Optional[Subspace] = None
         self._radical: Optional[Subspace] = None
@@ -68,94 +81,87 @@ class LieAlgebra:
             raise JacobiError(*bad)
 
     def jacobi_defect(self):
-        """Recompute every cyclic bracket sum from the tensor.
+        """Recompute every cyclic bracket sum from the structure constants.
 
         Returns None when all sums vanish exactly, otherwise the first
         violating (i, j, k) with its defect vector.  Construction rejects
-        violators, so on a live instance this is a re-verification.
+        violators, so on a live instance this is a re-verification.  The
+        sums are taken in integers over D^2.
         """
         n = self.dim
-        t = self._tensor
+        struct = self._struct
         for i in range(n):
+            si = struct[i]
             for j in range(i + 1, n):
+                sj = struct[j]
                 for k in range(j + 1, n):
+                    sk = struct[k]
                     defect = None
-                    for (a, bc) in ((i, t[j][k]), (j, t[k][i]), (k, t[i][j])):
+                    # [e_a, [e_b, e_c]] over the three cyclic orders
+                    for sa, bc in ((si, sj.get(k)), (sj, sk.get(i)), (sk, si.get(j))):
                         if bc is None:
                             continue
-                        term = self._ad_apply(a, bc)
                         if defect is None:
-                            defect = list(term)
-                        else:
-                            for m, x in enumerate(term):
-                                if x:
-                                    defect[m] += x
+                            defect = [0] * n
+                        for m, c in bc:
+                            am = sa.get(m)
+                            if am is not None:
+                                for r, e in am:
+                                    defect[r] += c * e
                     if defect is not None and any(defect):
-                        return (i, j, k), tuple(defect)
+                        return (i, j, k), _fractions(defect, self._den ** 2)
         return None
 
     # -- bracket ---------------------------------------------------------
-    def _ad_apply(self, i: int, v) -> tuple:
-        """[e_i, v] for a coefficient vector v."""
-        out = [_ZERO] * self.dim
-        row = self._tensor[i]
-        for j in self._nz[i]:
-            c = v[j]
-            if c:
-                for m, x in enumerate(row[j]):
-                    if x:
-                        out[m] += c * x
-        return tuple(out)
-
     def structure_constant(self, i: int, j: int) -> tuple:
-        v = self._tensor[i][j]
-        return v if v is not None else zero_vec(self.dim)
+        out = [0] * self.dim
+        for m, c in self._struct[i].get(j, ()):
+            out[m] = c
+        return _fractions(out, self._den)
 
     def bracket(self, x, y) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match dimension")
-        out = [_ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self._tensor[i]
-            for j in self._nz[i]:
-                yj = y[j]
-                if yj:
-                    f = xi * yj
-                    for m, c in enumerate(row[j]):
-                        if c:
+        dx, xs = _integer_row(x)
+        dy, ys = _integer_row(y)
+        out = [0] * self.dim
+        for a, si in zip(xs, self._struct):
+            if a:
+                for j, row in si.items():
+                    b = ys[j]
+                    if b:
+                        f = a * b
+                        for m, c in row:
                             out[m] += f * c
-        return tuple(out)
+        return _fractions(out, dx * dy * self._den)
 
     # -- derived objects ---------------------------------------------------
     def killing_form(self) -> Mat:
-        """Gram matrix of (x, y) -> trace(ad x ad y) in the defining basis."""
+        """Gram matrix of (x, y) -> trace(ad x ad y) in the defining basis,
+        summed in integers over D^2."""
         if self._killing is None:
             n = self.dim
-            rows = [[_ZERO] * n for _ in range(n)]
+            # ad[i][m][k]: the coefficient of e_k in [e_i, e_m], times D
+            ad = [{m: dict(row) for m, row in si.items()} for si in self._struct]
+            rows = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    s = _ZERO
-                    for k in self._nz[j]:
-                        cjk = self._tensor[j][k]
-                        for m, a in enumerate(cjk):
-                            if a:
-                                tim = self._tensor[i][m]
-                                if tim is not None and tim[k]:
-                                    s += a * tim[k]
+                    s = 0
+                    for k, row in self._struct[j].items():
+                        for m, a in row:
+                            im = ad[i].get(m)
+                            if im is not None:
+                                s += a * im.get(k, 0)
                     rows[i][j] = s
                     rows[j][i] = s
-            self._killing = Mat(rows, cols=n)
+            den = self._den ** 2
+            self._killing = Mat([_fractions(r, den) for r in rows], cols=n)
         return self._killing
 
     def derived_subalgebra(self) -> Subspace:
         if self._derived is None:
-            vectors = []
-            for i in range(self.dim):
-                for j in self._nz[i]:
-                    if j > i:
-                        vectors.append(self._tensor[i][j])
+            vectors = [self.structure_constant(i, j)
+                       for i in range(self.dim) for j in self._struct[i] if j > i]
             self._derived = Subspace.span(self.dim, vectors)
         return self._derived
 
@@ -249,9 +255,7 @@ class LieAlgebra:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 lhs = self.bracket(img[i], img[j])
-                cij = self._tensor[i][j]
-                rhs = t.apply(cij) if cij is not None else zero_vec(self.dim)
-                if lhs != rhs:
+                if lhs != t.apply(self.structure_constant(i, j)):
                     return False
         return True
 

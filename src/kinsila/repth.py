@@ -9,6 +9,7 @@ SimplicityUndecided rather than guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
@@ -193,26 +194,30 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
     seen = set()
     rows = []
     for m1, m2 in zip(rep1.mats, rep2.mats):
-        # equation block: T m1 - m2 T = 0, unknown T is d2 x d1, row-major;
+        # equation block: T m1 - m2 T = 0, unknown T is d2 x d1, row-major,
+        # times the lcm of the two denominators so that it is integral;
         # each row is kept as its sorted nonzero (unknown, coefficient) pairs
+        den1, m1_rows = m1._integer_rows()
+        den2, m2_rows = m2._integer_rows()
+        den = math.lcm(den1, den2)
+        f1, f2 = den // den1, den // den2
         m1_cols = [[] for _ in range(d1)]
-        for k, m1_row in enumerate(m1._row_nonzeros()):
+        for k, m1_row in enumerate(m1_rows):
             for c, a in m1_row:
-                m1_cols[c].append((k, a))
-        m2_rows = m2._row_nonzeros()
+                m1_cols[c].append((k, f1 * a))
         for r in range(d2):
+            m2_row = [(k * d1, f2 * b) for k, b in m2_rows[r]]
             for c in range(d1):
                 eq = {r * d1 + k: a for k, a in m1_cols[c]}
-                for k, b in m2_rows[r]:
-                    j = k * d1 + c
-                    eq[j] = eq.get(j, _ZERO) - b
+                for kd, b in m2_row:
+                    eq[kd + c] = eq.get(kd + c, 0) - b
                 key = tuple(sorted((j, x) for j, x in eq.items() if x))
                 if key and key not in seen:
                     seen.add(key)
                     # a tuple, which Mat keeps as its row without a copy
                     row = [_ZERO] * width
                     for j, x in key:
-                        row[j] = x
+                        row[j] = Fraction(x)
                     rows.append(tuple(row))
     combos = kernel(Mat(rows, cols=width))
     out = []
@@ -626,9 +631,11 @@ def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
         )
     pi = _combination(found.particular, homs)
     comp = kernel(pi)
-    # ker pi is invariant for any intertwiner; its size and its meet with W
-    # are re-checked as a guard, because the report prints this complement
-    if comp.dim != d - k or not space.intersect(comp).is_zero():
+    # ker pi is invariant for any intertwiner; that it complements W is
+    # re-checked as a guard, because the report prints this complement.
+    # Given dim comp = d - k, W + comp = M is equivalent to W meet comp = 0
+    # and cheaper: it extends W's echelon, where the meet solves a kernel
+    if comp.dim != d - k or not space.sum_with(comp).is_full():
         raise InternalFault(
             "projection kernel is not a complement",
             {"pi": pi.entries},

@@ -241,6 +241,24 @@ def test_cli_jacobi_failure_exit_1(tmp_path, capsys):
     assert "not a Lie algebra" in capsys.readouterr().err
 
 
+def test_cli_jacobi_failure_message_bytes_with_fractional_defect(tmp_path, capsys):
+    # [a, [b, c]] + [b, [c, a]] + [c, [a, b]] = -c/2 + c/3 + 0
+    doc = {
+        "basis": ["a", "b", "c"],
+        "brackets": [
+            {"x": "a", "y": "b", "result": [{"basis": "c", "coeff": 1}]},
+            {"x": "a", "y": "c", "result": [{"basis": "a", "coeff": "1/3"}]},
+            {"x": "b", "y": "c", "result": [{"basis": "b", "coeff": "-1/2"}]},
+        ],
+        "roles": {"Z": ["a"], "s": [], "P": ["b", "c"]},
+    }
+    assert main(["classify", write_doc(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == (
+        "not a Lie algebra: Jacobi identity fails on basis triple (0, 1, 2); "
+        "cyclic sum = (0, 0, -1/6)\n"
+    )
+
+
 def test_cli_validation_failure_exit_1(tmp_path, capsys):
     e = catalog.make("static", 3)
     path = write_doc(tmp_path, entry_to_document(e))

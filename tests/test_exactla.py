@@ -438,6 +438,64 @@ class TestEchelon:
                 assert (list(total.basis), list(total.pivots)) == ref_sum
                 assert total == other.sum_with(space) and exact(total)
 
+    def test_scaled_steps_leave_primitive_residuals_seeded(self):
+        # dense {-1, 0, 1} rows: stored pivot entries other than 1 make
+        # reduction steps scale w by a/g != 1, after which w is divided by
+        # its content.  `_reduce` against the first s stored rows is w
+        # after step s, so each step is checked on its own.
+        rng = random.Random(3187)
+
+        def parent_reduce(self, w):
+            # the reduction before content division
+            for row, p, cols in zip(self.rows, self.pivots, self.support):
+                c = w[p]
+                if c:
+                    a = row[p]
+                    if a != 1:
+                        g = math.gcd(a, c)
+                        a //= g
+                        c //= g
+                        if a != 1:
+                            w = [a * x for x in w]
+                    w[p] = 0
+                    for j in cols:
+                        w[j] -= c * row[j]
+            return w
+
+        class ParentEchelon(Echelon):
+            _reduce = parent_reduce
+
+        def prefix(ech, s):
+            part = Echelon(ech.width)
+            part.rows, part.pivots, part.support = (
+                ech.rows[:s], ech.pivots[:s], ech.support[:s]
+            )
+            return part
+
+        scaled = 0
+        for _ in range(40):
+            n = rng.randint(4, 8)
+            vectors = [[rng.choice((-1, 0, 1)) for _ in range(n)]
+                       for _ in range(rng.randint(n - 2, n + 2))]
+            ech = Echelon(n)
+            for v in vectors:
+                w0 = list(v)
+                before = w0
+                for s in range(1, len(ech.rows) + 1):
+                    after = prefix(ech, s)._reduce(list(w0))
+                    a, c = ech.rows[s - 1][ech.pivots[s - 1]], before[ech.pivots[s - 1]]
+                    if c and a // math.gcd(a, c) != 1 and any(after):
+                        scaled += 1
+                        assert math.gcd(*after) == 1
+                    before = after
+                ech.add(v)
+            parent = ParentEchelon(n, vectors)
+            assert ech.rows == parent.rows and ech.pivots == parent.pivots
+            basis, pivots = dense_span(n, vectors)
+            built = ech.subspace()
+            assert list(built.basis) == basis and list(built.pivots) == pivots
+        assert scaled > 20
+
     def test_outputs_are_exact_fractions_for_any_input_type(self):
         # ints, ints mixed with Fractions, and Fractions all come out as
         # exact Fractions, however few rescalings the reduction needs
