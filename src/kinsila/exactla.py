@@ -495,15 +495,13 @@ class Subspace:
         """Coefficients of v in this basis, or None when v is outside.
 
         For a reduced-echelon basis the coefficient of basis row j is just
-        the entry of v at pivot j; membership is then verified exactly.
+        the entry of v at pivot j; membership is verified exactly against
+        the basis' integer echelon rows.
         """
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector does not live in the ambient space")
         v = _exact(tuple(v))
-        coords = tuple(v[p] for p in self.pivots)
-        if self.vector(coords) != v:
+        if not self.contains(v):
             return None
-        return coords
+        return tuple(v[p] for p in self.pivots)
 
     def vector(self, coords) -> tuple:
         """The vector with these coefficients in this basis; the inverse

@@ -29,6 +29,7 @@ from .exactla import (
     q,
     rank,
     solve,
+    unit_vec,
     vadd,
 )
 
@@ -72,6 +73,7 @@ class LieAlgebra:
         self._killing: Optional[Mat] = None
         self._derived: Optional[Subspace] = None
         self._radical: Optional[Subspace] = None
+        self._generators: Optional[tuple] = None
         self._validate_jacobi()
 
     # -- construction-time validation -----------------------------------
@@ -124,6 +126,10 @@ class LieAlgebra:
             raise ValueError("vector length does not match dimension")
         dx, xs = _integer_row(x)
         dy, ys = _integer_row(y)
+        return _fractions(self._integer_bracket(xs, ys), dx * dy * self._den)
+
+    def _integer_bracket(self, xs, ys) -> list:
+        """D [x, y] for integer vectors x, y, as a list of ints."""
         out = [0] * self.dim
         for a, si in zip(xs, self._struct):
             if a:
@@ -133,7 +139,37 @@ class LieAlgebra:
                         f = a * b
                         for m, c in row:
                             out[m] += f * c
-        return _fractions(out, dx * dy * self._den)
+        return out
+
+    def generators(self) -> tuple:
+        """Basis indices whose elements generate the algebra under brackets.
+
+        Chosen greedily: e_i joins when it lies outside the subalgebra
+        generated by the indices chosen before it (d - 1 rotations for the
+        catalog's so(d)).  A map or subspace compatible with rho(x) and
+        rho(y) is compatible with rho([x, y]), so module questions can be
+        asked of these elements only.  The subalgebra grows in one integer
+        echelon; each new row is bracketed with every row stored by then,
+        so every pair of rows is bracketed.
+        """
+        if self._generators is None:
+            n = self.dim
+            closure = Echelon(n)
+            chosen = []
+            for i in range(n):
+                row = closure.add(unit_vec(n, i))
+                if row is None:
+                    continue
+                chosen.append(i)
+                queue = [row]
+                while queue and len(closure.rows) < n:
+                    u = queue.pop()
+                    for w in list(closure.rows):
+                        v = closure._reduce(self._integer_bracket(u, w))
+                        if any(v):
+                            queue.append(closure._store(v))
+            self._generators = tuple(chosen)
+        return self._generators
 
     # -- derived objects ---------------------------------------------------
     def killing_form(self) -> Mat:

@@ -184,8 +184,18 @@ def spin(mats: Sequence[Mat], v, d: int) -> Subspace:
 
 
 def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
-    """Basis of the intertwiners T with T rho1(x) = rho2(x) T for all x."""
-    if rep1.algebra is not rep2.algebra and rep1.algebra.dim != rep2.algebra.dim:
+    """Basis of the intertwiners T with T rho1(x) = rho2(x) T for all x.
+
+    The equations are taken for the algebra's Lie generators only
+    (`LieAlgebra.generators`).  As rho1 and rho2 are representations, T
+    commuting with rho(x) and rho(y) commutes with rho([x, y]), so the
+    solution space, and with it the reduced echelon basis returned, is
+    the one every basis element gives.  `_is_isomorphism`, which re-checks
+    the intertwiners that certify simplicity, still tests every matrix,
+    as a guard against a bug here.  Both modules must be of the same
+    algebra object, whose generating set is used.
+    """
+    if rep1.algebra is not rep2.algebra:
         raise ValueError("intertwiners need representations of the same algebra")
     d1, d2 = rep1.dim, rep2.dim
     width = d1 * d2
@@ -193,7 +203,8 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
     # sparse key of a repeat is cheaper than reducing it to zero in the kernel
     seen = set()
     rows = []
-    for m1, m2 in zip(rep1.mats, rep2.mats):
+    for i in rep1.algebra.generators():
+        m1, m2 = rep1.mats[i], rep2.mats[i]
         # equation block: T m1 - m2 T = 0, unknown T is d2 x d1, row-major,
         # times the lcm of the two denominators so that it is integral;
         # each row is kept as its sorted nonzero (unknown, coefficient) pairs
@@ -358,6 +369,11 @@ def _certify_reducible(rep: Rep, space: Subspace):
     return False, space
 
 
+def _generator_mats(rep: Rep) -> List[Mat]:
+    """The matrices of the algebra's Lie generators (`LieAlgebra.generators`)."""
+    return [rep.mats[i] for i in rep.algebra.generators()]
+
+
 def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat], spun: set):
     """Inspect one singular element of the enveloping algebra.
 
@@ -366,15 +382,23 @@ def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat], spun: set):
     nullity-one criterion is conclusive), or None when inconclusive.
     `spun` holds kernel vectors already seen to spin to the whole module;
     they are skipped, and every new one is added.
+
+    Both spins run under the Lie generators only: `transposes` are the
+    transposes of their matrices.  A subspace invariant under rho(x) and
+    rho(y) is invariant under rho([x, y]), and likewise on the transpose
+    side, so each closure is the canonical Subspace that all the
+    matrices give.  `_certify_reducible` still checks a proper closure
+    against every matrix, as a guard against a bug here.
     """
     d = rep.dim
+    gens = _generator_mats(rep)
     ker = kernel(a)
     if ker.is_zero() or ker.dim == d:
         return None
     for v in ker.basis:
         if v in spun:
             continue
-        closure = spin(rep.mats, v, d)
+        closure = spin(gens, v, d)
         if closure.dim < d:
             return _certify_reducible(rep, closure)
         spun.add(v)
@@ -416,13 +440,21 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     the fixed matrices depends only on the vector, so a repeat could only
     fill the space again.  The stage-1 products are formed one at a time,
     as the probes reach them.
+
+    Stage 1 probes the matrices of the Lie generators and their pairwise
+    products, not those of every basis element: each is still an element
+    of the enveloping algebra, so every certificate stays valid, and the
+    spins need only the generators (see `_norton_probe`).  The
+    enveloping algebra of stage 2 is still built from every matrix,
+    because its element order is part of the schedule (see
+    `enveloping_basis`).
     """
     d = rep.dim
     if d == 0:
         raise ValueError("simplicity of the zero module is not defined")
     if d == 1:
         return _proved(rep, "dimension-one")
-    transposes = [m.transpose() for m in rep.mats]
+    transposes = [m.transpose() for m in _generator_mats(rep)]
     spun: set = set()
 
     def probe(a: Mat):
@@ -431,9 +463,9 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
             return _proved(rep, "nullity-one", a)
         return verdict
 
-    # stage 1: the nonzero representing matrices, then their products
-    # in pairs of distinct indices
-    gens = [m for m in rep.mats if not m.is_zero()]
+    # stage 1: the nonzero generator matrices, then their products in
+    # pairs of distinct indices
+    gens = [m for m in _generator_mats(rep) if not m.is_zero()]
     seen = set()
     for a in chain(gens, (x @ y for x, y in permutations(gens, 2))):
         if a.is_zero() or a.entries in seen:
@@ -533,7 +565,7 @@ def check_simplicity(rep: Rep) -> bool:
     if cert.kind == "dimension-one":
         return d == 1
     if cert.kind == "nullity-one":
-        transposes = [m.transpose() for m in rep.mats]
+        transposes = [m.transpose() for m in _generator_mats(rep)]
         verdict = _norton_probe(rep, cert.mats[0], transposes, set())
         return verdict is not None and verdict[0]
     if cert.kind == "burnside":

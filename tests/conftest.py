@@ -1,6 +1,6 @@
 """Shared builders for the test suite."""
 
-from kinsila.exactla import Mat, inverse
+from kinsila.exactla import Mat, Subspace, inverse, unit_vec
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import Rep
 
@@ -52,6 +52,32 @@ def so_algebra_and_rep(d):
         rows[b][a] = -1
         mats.append(Mat(rows))
     return alg, Rep(alg, mats)
+
+
+def generated_subalgebra(alg, indices):
+    """Span of the basis elements at `indices` and of all their iterated
+    brackets: the brackets of every pair of spanning vectors are added
+    until the span stops growing."""
+    space = Subspace.span(alg.dim, [unit_vec(alg.dim, i) for i in indices])
+    while True:
+        brackets = [alg.bracket(u, v) for u in space.basis for v in space.basis]
+        grown = space.sum_with(Subspace.span(alg.dim, brackets))
+        if grown == space:
+            return space
+        space = grown
+
+
+def assert_greedy_generators(alg):
+    """alg.generators() is memoised, and e_i is among them exactly when it
+    lies outside the subalgebra generated by those before it, which then
+    generate all of alg."""
+    gens = alg.generators()
+    assert alg.generators() is gens
+    for i in range(alg.dim):
+        before = generated_subalgebra(alg, [j for j in gens if j < i])
+        assert (i in gens) == (not before.contains(unit_vec(alg.dim, i))), i
+    assert generated_subalgebra(alg, gens).is_full()
+    return gens
 
 
 def doubled(rep):

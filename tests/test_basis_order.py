@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import heisenberg_like
+from conftest import assert_greedy_generators, heisenberg_like
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.documents import entry_to_document
@@ -195,3 +195,12 @@ def test_p_module_bracket_condition_holds_without_its_check(family):
         algebras.append((e.algebra, bench_workloads().entry_roles(e)))
     for alg, alg_roles in algebras:
         validate(alg, *alg_roles).p_rep._validate()
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_generators_of_a_rebased_s_generate_it(family):
+    # a change of basis mixes the rotations of s = so(4), and two mixed
+    # rotations may already generate it, against three in the catalog basis
+    _, roles, moved_alg, _ = rebased(family)
+    s_algebra = validate(moved_alg, *roles).s_algebra
+    assert 2 <= len(assert_greedy_generators(s_algebra)) <= 3

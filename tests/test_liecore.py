@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import assert_greedy_generators, so_algebra_and_rep
 from kinsila.errors import JacobiError, NonAbelianRadicalError
 from kinsila.exactla import Mat, Subspace, inverse, unit_vec
 from kinsila.liecore import LieAlgebra
@@ -149,6 +150,26 @@ class TestPredicates:
         assert not g.is_automorphism(Mat([[1, 0, 0], [0, 1, 0], [0, 1, 1]]))
         # singular maps are never automorphisms here
         assert not g.is_automorphism(Mat.zeros(3, 3))
+
+
+class TestGenerators:
+    def test_so_d_is_generated_by_d_minus_one_rotations(self):
+        for d in range(2, 7):
+            alg, _ = so_algebra_and_rep(d)
+            assert len(assert_greedy_generators(alg)) == d - 1
+
+    def test_abelian_algebra_needs_every_index(self):
+        assert assert_greedy_generators(LieAlgebra(4, {})) == (0, 1, 2, 3)
+
+    def test_zero_algebra_has_no_generators(self):
+        assert assert_greedy_generators(LieAlgebra(0, {})) == ()
+
+    def test_small_algebras(self):
+        # sl2 from h, e, f in that order takes all three; the Heisenberg
+        # algebra is generated by x, y
+        assert assert_greedy_generators(sl2()) == (0, 1, 2)
+        assert assert_greedy_generators(heisenberg()) == (0, 1)
+        assert assert_greedy_generators(sl2_on_plane()) == (0, 1, 2, 3)
 
 
 class TestQuotientRestrict:

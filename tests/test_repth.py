@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -25,6 +26,10 @@ from kinsila.repth import (
     spin,
     wedge_square,
 )
+
+
+def dual(rep):
+    return Rep(rep.algebra, [-m.transpose() for m in rep.mats])
 
 
 def so2_line():
@@ -156,7 +161,11 @@ class TestProbeWorkIsNotRepeated:
             _, v = so_algebra_and_rep(d)
             spins.clear()
             assert is_simple(v) == (True, None)
-            under_mats = [u for mats, u in spins if mats is v.mats]
+            gens = [v.mats[i] for i in v.algebra.generators()]
+            under_mats = [
+                u for mats, u in spins
+                if len(mats) == len(gens) and all(map(operator.is_, mats, gens))
+            ]
             assert under_mats
             assert len(under_mats) == len(set(under_mats))
 
@@ -278,6 +287,92 @@ class TestHomAndCommutant:
             pairs = ((p, skew), (skew, p), (v, skew), (skew, v), (skew, skew))
             for rep1, rep2 in pairs:
                 assert hom_space(rep1, rep2) == dense_hom(rep1, rep2)
+
+
+@pytest.fixture(scope="module")
+def generator_modules():
+    """(V, modules) for the vector module V of so(d), d = 3, 4, 5: V
+    doubled, its wedge square, the dual of V doubled, and a seeded
+    unimodular conjugate of each, but at d = 5 of V doubled only (the
+    other two would take seconds)."""
+    rng = random.Random(1313)
+    out = []
+    for d in (3, 4, 5):
+        _, v = so_algebra_and_rep(d)
+        mods = [doubled(v), wedge_square(v), dual(doubled(v))]
+        drawn = mods if d < 5 else mods[:1]
+        mods += [unimodular_conjugate(m, rng)[0] for m in drawn]
+        out.append((v, mods))
+    return out
+
+
+def every_index_generates(monkeypatch):
+    """The all-matrix reference: every basis element taken as a generator."""
+    monkeypatch.setattr(
+        LieAlgebra, "generators", lambda self: tuple(range(self.dim))
+    )
+
+
+class TestGeneratorsDecideModuleQuestions:
+    def test_hom_space_matches_every_matrix_seeded(
+        self, generator_modules, monkeypatch
+    ):
+        def outcomes():
+            out = []
+            for v, mods in generator_modules:
+                for m in mods:
+                    # the commutant of a larger conjugate takes a second
+                    pairs = [(v, m), (m, v)] + [(m, m)] * (m.dim <= 6)
+                    out.append([hom_space(a, b) for a, b in pairs])
+            return out
+
+        by_generators = outcomes()
+        every_index_generates(monkeypatch)
+        assert outcomes() == by_generators
+
+    def test_is_simple_matches_every_matrix_seeded(
+        self, generator_modules, monkeypatch
+    ):
+        def outcomes():
+            out = []
+            for v, mods in generator_modules:
+                for rep in [v, dual(v)] + mods:
+                    ok, wit = is_simple(rep)
+                    cert = rep.simplicity
+                    out.append((ok, wit, cert and cert.kind))
+            return out
+
+        by_generators = outcomes()
+        every_index_generates(monkeypatch)
+        assert outcomes() == by_generators
+        # per d: V, its dual, V doubled, the wedge square, the dual doubled,
+        # then the conjugates; the wedge square is simple for so(3), so(5)
+        assert [ok for ok, _, _ in by_generators] == [
+            True, True, False, True, False, False, True, False,
+            True, True, False, False, False, False, False, False,
+            True, True, False, True, False, False,
+        ]
+
+    def test_one_equation_block_per_generator(self, monkeypatch):
+        alg, v = so_algebra_and_rep(5)
+        w = wedge_square(v)
+        read = []
+        integer_rows = Mat._integer_rows
+
+        def counted(m):
+            read.append(m)
+            return integer_rows(m)
+
+        monkeypatch.setattr(Mat, "_integer_rows", counted)
+        hom_space(v, w)
+        blocks = [m for m in read if any(m is x for x in v.mats)]
+        assert len(blocks) == len(alg.generators()) == 4
+
+    def test_modules_of_two_algebra_objects_are_refused(self):
+        _, v1 = so_algebra_and_rep(3)
+        _, v2 = so_algebra_and_rep(3)
+        with pytest.raises(ValueError):
+            hom_space(v1, v2)
 
 
 class TestInvariantForms:
