@@ -5,11 +5,15 @@ subspaces, kernels and solvers built on it, polynomial arithmetic, and
 the semisimple plus nilpotent splitting of a square matrix.  Every
 scalar a caller gets back is an exact `fractions.Fraction`; inside,
 the hot loops run on integers.  `Echelon` eliminates on integer rows
-and builds Fractions only for the canonical reduced echelon form, and
-`Mat` products, sums and `apply` work on one integer view of each
-matrix over a common denominator, building one Fraction per nonzero
-entry of the result.  Nothing here rounds, samples, or depends on
-floating point.
+and builds Fractions only once, for the canonical reduced echelon
+basis of the Subspace it returns.  Kernels and ranks feed it the
+integer view of their matrix, systems that callers build in integers
+(`repth.hom_space`, `LieAlgebra.bracket_span`) reach it without any
+Fraction, and null spaces and solutions are read off its integer
+reduced rows.  `Mat` products, sums and `apply` work on one
+integer view of each matrix over a common denominator, building one
+Fraction per nonzero entry of the result.  Nothing here rounds,
+samples, or depends on floating point.
 """
 
 from __future__ import annotations
@@ -318,9 +322,11 @@ def _fractions(ints, den: int) -> tuple:
 class Echelon:
     """Incremental fraction-free row echelon form over Q.
 
-    Rows go in one at a time through `add`: each is scaled to integers by
-    the lcm of its denominators, reduced against the rows already stored,
-    and kept only when it is independent of them.  A stored row is a
+    Rows go in one at a time through `add`, which scales each to integers
+    by the lcm of its denominators, or through `add_integer`, for a row a
+    caller has built in integers and which meets no Fraction on the way.
+    Each is reduced against the rows already stored and kept only when it
+    is independent of them.  A stored row is a
     primitive integer tuple (its entries have gcd 1) with a positive
     pivot entry; it is zero before its pivot and at the pivots of the rows
     stored before it, so reducing in storage order clears every pivot.
@@ -330,11 +336,13 @@ class Echelon:
     c at that column becomes (a/g) w - (c/g) row with g = gcd(a, c), and
     a step that scaled w (a/g != 1) then divides w by the gcd of its
     entries, so residuals keep the size of the stored rows rather than
-    swelling step by step.  `subspace` back-substitutes
-    in integers to the unique reduced echelon form of the row span and is
-    the one place that builds Fractions, which is what makes Subspace
-    comparison a plain tuple comparison.  Every elimination in the package
-    runs here.
+    swelling step by step.  `reduced_rows` back-substitutes
+    in integers to the unique reduced echelon form of the row span;
+    `subspace` divides those rows by their pivot entries and is the one
+    place that builds Fractions, once per nonzero entry of the basis,
+    which is what makes Subspace comparison a plain tuple comparison.
+    Null spaces and solutions are read off the integer reduced rows.
+    Every elimination in the package runs here.
     """
 
     __slots__ = ("width", "rows", "pivots", "support")
@@ -381,9 +389,14 @@ class Echelon:
 
         Returns None, storing nothing, when v is in the span of the rows.
         """
+        return self.add_integer(_integer_row(v)[1])
+
+    def add_integer(self, w: list) -> Optional[tuple]:
+        """`add` for a row already in integers: w is a list of ints, which
+        the reduction may overwrite."""
         if len(self.rows) == self.width:
             return None
-        w = self.residual(v)
+        w = self._reduce(w)
         if not any(w):
             return None
         return self._store(w)
@@ -403,18 +416,24 @@ class Echelon:
         self.support.append(tuple(cols[1:]))
         return row
 
-    def subspace(self) -> "Subspace":
-        """The row span, in reduced echelon form sorted by pivot.
+    def reduced_rows(self) -> tuple:
+        """(rows, pivots) of the row span's reduced echelon form, sorted by
+        pivot, each row a primitive integer tuple with a positive pivot
+        entry and zero at every other pivot.
 
         Rows are taken from the last pivot back, each cleared at the
         pivots of the rows already done; those are zero before their own
-        pivots, so the pivot stays where it is.  Each integer row is then
-        divided by its pivot entry into exact Fractions.
+        pivots, so the pivot stays where it is.
         """
         done = Echelon(self.width)
         for _, row in sorted(zip(self.pivots, self.rows), reverse=True):
             done._store(done._reduce(list(row)))
-        rows, pivots = done.rows[::-1], done.pivots[::-1]
+        return done.rows[::-1], done.pivots[::-1]
+
+    def subspace(self) -> "Subspace":
+        """The row span as a Subspace: each reduced row divided by its
+        pivot entry into exact Fractions."""
+        rows, pivots = self.reduced_rows()
         return Subspace(
             self.width,
             tuple(_fractions(row, row[p]) for row, p in zip(rows, pivots)),
@@ -573,30 +592,54 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def _null_space(reduced: Subspace, cols: int) -> Subspace:
-    """Solutions of the system whose reduced echelon rows are `reduced`,
-    in its first `cols` coordinates (every pivot lies among them)."""
-    pivot_set = set(reduced.pivots)
+def _null_space(rows, pivots, cols: int) -> Subspace:
+    """Solutions of the system whose integer reduced echelon rows (from
+    `Echelon.reduced_rows`) are `rows`, in its first `cols` coordinates
+    (every pivot lies among them).
+
+    For each free column f the solution is built in integers: L at f and
+    -row[f] L / row[p] at the pivot p of each row, L the lcm of those
+    rows' pivot entries.
+    """
+    pivot_set = set(pivots)
     ech = Echelon(cols)
     for f in range(cols):
         if f in pivot_set:
             continue
-        v = list(zero_vec(cols))
-        v[f] = _ONE
-        for row, p in zip(reduced.basis, reduced.pivots):
-            if row[f]:
-                v[p] = -row[f]
-        ech.add(v)
+        hits = [(row[f], row[p], p) for row, p in zip(rows, pivots) if row[f]]
+        lcm = math.lcm(*[a for _, a, _ in hits])
+        v = [0] * cols
+        v[f] = lcm
+        for c, a, p in hits:
+            v[p] = -c * (lcm // a)
+        ech.add_integer(v)
     return ech.subspace()
+
+
+def _integer_echelon(width: int, rows: Iterable[Sequence]) -> Echelon:
+    """An Echelon holding integer rows, each given as the (column, entry)
+    pairs of its nonzero entries, as in `Mat._integer_rows`."""
+    ech = Echelon(width)
+    for row in rows:
+        w = [0] * width
+        for j, x in row:
+            w[j] = x
+        ech.add_integer(w)
+    return ech
+
+
+def _integer_kernel(width: int, rows: Iterable[Sequence]) -> Subspace:
+    """Null space of a system given as sparse integer rows."""
+    return _null_space(*_integer_echelon(width, rows).reduced_rows(), width)
 
 
 def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0}, as a canonical Subspace of Q^cols."""
-    return _null_space(Echelon(m.cols, m.entries).subspace(), m.cols)
+    return _integer_kernel(m.cols, m._integer_rows()[1])
 
 
 def rank(m: Mat) -> int:
-    return len(Echelon(m.cols, m.entries).rows)
+    return len(_integer_echelon(m.cols, m._integer_rows()[1]).rows)
 
 
 class SolveResult:
@@ -621,16 +664,16 @@ def solve(m: Mat, b: Sequence) -> Optional[SolveResult]:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    if not m.rows:
-        return SolveResult(zero_vec(m.cols), Subspace.full(m.cols))
+    n = m.cols
     augmented = [row + (q(x),) for row, x in zip(m.entries, b)]
-    reduced = Echelon(m.cols + 1, augmented).subspace()
-    if m.cols in reduced.pivots:
+    reduced, pivots = Echelon(n + 1, augmented).reduced_rows()
+    if n in pivots:
         return None
-    x = list(zero_vec(m.cols))
-    for row, p in zip(reduced.basis, reduced.pivots):
-        x[p] = row[m.cols]
-    return SolveResult(tuple(x), _null_space(reduced, m.cols))
+    x = list(zero_vec(n))
+    for row, p in zip(reduced, pivots):
+        if row[n]:
+            x[p] = Fraction(row[n], row[p])
+    return SolveResult(tuple(x), _null_space(reduced, pivots, n))
 
 
 def inverse(m: Mat) -> Mat:

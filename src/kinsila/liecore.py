@@ -202,15 +202,16 @@ class LieAlgebra:
         return self._derived
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        vectors = []
+        """[a, b], bracketing the integer echelon rows of a and b in
+        integers and reducing each result into one `Echelon`."""
+        span = Echelon(self.dim)
+        xs, ys = a.echelon().rows, b.echelon().rows
         # [u, v] = -[v, u] and [u, u] = 0, so [a, a] needs each unordered pair once
         same = a == b
-        for i, u in enumerate(a.basis):
-            for v in b.basis[i + 1:] if same else b.basis:
-                w = self.bracket(u, v)
-                if any(w):
-                    vectors.append(w)
-        return Subspace.span(self.dim, vectors)
+        for i, u in enumerate(xs):
+            for v in ys[i + 1:] if same else ys:
+                span.add_integer(self._integer_bracket(u, v))
+        return span.subspace()
 
     def centralizer(self, of: Subspace, within: Optional[Subspace] = None) -> Subspace:
         """{x in `within` : [x, v] = 0 for all v in `of`}."""
@@ -268,11 +269,13 @@ class LieAlgebra:
                 killing = self.killing_form()
                 rows = [killing.apply(d) for d in derived.basis]
                 rad = kernel(Mat(rows, cols=self.dim))
+            # kept, printed in the report (radical-abelian gives its dimension)
             if not self.is_ideal(rad):
                 raise InternalFault(
                     "computed radical is not an ideal",
                     {"radical_basis": rad.basis},
                 )
+            # kept, printed in the report (radical-abelian calls it solvable)
             if not self.is_solvable_space(rad):
                 raise InternalFault(
                     "computed radical is not solvable",
@@ -283,15 +286,39 @@ class LieAlgebra:
 
     # -- maps ---------------------------------------------------------------
     def is_automorphism(self, t: Mat) -> bool:
-        if t.rows != self.dim or t.cols != self.dim:
+        """t is invertible and t[x, y] = [tx, ty] for all x, y.
+
+        The bracket condition is tested for x among `generators()` and
+        every basis y only.  That suffices: the x with t[x, y] = [tx, ty]
+        for all y form a subalgebra, since for two of them, x1 and x2,
+        the Jacobi identity gives t[[x1, x2], y] = t[x1, [x2, y]] -
+        t[x2, [x1, y]] = [tx1, [tx2, ty]] - [tx2, [tx1, ty]] =
+        [[tx1, tx2], ty].  No invertibility is used there; the rank test
+        is separate.  With t = T / den for an integer matrix T, each test
+        compares D [T e_i, T e_j] with den T (D [e_i, e_j]) in integers.
+        """
+        n = self.dim
+        if t.rows != n or t.cols != n:
             return False
-        if rank(t) != self.dim:
+        if rank(t) != n:
             return False
-        img = [t.col(i) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                lhs = self.bracket(img[i], img[j])
-                if lhs != t.apply(self.structure_constant(i, j)):
+        den, trows = t._integer_rows()
+        img = [[0] * n for _ in range(n)]
+        for r, row in enumerate(trows):
+            for c, x in row:
+                img[c][r] = x
+        for i in self.generators():
+            si = self._struct[i]
+            for j in range(n):
+                if j == i:
+                    continue
+                rhs = [0] * n
+                for m, c in si.get(j, ()):
+                    f = den * c
+                    for r, x in enumerate(img[m]):
+                        if x:
+                            rhs[r] += f * x
+                if self._integer_bracket(img[i], img[j]) != rhs:
                     return False
         return True
 

@@ -19,6 +19,7 @@ from .errors import DecompositionError, InternalFault, RepError, SimplicityUndec
 from .exactla import (
     _ONE,
     _ZERO,
+    _integer_kernel,
     Echelon,
     Mat,
     Poly,
@@ -225,12 +226,8 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
                 key = tuple(sorted((j, x) for j, x in eq.items() if x))
                 if key and key not in seen:
                     seen.add(key)
-                    # a tuple, which Mat keeps as its row without a copy
-                    row = [_ZERO] * width
-                    for j, x in key:
-                        row[j] = Fraction(x)
-                    rows.append(tuple(row))
-    combos = kernel(Mat(rows, cols=width))
+                    rows.append(key)
+    combos = _integer_kernel(width, rows)
     out = []
     for v in combos.basis:
         out.append(Mat([v[r * d1:(r + 1) * d1] for r in range(d2)], cols=d1))
@@ -542,6 +539,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
 
 
 def _is_isomorphism(source: Rep, target: Rep, t: Mat) -> bool:
+    # kept as a cheap guard against a bug in the code (hom_space uses generators)
     return (
         t.rows == target.dim
         and t.cols == source.dim

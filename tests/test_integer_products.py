@@ -1,10 +1,12 @@
 """The integer product kernels against the plain Fraction arithmetic.
 
 `LieAlgebra` keeps its structure constants as integers over one common
-denominator and `Mat` multiplies through an integer view; both must give
-exactly what entry-by-entry Fraction arithmetic gives, as Fractions.  The
-reference functions below are that arithmetic, written out on a dense
-tensor of Fraction tuples (None for a zero bracket).
+denominator, `Mat` multiplies through an integer view, and elimination
+takes integer rows and reads null spaces off integer reduced rows; all
+must give exactly what entry-by-entry Fraction arithmetic gives, as
+Fractions.  The reference functions below are that arithmetic, written
+out on a dense tensor of Fraction tuples (None for a zero bracket) and
+as Gauss-Jordan elimination on Fraction rows.
 """
 
 import random
@@ -12,10 +14,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import so_algebra_and_rep
+from conftest import doubled, so_algebra_and_rep, unimodular_conjugate
 from kinsila import catalog
 from kinsila.errors import JacobiError
-from kinsila.exactla import Mat, inverse, kernel, q
+from kinsila.exactla import Mat, Subspace, inverse, kernel, q, rank, solve
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import Rep, hom_space
 
@@ -319,3 +321,194 @@ def test_hom_space_matches_fraction_equations_seeded():
             exact(x for row in got[0].entries for x in row)
         assert [x for m in conj[1].mats for row in m.entries for x in row
                 if x.denominator > 1]
+
+
+# ---------------------------------------------------------------------------
+# the integer entry into elimination, against plain Fraction Gauss-Jordan
+
+def ref_rref(rows, width):
+    """Reduced echelon rows (pivot entries 1, sorted by pivot) and pivots
+    of the span of the rows, by Gauss-Jordan elimination in Fractions."""
+    out, pivots = [], []
+    for r in rows:
+        r = [F(x) for x in r]
+        for b, p in zip(out, pivots):
+            c = r[p]
+            if c:
+                r = [x - c * y for x, y in zip(r, b)]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
+        r = [x / r[lead] for x in r]
+        for k, b in enumerate(out):
+            c = b[lead]
+            if c:
+                out[k] = [x - c * y for x, y in zip(b, r)]
+        out.append(r)
+        pivots.append(lead)
+    order = sorted(range(len(out)), key=pivots.__getitem__)
+    return [tuple(out[k]) for k in order], [pivots[k] for k in order]
+
+
+def ref_null_space(basis, pivots, cols):
+    """The null space read off a reduced echelon basis in Fractions: one
+    vector per free column f, 1 at f and -row[f] at each row's pivot."""
+    vs = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for row, p in zip(basis, pivots):
+            if row[f]:
+                v[p] = -row[f]
+        vs.append(v)
+    return ref_rref(vs, cols)
+
+
+def ref_kernel(m):
+    return ref_null_space(*ref_rref(m.entries, m.cols), m.cols)
+
+
+def ref_solve(m, b):
+    n = m.cols
+    basis, pivots = ref_rref([row + (F(y),) for row, y in zip(m.entries, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for row, p in zip(basis, pivots):
+        x[p] = row[n]
+    return tuple(x), ref_null_space(basis, pivots, n)
+
+
+def ref_inverse(m):
+    n = m.rows
+    ident = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    basis, pivots = ref_rref([row + e for row, e in zip(m.entries, ident)], 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in basis]
+
+
+def assert_subspace(got, want):
+    basis, pivots = want
+    assert got.basis == tuple(basis) and got.pivots == tuple(pivots)
+    exact(x for row in got.basis for x in row)
+
+
+def elimination_inputs(rng):
+    """Matrices with mixed denominators: empty, all zero, full rank
+    (square, wide, tall) and rank deficient."""
+    yield Mat([], cols=4)
+    yield Mat([[], [], []], cols=0)
+    yield Mat([], cols=0)
+    yield Mat.zeros(3, 4)
+    for _ in range(6):
+        n = rng.randint(1, 5)
+        # triangular with nonzero diagonal, then its rows mixed
+        tri = [[F(rng.randint(1, 4), rng.randint(1, 3)) if i == j
+                else rand_vector(rng, 1)[0] if j > i else 0 for j in range(n)]
+               for i in range(n)]
+        yield Mat(tri)
+        yield Mat(tri).transpose()
+    for _ in range(16):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.randint(1, min(r, c))
+        # rank at most k: a product through k dimensions
+        yield rand_mat(rng, r, k) @ rand_mat(rng, k, c)
+        yield rand_mat(rng, r, c)
+
+
+def test_kernel_and_rank_match_fraction_elimination_seeded():
+    rng = random.Random(6121)
+    for m in elimination_inputs(rng):
+        assert_subspace(kernel(m), ref_kernel(m))
+        assert rank(m) == len(ref_rref(m.entries, m.cols)[0])
+
+
+def test_solve_matches_fraction_elimination_seeded():
+    rng = random.Random(6122)
+    consistent = inconsistent = 0
+    for m in elimination_inputs(rng):
+        x0 = rand_vector(rng, m.cols)
+        for b in (m.apply(x0), rand_vector(rng, m.rows)):
+            got, want = solve(m, b), ref_solve(m, b)
+            if want is None:
+                inconsistent += 1
+                assert got is None
+                continue
+            consistent += 1
+            assert got.particular == want[0]
+            exact(got.particular)
+            assert_subspace(got.kernel, want[1])
+    assert consistent > 20 and inconsistent > 10
+
+
+def test_inverse_matches_fraction_elimination_seeded():
+    rng = random.Random(6123)
+    inverted = singular = 0
+    for m in elimination_inputs(rng):
+        if not m.is_square():
+            continue
+        want = ref_inverse(m)
+        if want is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                inverse(m)
+            continue
+        inverted += 1
+        got = inverse(m)
+        assert [exact(row) for row in got.entries] == [list(row) for row in want]
+    assert inverted > 5 and singular > 2
+
+
+def ref_hom_space_fractions(rep1, rep2):
+    """Intertwiners from dense Fraction equations for every basis element,
+    solved by Fraction Gauss-Jordan elimination."""
+    d1, d2 = rep1.dim, rep2.dim
+    rows = []
+    for m1, m2 in zip(rep1.mats, rep2.mats):
+        for r in range(d2):
+            for c in range(d1):
+                row = [F(0)] * (d1 * d2)
+                for k in range(d1):
+                    row[r * d1 + k] += m1[k, c]
+                for k in range(d2):
+                    row[k * d1 + c] -= m2[r, k]
+                rows.append(row)
+    basis, _ = ref_kernel(Mat(rows, cols=d1 * d2))
+    return [Mat([v[r * d1:(r + 1) * d1] for r in range(d2)], cols=d1)
+            for v in basis]
+
+
+def test_hom_space_matches_fraction_elimination_seeded():
+    rng = random.Random(6124)
+    for d in (3, 4):
+        _, rep = so_algebra_and_rep(d)
+        dual = Rep(rep.algebra, [-m.transpose() for m in rep.mats])
+        modules = [rep, dual] + [unimodular_conjugate(rep, rng)[0] for _ in range(2)]
+        if d == 3:
+            modules.append(doubled(rep))
+        for a in modules:
+            for b in modules:
+                got = hom_space(a, b)
+                assert got == ref_hom_space_fractions(a, b)
+                exact(x for t in got for row in t.entries for x in row)
+
+
+def test_bracket_span_matches_fraction_brackets_seeded():
+    rng = random.Random(6125)
+    for n, pairs in algebras(rng):
+        alg = LieAlgebra(n, pairs)
+        t = ref_tensor(n, pairs)
+        for _ in range(4):
+            a, b = (Subspace.span(n, [rand_vector(rng, n)
+                                      for _ in range(rng.randint(0, 4))])
+                    for _ in range(2))
+            for x, y in ((a, a), (a, b), (b, a)):
+                want = Subspace.span(
+                    n, [ref_bracket(t, u, v) for u in x.basis for v in y.basis]
+                )
+                assert alg.bracket_span(x, y) == want
+        full = Subspace.full(n)
+        assert alg.bracket_span(full, full) == alg.derived_subalgebra()

@@ -1,10 +1,14 @@
+import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
-from conftest import assert_greedy_generators, so_algebra_and_rep
+from conftest import assert_greedy_generators, so_algebra_and_rep, unit_triangular
+from kinsila import catalog
+from kinsila.cli import main
 from kinsila.errors import JacobiError, NonAbelianRadicalError
-from kinsila.exactla import Mat, Subspace, inverse, unit_vec
+from kinsila.exactla import Mat, Subspace, inverse, rank, unit_vec
 from kinsila.liecore import LieAlgebra
 
 
@@ -150,6 +154,145 @@ class TestPredicates:
         assert not g.is_automorphism(Mat([[1, 0, 0], [0, 1, 0], [0, 1, 1]]))
         # singular maps are never automorphisms here
         assert not g.is_automorphism(Mat.zeros(3, 3))
+
+
+def all_pairs_automorphism(alg, t):
+    """t invertible with t[e_i, e_j] = [t e_i, t e_j] on every basis pair,
+    in Fractions."""
+    n = alg.dim
+    if rank(t) != n:
+        return False
+    img = [t.col(i) for i in range(n)]
+    return all(
+        alg.bracket(img[i], img[j]) == t.apply(alg.structure_constant(i, j))
+        for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def grading(entry):
+    """The basis indices of Z, s and P in a catalog entry."""
+    labels = entry.algebra.labels
+    return (
+        [labels.index(entry.z_label)],
+        [labels.index(x) for x in entry.s_labels],
+        [labels.index(x) for x in entry.p_labels],
+    )
+
+
+def graded_rebase(alg, roles, rng):
+    """`alg` in a new basis that mixes the vectors of each role among
+    themselves only (triangular blocks, diagonal in {1, 2})."""
+    n = alg.dim
+    cols = [[0] * n for _ in range(n)]
+    for idx in roles:
+        for a, ia in enumerate(idx):
+            for b, ib in enumerate(idx):
+                cols[ia][ib] = rng.choice((1, 2)) if a == b else (
+                    rng.randint(-1, 1) if b < a else 0)
+    return change_basis(alg, cols)
+
+
+def grading_involution(n, p_indices):
+    return Mat([[(-1 if i in p_indices else 1) if i == j else 0 for j in range(n)]
+                for i in range(n)])
+
+
+class TestAutomorphismOnGenerators:
+    """`is_automorphism` brackets generators() against every basis vector
+    only; its verdict must be the one every basis pair gives."""
+
+    def test_grading_involutions_of_the_catalog_are_accepted(self):
+        rng = random.Random(7301)
+        for family in catalog.FAMILIES:
+            entry = catalog.make(family, 4)
+            roles = grading(entry)
+            sigma = grading_involution(entry.algebra.dim, roles[2])
+            for alg in (entry.algebra, graded_rebase(entry.algebra, roles, rng)):
+                assert len(alg.generators()) < alg.dim
+                assert alg.is_automorphism(sigma)
+                assert all_pairs_automorphism(alg, sigma)
+
+    def test_verdicts_equal_the_all_pairs_reference_seeded(self):
+        rng = random.Random(7302)
+        rejected = 0
+        for family in catalog.FAMILIES:
+            entry = catalog.make(family, 4)
+            roles = grading(entry)
+            for alg in (entry.algebra, graded_rebase(entry.algebra, roles, rng)):
+                n = alg.dim
+                sigma = grading_involution(n, roles[2])
+                # a random unimodular map, and the involution with the image
+                # of one basis vector outside the generators moved
+                k = rng.choice([i for i in range(n) if i not in alg.generators()])
+                moved = [list(r) for r in sigma.entries]
+                moved[rng.randrange(n)][k] += rng.choice((1, -1))
+                mixed = unit_triangular(rng, n, False) @ unit_triangular(rng, n, True)
+                for t in (mixed, Mat(moved)):
+                    want = all_pairs_automorphism(alg, t)
+                    assert alg.is_automorphism(t) == want
+                    rejected += not want
+        assert rejected >= 30
+
+    def test_rational_maps_seeded(self):
+        # exp(ad x) for x = e/3 (ad x nilpotent) and the plane scaled by
+        # 1/2 are automorphisms with denominators; random triangular maps
+        # with rational entries are not
+        g = sl2_on_plane()
+        x = (0, F(1, 3), 0, 0, 0)
+        ad = Mat.from_cols([g.bracket(x, unit_vec(5, i)) for i in range(5)])
+        ad2 = ad @ ad
+        exp_ad = Mat.identity(5) + ad + ad2.scale(F(1, 2)) + (ad2 @ ad).scale(F(1, 6))
+        half = Mat([[F(1, 2) if i == j and i >= 3 else int(i == j) for j in range(5)]
+                    for i in range(5)])
+        maps = [exp_ad, half, exp_ad @ half]
+        rng = random.Random(7303)
+        for _ in range(12):
+            maps.append(Mat([[rng.choice((1, 2, F(1, 2))) if i == j else
+                              F(rng.randint(-2, 2), rng.randint(1, 3)) if i < j else 0
+                              for j in range(5)] for i in range(5)]))
+        verdicts = [g.is_automorphism(t) for t in maps]
+        assert verdicts == [all_pairs_automorphism(g, t) for t in maps]
+        assert verdicts[:3] == [True] * 3 and verdicts.count(False) >= 8
+
+    def test_generators_are_bracketed_with_every_basis_vector(self):
+        # free nilpotent of class 3 on a, b: c = [a, b], d = [a, c] and
+        # e = [b, c], generated by a and b.  Doubling e alone keeps every
+        # bracket of a and every bracket of two generators, but breaks
+        # [b, c] = e; weights 1, 2, 2, 2, 4 give an automorphism
+        g = LieAlgebra(5, {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0),
+                           (1, 2): (0, 0, 0, 0, 1)})
+        assert g.generators() == (0, 1)
+
+        def diag(*w):
+            return Mat([[w[i] if i == j else 0 for j in range(5)] for i in range(5)])
+
+        assert not g.is_automorphism(diag(1, 1, 1, 1, 2))
+        assert g.is_automorphism(diag(1, 2, 2, 2, 4))
+
+    def test_singular_homomorphism_is_rejected(self):
+        # the projection of sl2 + plane onto sl2 along the plane brackets
+        # like an automorphism but is not invertible
+        g = sl2_on_plane()
+        proj = Mat([[int(i == j and i < 3) for j in range(5)] for i in range(5)])
+        img = [proj.col(i) for i in range(5)]
+        assert all(g.bracket(img[i], img[j]) == proj.apply(g.structure_constant(i, j))
+                   for i in range(5) for j in range(5))
+        assert not g.is_automorphism(proj)
+        assert not g.is_automorphism(Mat.zeros(5, 5))
+
+    def test_grading_breaking_document_exits_1(self, tmp_path, capsys):
+        # [B, P] = B puts a bracket of momenta back among the momenta
+        doc = {
+            "basis": ["H", "B", "P"],
+            "brackets": [{"x": "B", "y": "P", "result": [{"basis": "B", "coeff": 1}]}],
+            "roles": {"Z": ["H"], "s": [], "P": ["B", "P"]},
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["classify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SIGMA_NOT_AUTOMORPHISM" in err
+        assert "Traceback" not in err
 
 
 class TestGenerators:
