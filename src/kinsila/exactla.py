@@ -4,16 +4,19 @@ Matrices, one incremental echelon builder with the echelon-form
 subspaces, kernels and solvers built on it, polynomial arithmetic, and
 the semisimple plus nilpotent splitting of a square matrix.  Every
 scalar a caller gets back is an exact `fractions.Fraction`; inside,
-the hot loops run on integers.  `Echelon` eliminates on integer rows
-and builds Fractions only once, for the canonical reduced echelon
-basis of the Subspace it returns.  Kernels and ranks feed it the
-integer view of their matrix, systems that callers build in integers
-(`repth.hom_space`, `LieAlgebra.bracket_span`) reach it without any
-Fraction, and null spaces and solutions are read off its integer
-reduced rows.  `Mat` products, sums and `apply` work on one
-integer view of each matrix over a common denominator, building one
-Fraction per nonzero entry of the result.  Nothing here rounds,
-samples, or depends on floating point.
+the hot loops run on integers.  A `Mat` is its integer view, a common
+denominator and the nonzero entries of each row scaled by it: products,
+sums and `apply` accumulate in ints and build the next view directly,
+and the Fraction entries are built lazily, only at the boundary
+(reports, fault payloads, `m[i, j]`).  `Echelon` eliminates on integer
+rows and builds Fractions only once, for the canonical reduced echelon
+basis of the Subspace it returns, which also keeps those integer rows.
+Kernels and ranks feed it the integer view of their matrix, systems
+that callers build in integers (`repth.hom_space`,
+`LieAlgebra.bracket_span`) reach it without any Fraction, and null
+spaces and solutions are read off its integer reduced rows.
+`Subspace.matrix_of` takes a `Mat` and restricts it in integers.
+Nothing here rounds, samples, or depends on floating point.
 """
 
 from __future__ import annotations
@@ -110,17 +113,23 @@ def vscale(c, a):
 # matrices
 
 class Mat:
-    """Dense exact-rational matrix, immutable after construction.
+    """Exact-rational matrix, immutable, stored as its integer view.
 
-    Rows and columns may be zero; a 0 x n or n x 0 matrix is legal and
-    behaves as expected under products and transposition.  Products, sums
-    and `apply` read one private sparse integer view, built on first use:
-    a common denominator den of the entries and, per row, the (column,
-    entry * den) pairs of the nonzero entries.  They accumulate in ints
-    and build one Fraction per nonzero entry of the result.
+    The view is a positive denominator den and, per row, the (column,
+    entry * den) pairs of the nonzero entries in column order, with den
+    the lcm of the entries' denominators, so that gcd(den, entries) = 1
+    and equal matrices have equal views.  `==`, `hash`, `is_zero` and
+    `trace` read the view; products, sums, differences, negation,
+    `scale`, `transpose`, `zeros` and `identity` accumulate in ints and
+    build their result's view directly (`_integer_mat`), and `apply`
+    has an integer core.  `__init__` takes Fractions and ints; the
+    Fraction `entries` are built lazily, on the first read of `entries`
+    or of `m[i, j]`, for reports and fault payloads.  Rows and columns
+    may be zero; a 0 x n or n x 0 matrix is legal and behaves as
+    expected under products and transposition.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_integer")
+    __slots__ = ("rows", "cols", "_integer", "_entries")
 
     def __init__(self, entries, cols: Optional[int] = None):
         rows = []
@@ -134,9 +143,18 @@ class Mat:
             rows.append(t)
         if width is None:
             width = 0
-        object.__setattr__(self, "entries", tuple(rows))
+        # the shared _ZERO is skipped by identity, sparing its __bool__
+        den = math.lcm(*[x.denominator for row in rows for x in row if x is not _ZERO])
+        view = tuple(
+            tuple([
+                (j, x.numerator * (den // x.denominator))
+                for j, x in enumerate(row) if x is not _ZERO and x
+            ])
+            for row in rows
+        )
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_integer", (den, view))
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -144,11 +162,11 @@ class Mat:
     # -- constructors --------------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat([zero_vec(cols) for _ in range(rows)], cols=cols)
+        return _integer_mat(cols, 1, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([unit_vec(n, i) for i in range(n)], cols=n)
+        return _integer_mat(n, 1, tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
     def from_cols(cols, rows: Optional[int] = None) -> "Mat":
@@ -160,6 +178,23 @@ class Mat:
         return Mat([[c[i] for c in cols] for i in range(height)], cols=len(cols))
 
     # -- access --------------------------------------------------------
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of exact Fractions, built on first read."""
+        try:
+            return self._entries
+        except AttributeError:
+            den, view = self._integer
+            out = []
+            for row in view:
+                r = [_ZERO] * self.cols
+                for j, x in row:
+                    r[j] = Fraction(x, den)
+                out.append(tuple(r))
+            entries = tuple(out)
+            object.__setattr__(self, "_entries", entries)
+            return entries
+
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 
@@ -168,32 +203,18 @@ class Mat:
         return self.entries[i][j]
 
     def _integer_rows(self) -> tuple:
-        """(den, rows): den is the lcm of the entries' denominators, and
-        each row the (column, entry * den) pairs of its nonzero entries."""
-        try:
-            return self._integer
-        except AttributeError:
-            # the shared _ZERO is skipped by identity, sparing its __bool__
-            den = math.lcm(*[
-                x.denominator for row in self.entries for x in row if x is not _ZERO
-            ])
-            view = (den, tuple(
-                tuple(
-                    (j, x.numerator * (den // x.denominator))
-                    for j, x in enumerate(row) if x is not _ZERO and x
-                )
-                for row in self.entries
-            ))
-            object.__setattr__(self, "_integer", view)
-            return view
+        """(den, rows), the integer view: den is the lcm of the entries'
+        denominators, and each row the (column, entry * den) pairs of its
+        nonzero entries."""
+        return self._integer
 
     # -- arithmetic ----------------------------------------------------
     def _plus(self, other: "Mat", sign: int) -> "Mat":
         """self + sign * other."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        da, arows = self._integer_rows()
-        db, brows = other._integer_rows()
+        da, arows = self._integer
+        db, brows = other._integer
         den = math.lcm(da, db)
         fa, fb = den // da, sign * (den // db)
         out = []
@@ -203,8 +224,8 @@ class Mat:
                 acc[j] = fa * a
             for j, b in brow:
                 acc[j] += fb * b
-            out.append(_fractions(acc, den))
-        return Mat(out, cols=self.cols)
+            out.append(_sparse(acc))
+        return _integer_mat(self.cols, den, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._plus(other, 1)
@@ -213,51 +234,67 @@ class Mat:
         return self._plus(other, -1)
 
     def __neg__(self) -> "Mat":
-        return Mat([vscale(-_ONE, r) for r in self.entries], cols=self.cols)
+        den, rows = self._integer
+        return _integer_mat(
+            self.cols, den, tuple(tuple([(j, -x) for j, x in row]) for row in rows)
+        )
 
     def scale(self, c) -> "Mat":
         c = q(c)
-        return Mat([vscale(c, r) for r in self.entries], cols=self.cols)
+        den, rows = self._integer
+        f = c.numerator
+        if not f:
+            return Mat.zeros(self.rows, self.cols)
+        return _integer_mat(
+            self.cols,
+            den * c.denominator,
+            tuple(tuple([(j, f * x) for j, x in row]) for row in rows),
+        )
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        da, arows = self._integer_rows()
-        db, brows = other._integer_rows()
-        den = da * db
+        da, arows = self._integer
+        db, brows = other._integer
         out = []
         for arow in arows:
             acc = [0] * other.cols
             for k, a in arow:
                 for j, b in brows[k]:
                     acc[j] += a * b
-            out.append(_fractions(acc, den))
-        return Mat(out, cols=other.cols)
+            out.append(_sparse(acc))
+        return _integer_mat(other.cols, da * db, tuple(out))
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        den, rows = self._integer_rows()
         dv, w = _integer_row(v)
+        return _fractions(self._integer_apply(w), self._integer[0] * dv)
+
+    def _integer_apply(self, w: Sequence) -> list:
+        """den * (self w) for an integer vector w, as a list of ints."""
         out = []
-        for row in rows:
+        for row in self._integer[1]:
             s = 0
             for j, a in row:
                 s += a * w[j]
             out.append(s)
-        return _fractions(out, den * dv)
+        return out
 
     def transpose(self) -> "Mat":
-        return Mat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        den, rows = self._integer
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(rows):
+            for j, x in row:
+                out[j].append((i, x))
+        return _integer_mat(self.rows, den, tuple(map(tuple, out)))
 
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), _ZERO)
+        den, rows = self._integer
+        return Fraction(sum(x for i, row in enumerate(rows) for j, x in row if j == i), den)
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
@@ -273,8 +310,7 @@ class Mat:
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        # the shared _ZERO is skipped by identity, sparing its __bool__
-        return all(x is _ZERO or not x for row in self.entries for x in row)
+        return not any(self._integer[1])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -286,15 +322,35 @@ class Mat:
         return (
             isinstance(other, Mat)
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._integer == other._integer
         )
 
     def __hash__(self):
-        return hash((self.cols, self.entries))
+        return hash((self.cols, self._integer))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Mat[{self.rows}x{self.cols}: {body}]"
+
+
+def _sparse(ints) -> tuple:
+    """The (column, entry) pairs of the nonzero entries of an int list."""
+    return tuple([(j, x) for j, x in enumerate(ints) if x])
+
+
+def _integer_mat(cols: int, den: int, rows: tuple) -> Mat:
+    """The Mat whose integer view is (den, rows) once den and the entries
+    are divided by their gcd; every integer result is built here."""
+    if den != 1:
+        g = math.gcd(den, *[x for row in rows for _, x in row])
+        if g != 1:
+            den //= g
+            rows = tuple(tuple([(j, x // g) for j, x in row]) for row in rows)
+    m = object.__new__(Mat)
+    object.__setattr__(m, "rows", len(rows))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "_integer", (den, rows))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +488,18 @@ class Echelon:
 
     def subspace(self) -> "Subspace":
         """The row span as a Subspace: each reduced row divided by its
-        pivot entry into exact Fractions."""
+        pivot entry into exact Fractions.  The primitive reduced rows are
+        the Subspace's integer echelon rows (each basis row times the lcm
+        of its denominators, which is its pivot entry)."""
         rows, pivots = self.reduced_rows()
         return Subspace(
             self.width,
             tuple(_fractions(row, row[p]) for row, p in zip(rows, pivots)),
             tuple(pivots),
+            (tuple(rows), tuple(
+                tuple([j for j in range(p + 1, self.width) if row[j]])
+                for row, p in zip(rows, pivots)
+            )),
         )
 
 
@@ -449,15 +511,18 @@ class Subspace:
     basis entries are exact Fractions.  The `Echelon` rows of the basis
     (each basis row times the lcm of its denominators, which is primitive
     with a positive pivot entry) and their `support` are kept in a private
-    slot, built by the first `echelon()`: most subspaces never need them.
+    slot: `Echelon.subspace` hands over its own, and any other subspace
+    builds them on its first `echelon()`.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots", "_integer")
 
-    def __init__(self, ambient_dim, basis, pivots):
+    def __init__(self, ambient_dim, basis, pivots, integer=None):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
+        if integer is not None:
+            object.__setattr__(self, "_integer", integer)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -535,17 +600,31 @@ class Subspace:
                         v[j] += c * x
         return tuple(v)
 
-    def matrix_of(self, f) -> Optional[Mat]:
-        """Matrix, in this basis, of a linear map f (a function on ambient
-        vectors) that preserves the subspace; None when f sends a basis
-        vector outside it."""
+    def matrix_of(self, m: Mat) -> Optional[Mat]:
+        """Matrix, in this basis, of the linear map m (a square Mat in
+        ambient coordinates) that preserves the subspace; None when m
+        sends a basis vector outside it.
+
+        m is applied in integers to the integer echelon rows of the basis.
+        Each image is tested for membership by one fraction-free reduction
+        against those rows, and its coordinates are read at the pivots,
+        all over one common denominator.
+        """
+        if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
+            raise ValueError("the map does not act on the ambient space")
+        ech = self.echelon()
+        heads = [row[p] for row, p in zip(ech.rows, self.pivots)]
+        lcm = math.lcm(*heads)
         cols = []
-        for b in self.basis:
-            coords = self.coordinates_of(f(b))
-            if coords is None:
+        for row, head in zip(ech.rows, heads):
+            # m b = w / (den * head) for b = row / head
+            w = m._integer_apply(row)
+            f = lcm // head
+            cols.append([w[p] * f for p in self.pivots])
+            if any(ech._reduce(w)):
                 return None
-            cols.append(coords)
-        return Mat.from_cols(cols, rows=self.dim)
+        rows = tuple(_sparse([c[k] for c in cols]) for k in range(self.dim))
+        return _integer_mat(self.dim, m._integer[0] * lcm, rows)
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -665,8 +744,15 @@ def solve(m: Mat, b: Sequence) -> Optional[SolveResult]:
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     n = m.cols
-    augmented = [row + (q(x),) for row, x in zip(m.entries, b)]
-    reduced, pivots = Echelon(n + 1, augmented).reduced_rows()
+    den, rows = m._integer
+    db, w = _integer_row(_exact(tuple(b)))
+    # [T | w] of m = T / den and b = w / db, over their common denominator
+    lcm = math.lcm(den, db)
+    fm, fb = lcm // den, lcm // db
+    reduced, pivots = _integer_echelon(n + 1, (
+        [(j, fm * x) for j, x in row] + ([(n, fb * y)] if y else [])
+        for row, y in zip(rows, w)
+    )).reduced_rows()
     if n in pivots:
         return None
     x = list(zero_vec(n))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -286,7 +285,7 @@ def validate(
     ok(3)
 
     # 4: P is an s-module
-    p_mats = [p_space.matrix_of(partial(algebra.bracket, x)) for x in s_space.basis]
+    p_mats = [p_space.matrix_of(algebra.ad(x)) for x in s_space.basis]
     if None in p_mats:
         fail(4, "the bracket of a rotation with a momentum leaves the momentum space")
     ok(4)
@@ -427,7 +426,7 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
 
 def _ad_on_p(structure: KinStructure, ambient_vec) -> Mat:
     """Matrix of ad(ambient_vec) restricted to P, in P coordinates."""
-    m = structure.p_space.matrix_of(partial(structure.algebra.bracket, ambient_vec))
+    m = structure.p_space.matrix_of(structure.algebra.ad(ambient_vec))
     if m is None:
         raise InternalFault(
             "fixed-part action does not preserve the momentum space",

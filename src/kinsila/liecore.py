@@ -8,19 +8,21 @@ The structure constants are held once, as a sparse table of integer
 rows over one common denominator (as structure-constant tables are in
 de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Brackets, the
 Jacobi check and the Killing form accumulate in integers and build an
-exact Fraction once per nonzero entry of what they return.
+exact Fraction once per nonzero entry of what they return; `ad` and
+the Killing form are `Mat`s built from that table without any.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
     _ZERO,
     _fractions,
+    _integer_mat,
     _integer_row,
+    _sparse,
     Echelon,
     Mat,
     Subspace,
@@ -141,6 +143,22 @@ class LieAlgebra:
                             out[m] += f * c
         return out
 
+    def ad(self, x) -> Mat:
+        """The matrix of ad x = [x, -] in the defining basis, built in
+        integers from the structure constants."""
+        n = self.dim
+        if len(x) != n:
+            raise ValueError("vector length does not match dimension")
+        dx, xs = _integer_row(x)
+        # column j is D [x, e_j]
+        acc = [[0] * n for _ in range(n)]
+        for a, si in zip(xs, self._struct):
+            if a:
+                for j, row in si.items():
+                    for m, c in row:
+                        acc[m][j] += a * c
+        return _integer_mat(n, dx * self._den, tuple(map(_sparse, acc)))
+
     def generators(self) -> tuple:
         """Basis indices whose elements generate the algebra under brackets.
 
@@ -190,8 +208,7 @@ class LieAlgebra:
                                 s += a * im.get(k, 0)
                     rows[i][j] = s
                     rows[j][i] = s
-            den = self._den ** 2
-            self._killing = Mat([_fractions(r, den) for r in rows], cols=n)
+            self._killing = _integer_mat(n, self._den ** 2, tuple(map(_sparse, rows)))
         return self._killing
 
     def derived_subalgebra(self) -> Subspace:
@@ -288,14 +305,10 @@ class LieAlgebra:
     def is_automorphism(self, t: Mat) -> bool:
         """t is invertible and t[x, y] = [tx, ty] for all x, y.
 
-        The bracket condition is tested for x among `generators()` and
-        every basis y only.  That suffices: the x with t[x, y] = [tx, ty]
-        for all y form a subalgebra, since for two of them, x1 and x2,
-        the Jacobi identity gives t[[x1, x2], y] = t[x1, [x2, y]] -
-        t[x2, [x1, y]] = [tx1, [tx2, ty]] - [tx2, [tx1, ty]] =
-        [[tx1, tx2], ty].  No invertibility is used there; the rank test
-        is separate.  With t = T / den for an integer matrix T, each test
-        compares D [T e_i, T e_j] with den T (D [e_i, e_j]) in integers.
+        The bracket condition is tested on every basis pair i < j;
+        antisymmetry gives the others.  With t = T / den for an integer
+        matrix T, each test compares D [T e_i, T e_j] with den T (D [e_i,
+        e_j]) in integers.
         """
         n = self.dim
         if t.rows != n or t.cols != n:
@@ -307,11 +320,9 @@ class LieAlgebra:
         for r, row in enumerate(trows):
             for c, x in row:
                 img[c][r] = x
-        for i in self.generators():
+        for i in range(n):
             si = self._struct[i]
-            for j in range(n):
-                if j == i:
-                    continue
+            for j in range(i + 1, n):
                 rhs = [0] * n
                 for m, c in si.get(j, ()):
                     f = den * c
@@ -428,7 +439,7 @@ class LieAlgebra:
                 struct[(a, b)] = (coords[:k], coords[k:])
 
         # action of each complement vector on the radical, rad coordinates
-        pmats = [rad.matrix_of(functools.partial(self.bracket, w)) for w in wvecs]
+        pmats = [rad.matrix_of(self.ad(w)) for w in wvecs]
         if None in pmats:
             raise InternalFault(
                 "radical escaped under bracket with complement",
@@ -464,7 +475,7 @@ class LieAlgebra:
                     rows.append(row)
                     rhs.append(-rvec[t])
         if free:
-            smat = rad.matrix_of(sigma.apply)
+            smat = rad.matrix_of(sigma)
             if smat is None:
                 raise InternalFault("radical not stable under sigma")
             for a in free:

@@ -119,7 +119,7 @@ def rep_on_subspace(rep: Rep, space: Subspace) -> Rep:
     """Restriction of `rep` to an invariant subspace, in its echelon basis."""
     if space.is_zero():
         raise ValueError("restriction to the zero subspace")
-    mats = [space.matrix_of(m.apply) for m in rep.mats]
+    mats = [space.matrix_of(m) for m in rep.mats]
     if None in mats:
         raise ValueError("subspace is not invariant")
     return Rep(rep.algebra, mats, check=False, dim=space.dim)
@@ -180,7 +180,8 @@ def spin(mats: Sequence[Mat], v, d: int) -> Subspace:
             if len(found.rows) == d:
                 # a full span stores no further row, so no image can change it
                 return found.subspace()
-            queue.append(found.add(m.apply(u)))
+            # u is a stored integer row; its image times den spans the same line
+            queue.append(found.add_integer(m._integer_apply(u)))
     return found.subspace()
 
 
@@ -303,7 +304,12 @@ def enveloping_basis(rep: Rep) -> List[Mat]:
     elements: List[Mat] = []
 
     def try_add(m: Mat) -> bool:
-        if found.add([x for row in m.entries for x in row]) is None:
+        # m flattened row by row, times its denominator
+        w = [0] * (d * d)
+        for r, row in enumerate(m._integer_rows()[1]):
+            for c, x in row:
+                w[r * d + c] = x
+        if found.add_integer(w) is None:
             return False
         elements.append(m)
         return True
@@ -465,9 +471,9 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     gens = [m for m in _generator_mats(rep) if not m.is_zero()]
     seen = set()
     for a in chain(gens, (x @ y for x, y in permutations(gens, 2))):
-        if a.is_zero() or a.entries in seen:
+        if a.is_zero() or a in seen:
             continue
-        seen.add(a.entries)
+        seen.add(a)
         verdict = probe(a)
         if verdict is not None:
             return verdict
@@ -481,9 +487,9 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
         return _certify_reducible(rep, Subspace.span(d, [unit_vec(d, 0)]))
 
     for a in env:
-        if a.entries in seen:
+        if a in seen:
             continue
-        seen.add(a.entries)
+        seen.add(a)
         verdict = probe(a)
         if verdict is not None:
             return verdict
@@ -525,9 +531,9 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
             continue
         for fac, _mult in factors:
             b = matrix_poly(fac, x)
-            if b.is_zero() or b.entries in seen:
+            if b.is_zero() or b in seen:
                 continue
-            seen.add(b.entries)
+            seen.add(b)
             verdict = probe(b)
             if verdict is not None:
                 return verdict

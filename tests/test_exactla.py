@@ -204,12 +204,12 @@ class TestSubspace:
         # the shear maps the plane z = 0 into itself and moves the z axis
         shear = Mat([[1, 1, 1], [0, 2, 0], [0, 0, 1]])
         plane = Subspace.span(3, [(1, 1, 0), (0, 1, 0)])
-        m = plane.matrix_of(shear.apply)
+        m = plane.matrix_of(shear)
         assert m == Mat([[1, 1], [0, 2]])
         for c in ((1, 0), (0, 1), (2, -3)):
             assert plane.vector(m.apply(c)) == shear.apply(plane.vector(c))
-        assert Subspace.span(3, [(0, 0, 1)]).matrix_of(shear.apply) is None
-        assert Subspace.zero(3).matrix_of(shear.apply) == Mat([], cols=0)
+        assert Subspace.span(3, [(0, 0, 1)]).matrix_of(shear) is None
+        assert Subspace.zero(3).matrix_of(shear) == Mat([], cols=0)
 
     def test_sum_and_intersection(self):
         xy = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
@@ -405,8 +405,9 @@ class TestEchelon:
             built = ech.subspace()
             assert list(built.basis) == basis and list(built.pivots) == basis_pivots
             assert exact(built)
-            # one made directly from the basis; each builds its integer rows
-            # on the first echelon() and reuses them on every later one
+            # one made directly from the basis builds its integer rows on
+            # the first echelon(); `built` holds the ones Echelon handed over,
+            # and both must extend alike
             bare = Subspace(n, built.basis, built.pivots)
             more = rand_rows(n, density, rng.randint(0, 3))
             for space in (built, bare):

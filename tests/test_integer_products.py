@@ -1,7 +1,8 @@
 """The integer product kernels against the plain Fraction arithmetic.
 
 `LieAlgebra` keeps its structure constants as integers over one common
-denominator, `Mat` multiplies through an integer view, and elimination
+denominator, a `Mat` is an integer view that every operation builds
+directly, `matrix_of` and `ad` work on integer rows, and elimination
 takes integer rows and reads null spaces off integer reduced rows; all
 must give exactly what entry-by-entry Fraction arithmetic gives, as
 Fractions.  The reference functions below are that arithmetic, written
@@ -512,3 +513,184 @@ def test_bracket_span_matches_fraction_brackets_seeded():
                 assert alg.bracket_span(x, y) == want
         full = Subspace.full(n)
         assert alg.bracket_span(full, full) == alg.derived_subalgebra()
+
+
+# ---------------------------------------------------------------------------
+# the integer Mat against Fraction entries, and matrix_of and ad on top
+
+def rand_rows(rng, rows, cols):
+    """Fraction rows: all zero now and then, else sparse with negative
+    entries and mixed denominators."""
+    if rng.random() < 0.15:
+        return [[F(0)] * cols for _ in range(rows)]
+    return [
+        [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+         if rng.random() < 0.6 else F(0) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def rows_of(m):
+    return [exact(row) for row in m.entries]
+
+
+def test_mat_operations_match_fraction_entries_seeded():
+    rng = random.Random(5171)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(30)]
+    for r, c in shapes:
+        k = rng.randint(0, 4)
+        a_rows, b_rows = rand_rows(rng, r, c), rand_rows(rng, r, c)
+        c_rows = rand_rows(rng, c, k)
+        a, b = Mat(a_rows, cols=c), Mat(b_rows, cols=c)
+        assert (a.rows, a.cols) == (r, c)
+        assert rows_of(a) == a_rows
+        product = a @ Mat(c_rows, cols=k)
+        assert (product.rows, product.cols) == (r, k)
+        assert rows_of(product) == [list(row) for row in ref_matmul(a_rows, c_rows, k)]
+        assert rows_of(a + b) == [[x + y for x, y in zip(u, v)] for u, v in zip(a_rows, b_rows)]
+        assert rows_of(a - b) == [[x - y for x, y in zip(u, v)] for u, v in zip(a_rows, b_rows)]
+        assert rows_of(-a) == [[-x for x in u] for u in a_rows]
+        for f in (F(0), 0, F(-3, 4), F(5), -1, F(2, 7)):
+            assert rows_of(a.scale(f)) == [[f * x for x in u] for u in a_rows]
+        t = a.transpose()
+        assert (t.rows, t.cols) == (c, r)
+        assert rows_of(t) == [[a_rows[i][j] for i in range(r)] for j in range(c)]
+        if r == c:
+            assert a.trace() == sum((a_rows[i][i] for i in range(r)), F(0))
+        assert a.is_zero() == (not any(x for u in a_rows for x in u))
+        assert rows_of(Mat.zeros(r, c)) == [[F(0)] * c for _ in range(r)]
+        assert rows_of(Mat.identity(c)) == [
+            [F(int(i == j)) for j in range(c)] for i in range(c)
+        ]
+        assert Mat.identity(c).trace() == c
+
+
+def test_mat_equality_and_hash_follow_fraction_entries_seeded():
+    rng = random.Random(8837)
+    for _ in range(40):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        a_rows, b_rows = rand_rows(rng, r, k), rand_rows(rng, k, c)
+        a, b = Mat(a_rows, cols=k), Mat(b_rows, cols=c)
+        want = [list(row) for row in ref_matmul(a_rows, b_rows, c)]
+        p = a @ b
+        routes = [
+            Mat(p.entries, cols=c),
+            Mat(want, cols=c),
+            Mat([[x.numerator if x.denominator == 1 else x for x in row]
+                 for row in want], cols=c),
+            p.transpose().transpose(),
+            -(-p),
+            a.scale(2) @ b.scale(F(1, 2)),
+            p + Mat.zeros(r, c),
+            p - Mat.zeros(r, c),
+            p.scale(F(-2, 3)).scale(F(-3, 2)),
+        ]
+        for m in routes:
+            assert rows_of(m) == want
+            assert m == p and hash(m) == hash(p)
+        # a different Fraction entry gives a different matrix
+        if r and c:
+            i, j = rng.randrange(r), rng.randrange(c)
+            moved = [list(row) for row in want]
+            moved[i][j] += F(1, rng.choice((1, 2, 5)))
+            assert Mat(moved, cols=c) != p
+        zero = p - p
+        assert zero == Mat.zeros(r, c) == p.scale(0)
+        assert hash(zero) == hash(Mat.zeros(r, c))
+    assert Mat([], cols=3) != Mat([], cols=2)
+    assert Mat([[], [], []], cols=0) != Mat([[], []], cols=0)
+
+
+def ref_matrix_of(space, f):
+    """The matrix of f on space by Fraction arithmetic: the coordinates
+    of f(b) are its entries at the pivots, checked by recombining."""
+    cols = []
+    for b in space.basis:
+        image = list(f(b))
+        coords = [image[p] for p in space.pivots]
+        back = [
+            sum((x * row[j] for x, row in zip(coords, space.basis)), F(0))
+            for j in range(space.ambient_dim)
+        ]
+        if back != image:
+            return None
+        cols.append(coords)
+    return [[col[i] for col in cols] for i in range(space.dim)]
+
+
+def check_matrix_of(space, m, f):
+    """matrix_of(m) against the reference for f; True when invariant."""
+    want = ref_matrix_of(space, f)
+    got = space.matrix_of(m)
+    if want is None:
+        assert got is None
+        return False
+    assert (got.rows, got.cols) == (space.dim, space.dim)
+    assert rows_of(got) == want
+    return True
+
+
+def test_ad_and_its_matrix_on_subspaces_match_fraction_brackets_seeded():
+    rng = random.Random(4409)
+    outcomes = []
+    for n, pairs in algebras(rng):
+        alg = LieAlgebra(n, pairs)
+        t = ref_tensor(n, pairs)
+        full = Subspace.full(n)
+        derived = alg.derived_subalgebra()
+        for x in vectors(rng, n):
+            ad = alg.ad(x)
+            assert rows_of(ad) == [
+                [ref_bracket(t, x, e)[i] for e in full.basis] for i in range(n)
+            ]
+            # ideals are invariant under every ad x; random lines and
+            # planes mostly are not
+            spaces = [full, derived, Subspace.zero(n)]
+            spaces += [Subspace.span(n, [rand_vector(rng, n)
+                                         for _ in range(rng.randint(1, 2))])
+                       for _ in range(2)]
+            for space in spaces:
+                outcomes.append(
+                    check_matrix_of(space, ad, lambda v: ref_bracket(t, x, v))
+                )
+            for space in spaces[:3]:
+                assert space.matrix_of(ad) is not None
+    assert outcomes.count(False) >= 20
+
+
+def test_matrix_of_a_matrix_matches_fraction_arithmetic_seeded():
+    rng = random.Random(1597)
+    outcomes = []
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        m_rows = rand_rows(rng, n, n)
+        m = Mat(m_rows, cols=n)
+        v = rand_vector(rng, n)
+        # invariant: ker m, ker (m - 1/2), the span of v, m v, m^2 v, ...
+        krylov = [v]
+        for _ in range(n):
+            krylov.append(m.apply(krylov[-1]))
+        invariant = [
+            kernel(m),
+            kernel(m - Mat.identity(n).scale(F(1, 2))),
+            Subspace.span(n, krylov),
+            Subspace.full(n),
+        ]
+        others = [Subspace.span(n, [rand_vector(rng, n)]) for _ in range(2)]
+        for space in invariant + others:
+            ok = check_matrix_of(space, m, lambda u: ref_apply(m_rows, u))
+            assert ok or space in others
+            outcomes.append(ok)
+        # W W^T R + 1/3 maps Q^n into W plus the identity, so it preserves
+        # W; W's echelon rows have pivot entries of different sizes
+        w = Subspace.span(n, [rand_vector(rng, n) for _ in range(rng.randint(1, 3))])
+        w_rows = [[b[i] for b in w.basis] for i in range(n)]
+        r_rows = rand_rows(rng, w.dim, n)
+        wr_rows = [list(row) for row in ref_matmul(w_rows, r_rows, n)]
+        for i in range(n):
+            wr_rows[i][i] += F(1, 3)
+        assert check_matrix_of(w, Mat(wr_rows, cols=n), lambda u: ref_apply(wr_rows, u))
+        with pytest.raises(ValueError):
+            Subspace.full(n + 1).matrix_of(m)
+    assert outcomes.count(False) >= 10

@@ -198,8 +198,10 @@ def grading_involution(n, p_indices):
 
 
 class TestAutomorphismOnGenerators:
-    """`is_automorphism` brackets generators() against every basis vector
-    only; its verdict must be the one every basis pair gives."""
+    """`is_automorphism` compares every basis pair i < j in integers; its
+    verdict must be the one the reference over every pair gives.  The
+    cases date from when only generators() were bracketed with every
+    basis vector, so several maps break a bracket off the generators."""
 
     def test_grading_involutions_of_the_catalog_are_accepted(self):
         rng = random.Random(7301)

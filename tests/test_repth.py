@@ -454,14 +454,15 @@ class TestSpinAndFaithful:
                 builders.append(self)
 
         applies = []
-        original = Mat.apply
+        original = Mat._integer_apply
 
         def apply(m, u):
             applies.append(any(len(e.rows) == e.width for e in builders))
             return original(m, u)
 
         monkeypatch.setattr(repth, "Echelon", Watched)
-        monkeypatch.setattr(Mat, "apply", apply)
+        # spin applies each matrix to its integer rows through this entry
+        monkeypatch.setattr(Mat, "_integer_apply", apply)
         for d in (3, 4, 5):
             _, v = so_algebra_and_rep(d)
             builders.clear()
