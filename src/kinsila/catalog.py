@@ -147,7 +147,7 @@ def _realization(family: str, d: int) -> Tuple[List[Mat], int]:
 
 
 def _flatten(m: Mat) -> tuple:
-    return tuple(m.entries[i][j] for i in range(m.rows) for j in range(m.cols))
+    return tuple(x for row in m.entries for x in row)
 
 
 @lru_cache(maxsize=None)

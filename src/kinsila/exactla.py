@@ -9,13 +9,13 @@ denominator and the nonzero entries of each row scaled by it: products,
 sums and `apply` accumulate in ints and build the next view directly,
 and the Fraction entries are built lazily, only at the boundary
 (reports, fault payloads, `m[i, j]`).  `Echelon` eliminates on integer
-rows and builds Fractions only once, for the canonical reduced echelon
-basis of the Subspace it returns, which also keeps those integer rows.
-Kernels and ranks feed it the integer view of their matrix, systems
-that callers build in integers (`repth.hom_space`,
+rows, and a `Subspace` is its integer reduced echelon rows: spans,
+sums, intersections, embeddings, containment and `matrix_of` work on
+them, and its Fraction `basis` is likewise built lazily, on first read.
+Kernels and ranks feed `Echelon` the integer view of their matrix,
+systems that callers build in integers (`repth.hom_space`,
 `LieAlgebra.bracket_span`) reach it without any Fraction, and null
-spaces and solutions are read off its integer reduced rows.
-`Subspace.matrix_of` takes a `Mat` and restricts it in integers.
+spaces, inverses and solutions are read off its integer reduced rows.
 Nothing here rounds, samples, or depends on floating point.
 """
 
@@ -338,6 +338,14 @@ def _sparse(ints) -> tuple:
     return tuple([(j, x) for j, x in enumerate(ints) if x])
 
 
+def _dense(pairs, width: int) -> list:
+    """The int list of length width with these (column, entry) pairs."""
+    w = [0] * width
+    for j, x in pairs:
+        w[j] = x
+    return w
+
+
 def _integer_mat(cols: int, den: int, rows: tuple) -> Mat:
     """The Mat whose integer view is (den, rows) once den and the entries
     are divided by their gcd; every integer result is built here."""
@@ -378,9 +386,10 @@ def _fractions(ints, den: int) -> tuple:
 class Echelon:
     """Incremental fraction-free row echelon form over Q.
 
-    Rows go in one at a time through `add`, which scales each to integers
-    by the lcm of its denominators, or through `add_integer`, for a row a
-    caller has built in integers and which meets no Fraction on the way.
+    Rows go in one at a time through `add`, which scales a Fraction row
+    to integers by the lcm of its denominators, or through `add_integer`,
+    for a row a caller has built in integers and which meets no Fraction
+    on the way.
     Each is reduced against the rows already stored and kept only when it
     is independent of them.  A stored row is a
     primitive integer tuple (its entries have gcd 1) with a positive
@@ -393,12 +402,12 @@ class Echelon:
     a step that scaled w (a/g != 1) then divides w by the gcd of its
     entries, so residuals keep the size of the stored rows rather than
     swelling step by step.  `reduced_rows` back-substitutes
-    in integers to the unique reduced echelon form of the row span;
-    `subspace` divides those rows by their pivot entries and is the one
-    place that builds Fractions, once per nonzero entry of the basis,
-    which is what makes Subspace comparison a plain tuple comparison.
-    Null spaces and solutions are read off the integer reduced rows.
-    Every elimination in the package runs here.
+    in integers to the unique reduced echelon form of the row span, with
+    each row primitive and its pivot entry positive; `subspace` hands
+    those rows to a Subspace as they are, which is what makes Subspace
+    comparison a plain comparison of integer tuples.  Null spaces,
+    inverses and solutions are read off the integer reduced rows.  Every
+    elimination in the package runs here.
     """
 
     __slots__ = ("width", "rows", "pivots", "support")
@@ -487,42 +496,36 @@ class Echelon:
         return done.rows[::-1], done.pivots[::-1]
 
     def subspace(self) -> "Subspace":
-        """The row span as a Subspace: each reduced row divided by its
-        pivot entry into exact Fractions.  The primitive reduced rows are
-        the Subspace's integer echelon rows (each basis row times the lcm
-        of its denominators, which is its pivot entry)."""
+        """The row span as a Subspace, which takes the primitive reduced
+        rows as they are; no Fraction is built."""
         rows, pivots = self.reduced_rows()
-        return Subspace(
-            self.width,
-            tuple(_fractions(row, row[p]) for row, p in zip(rows, pivots)),
-            tuple(pivots),
-            (tuple(rows), tuple(
-                tuple([j for j in range(p + 1, self.width) if row[j]])
-                for row, p in zip(rows, pivots)
-            )),
-        )
+        return Subspace(self.width, tuple(rows), tuple(pivots))
 
 
 class Subspace:
-    """A linear subspace stored as its unique reduced-echelon basis.
+    """A linear subspace stored as its integer reduced echelon rows.
 
-    Two Subspace objects are equal exactly when they are the same
-    subspace of the same ambient space; no tolerance is involved.  The
-    basis entries are exact Fractions.  The `Echelon` rows of the basis
-    (each basis row times the lcm of its denominators, which is primitive
-    with a positive pivot entry) and their `support` are kept in a private
-    slot: `Echelon.subspace` hands over its own, and any other subspace
-    builds them on its first `echelon()`.
+    `rows` are the primitive integer rows of the unique reduced echelon
+    basis (each basis vector times the lcm of its denominators, which is
+    its pivot entry), as `Echelon.reduced_rows` returns them, and
+    `pivots` their pivot columns.  Two Subspace objects are equal exactly
+    when they are the same subspace of the same ambient space, and `==`,
+    `hash`, `dim`, spans, sums, intersections and containment all read
+    those rows; no tolerance is involved.  `basis`, the reduced echelon
+    basis in exact Fractions, is the boundary for reports and callers
+    outside the package: it is built on first read and kept.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_integer")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_support", "_basis")
 
-    def __init__(self, ambient_dim, basis, pivots, integer=None):
+    def __init__(self, ambient_dim: int, rows: tuple, pivots: tuple):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-        if integer is not None:
-            object.__setattr__(self, "_integer", integer)
+        object.__setattr__(self, "_support", tuple(
+            tuple([j for j in range(p + 1, ambient_dim) if row[j]])
+            for row, p in zip(rows, pivots)
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -543,32 +546,47 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span(ambient_dim, [unit_vec(ambient_dim, i) for i in range(ambient_dim)])
+        n = ambient_dim
+        rows = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+        return Subspace(n, rows, tuple(range(n)))
+
+    @property
+    def basis(self) -> tuple:
+        """The reduced echelon basis in exact Fractions, built on first
+        read: each integer row divided by its pivot entry."""
+        try:
+            return self._basis
+        except AttributeError:
+            basis = tuple(_fractions(row, row[p]) for row, p in zip(self.rows, self.pivots))
+            object.__setattr__(self, "_basis", basis)
+            return basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.pivots
 
     def is_full(self) -> bool:
-        return len(self.basis) == self.ambient_dim
+        return len(self.pivots) == self.ambient_dim
 
     def echelon(self) -> Echelon:
-        """A builder holding this basis, ready to take more rows."""
+        """A builder holding the integer rows, ready to take more."""
         ech = Echelon(self.ambient_dim)
-        try:
-            rows, support = self._integer
-        except AttributeError:
-            for b in self.basis:
-                ech._store(_integer_row(b)[1])
-            object.__setattr__(self, "_integer", (tuple(ech.rows), tuple(ech.support)))
-            return ech
-        ech.rows += rows
+        ech.rows += self.rows
         ech.pivots += self.pivots
-        ech.support += support
+        ech.support += self._support
         return ech
+
+    def basis_mat(self) -> Mat:
+        """The basis as the rows of a Mat, built in integers: its view is
+        the lcm L of the pivot entries and the rows scaled to L times the
+        basis vectors."""
+        lcm = math.lcm(*[row[p] for row, p in zip(self.rows, self.pivots)])
+        return _integer_mat(self.ambient_dim, lcm, tuple(
+            _sparse([x * (lcm // row[p]) for x in row]) for row, p in zip(self.rows, self.pivots)
+        ))
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
@@ -600,6 +618,28 @@ class Subspace:
                         v[j] += c * x
         return tuple(v)
 
+    def embed(self, sub: "Subspace") -> "Subspace":
+        """`sub`, a subspace of the coordinate space of this basis, as a
+        subspace of the ambient space: the span of the vectors whose
+        coefficients are sub's rows, combined in integers."""
+        if sub.ambient_dim != self.dim:
+            raise ValueError("need one coordinate per basis vector")
+        return self._image(sub.rows)
+
+    def _image(self, coord_rows: Iterable[Sequence]) -> "Subspace":
+        """The span of the vectors with these integer coefficients in
+        this basis."""
+        scaled = self.basis_mat()._integer[1]
+        ech = Echelon(self.ambient_dim)
+        for coords in coord_rows:
+            w = [0] * self.ambient_dim
+            for c, row in zip(coords, scaled):
+                if c:
+                    for j, x in row:
+                        w[j] += c * x
+            ech.add_integer(w)
+        return ech.subspace()
+
     def matrix_of(self, m: Mat) -> Optional[Mat]:
         """Matrix, in this basis, of the linear map m (a square Mat in
         ambient coordinates) that preserves the subspace; None when m
@@ -630,42 +670,44 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         ech = self.echelon()
-        return not any(any(ech.residual(v)) for v in other.basis)
+        return not any(any(ech._reduce(list(row))) for row in other.rows)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         ech = self.echelon()
-        for v in other.basis:
-            ech.add(v)
+        for row in other.rows:
+            ech.add_integer(list(row))
         return ech.subspace()
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of [U^T | -W^T]."""
+        """Intersection via the kernel of [U^T | -W^T], U and W the two
+        bases over their denominators; the U half of each solution holds
+        coefficients in this basis."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim)
         du, dw = self.dim, other.dim
-        rows = []
-        for i in range(self.ambient_dim):
-            row = [self.basis[a][i] for a in range(du)]
-            row += [-other.basis[b][i] for b in range(dw)]
-            rows.append(row)
-        combos = kernel(Mat(rows, cols=du + dw))
-        return Subspace.span(
-            self.ambient_dim, [self.vector(c[:du]) for c in combos.basis]
-        )
+        eqs = [[] for _ in range(self.ambient_dim)]
+        for a, row in enumerate(self.basis_mat()._integer[1]):
+            for j, x in row:
+                eqs[j].append((a, x))
+        for b, row in enumerate(other.basis_mat()._integer[1]):
+            for j, x in row:
+                eqs[j].append((du + b, -x))
+        combos = _integer_kernel(du + dw, eqs)
+        return self._image(row[:du] for row in combos.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -700,10 +742,7 @@ def _integer_echelon(width: int, rows: Iterable[Sequence]) -> Echelon:
     pairs of its nonzero entries, as in `Mat._integer_rows`."""
     ech = Echelon(width)
     for row in rows:
-        w = [0] * width
-        for j, x in row:
-            w[j] = x
-        ech.add_integer(w)
+        ech.add_integer(_dense(row, width))
     return ech
 
 
@@ -749,10 +788,16 @@ def solve(m: Mat, b: Sequence) -> Optional[SolveResult]:
     # [T | w] of m = T / den and b = w / db, over their common denominator
     lcm = math.lcm(den, db)
     fm, fb = lcm // den, lcm // db
-    reduced, pivots = _integer_echelon(n + 1, (
+    return _solve(n, (
         [(j, fm * x) for j, x in row] + ([(n, fb * y)] if y else [])
         for row, y in zip(rows, w)
-    )).reduced_rows()
+    ))
+
+
+def _solve(n: int, rows: Iterable[Sequence]) -> Optional[SolveResult]:
+    """`solve` for the system whose augmented matrix [T | w] is given as
+    sparse integer rows, as in `Mat._integer_rows`, of width n + 1."""
+    reduced, pivots = _integer_echelon(n + 1, rows).reduced_rows()
     if n in pivots:
         return None
     x = list(zero_vec(n))
@@ -763,14 +808,22 @@ def solve(m: Mat, b: Sequence) -> Optional[SolveResult]:
 
 
 def inverse(m: Mat) -> Mat:
+    """m^-1 for m = T / den: [T | I] reduces to the rows h_i [e_i | row i
+    of T^-1], and m^-1 = den T^-1, all in integers."""
     if not m.is_square():
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    augmented = [row + unit_vec(n, i) for i, row in enumerate(m.entries)]
-    reduced = Echelon(2 * n, augmented).subspace()
-    if reduced.pivots != tuple(range(n)):
+    den, rows = m._integer
+    reduced, pivots = _integer_echelon(
+        2 * n, (row + ((n + i, 1),) for i, row in enumerate(rows))
+    ).reduced_rows()
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat([row[n:] for row in reduced.basis], cols=n)
+    lcm = math.lcm(*[row[i] for i, row in enumerate(reduced)])
+    return _integer_mat(n, lcm, tuple(
+        _sparse([den * (lcm // row[i]) * x for x in row[n:]])
+        for i, row in enumerate(reduced)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ from .errors import (
 from .exactla import (
     _ONE,
     _ZERO,
+    _dense,
+    _integer_echelon,
+    _integer_mat,
+    _sparse,
     Mat,
     Subspace,
     is_nilpotent,
@@ -280,12 +284,16 @@ def validate(
     ok(2)
 
     # 3: the central line commutes with s
-    if any(any(algebra.bracket(z0, x)) for x in s_space.basis):
+    (z_row,) = z_space.rows
+    if any(any(algebra._integer_bracket(z_row, x)) for x in s_space.rows):
         fail(3, "the central line does not commute with the rotation subalgebra")
     ok(3)
 
     # 4: P is an s-module
-    p_mats = [p_space.matrix_of(algebra.ad(x)) for x in s_space.basis]
+    p_mats = [
+        p_space.matrix_of(algebra._integer_ad(x, x[p]))
+        for x, p in zip(s_space.rows, s_space.pivots)
+    ]
     if None in p_mats:
         fail(4, "the bracket of a rotation with a momentum leaves the momentum space")
     ok(4)
@@ -374,10 +382,13 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
     """
     alg = structure.algebra
     zi = structure.z_indices[0]
-    momenta = structure.p_space.basis
+    # omega = [x, y] at Z over D L^2, with x, y the momenta basis times L
+    den, momenta = structure.p_space.basis_mat()._integer
+    momenta = [_dense(x, alg.dim) for x in momenta]
     dp = len(momenta)
-    rows = [[alg.bracket(x, y)[zi] for y in momenta] for x in momenta]
-    omega = Mat(rows, cols=dp)
+    omega = _integer_mat(dp, alg._den * den * den, tuple(
+        _sparse([alg._integer_bracket(x, y)[zi] for y in momenta]) for x in momenta
+    ))
     if omega.transpose() != -omega:
         raise InternalFault("central two-form is not antisymmetric",
                             {"omega": omega.entries})
@@ -412,14 +423,13 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
         case = "module"
 
     # brackets of radical vectors with momenta stay inside the rotations
-    for r in rad.basis:
-        amb_r = structure.p_space.vector(r)
+    rotations = structure.s_space.echelon()
+    for r in structure.p_space.embed(rad).rows:
         for y in momenta:
-            w = alg.bracket(amb_r, y)
-            if not structure.s_space.contains(w):
+            if any(rotations._reduce(alg._integer_bracket(r, y))):
                 raise InternalFault(
                     "bracket of a radical vector with momenta leaves the rotations",
-                    {"radical_vector": r},
+                    {"radical_basis": rad.basis},
                 )
     return SymplecticData(omega=omega, radical=rad, radical_case=case)
 
@@ -496,21 +506,23 @@ def _lagrangian_pair(
     omega: Mat, first: Subspace, second: Subspace
 ) -> Tuple[bool, bool]:
     """Whether omega vanishes on each of the two subspaces of P, and
-    whether it pairs them with rank half of dim P."""
+    whether it pairs them with rank half of dim P.
+
+    The form is taken on the integer rows of the two subspaces: scaling
+    a vector changes neither a zero nor a rank."""
 
     def form(x, y):
-        return sum((c * d for c, d in zip(omega.apply(x), y)), _ZERO)
+        return sum(c * d for c, d in zip(omega._integer_apply(x), y))
 
     lagrangian = all(
         not form(x, y)
         for space in (first, second)
-        for x in space.basis
-        for y in space.basis
+        for x in space.rows
+        for y in space.rows
     )
-    pairing = Mat(
-        [[form(x, y) for y in second.basis] for x in first.basis],
-        cols=second.dim,
-    )
+    pairing = _integer_mat(second.dim, 1, tuple(
+        _sparse([form(x, y) for y in second.rows]) for x in first.rows
+    ))
     return lagrangian, rank(pairing) == omega.rows // 2
 
 
@@ -531,7 +543,8 @@ def kahler_split(
     a = zdata.a_matrix
     dp = a.rows
     a2 = a @ a
-    mu = a2[0, 0]
+    # the trace over dp is the scalar when a2 is one, which is checked next
+    mu = a2.trace() / dp
     if a2 != Mat.identity(dp).scale(mu):
         raise InternalFault(
             "square of the semisimple central action is not scalar",
@@ -564,21 +577,16 @@ def kahler_split(
     lneg = kernel(a + ident.scale(root))
     checks = {}
     checks["half-dimensions"] = lpos.dim == dp // 2 and lneg.dim == dp // 2
-    stable = True
-    for m in list(structure.p_rep.mats) + [a]:
-        for space in (lpos, lneg):
-            for b in space.basis:
-                if not space.contains(m.apply(b)):
-                    stable = False
-    checks["stable-under-fixed-part"] = stable
-    abelian = True
-    for space in (lpos, lneg):
-        amb = [structure.p_space.vector(b) for b in space.basis]
-        for x in amb:
-            for y in amb:
-                if any(structure.algebra.bracket(x, y)):
-                    abelian = False
-    checks["eigenspaces-abelian"] = abelian
+    checks["stable-under-fixed-part"] = all(
+        space.matrix_of(m) is not None
+        for m in list(structure.p_rep.mats) + [a]
+        for space in (lpos, lneg)
+    )
+    g_plus = structure.p_space.embed(lpos)
+    g_minus = structure.p_space.embed(lneg)
+    checks["eigenspaces-abelian"] = all(
+        structure.algebra.is_abelian_space(g) for g in (g_plus, g_minus)
+    )
     lagrangian, pairing_ok = _lagrangian_pair(sym.omega, lpos, lneg)
     checks["eigenspaces-lagrangian"] = lagrangian
     checks["duality-pairing-full-rank"] = pairing_ok
@@ -588,8 +596,6 @@ def kahler_split(
             {"checks": checks},
         )
     n = structure.algebra.dim
-    g_plus = Subspace.span(n, [structure.p_space.vector(b) for b in lpos.basis])
-    g_minus = Subspace.span(n, [structure.p_space.vector(b) for b in lneg.basis])
     g_zero = structure.z_space.sum_with(structure.s_space)
     grading = {"-1": g_minus, "0": g_zero, "1": g_plus}
     # re-verify the three-step grading on the recorded subspaces
@@ -719,9 +725,10 @@ def poincare_certificate(
         amap_ok = False
         if dims_ok:
             a = zdata.a_matrix
-            images = [a.apply(b) for b in pl.basis]
-            inside = all(pr.contains(w) for w in images)
-            full = Subspace.span(dp, images).dim == half
+            images = [a._integer_apply(b) for b in pl.rows]
+            full = len(_integer_echelon(dp, map(_sparse, images)).rows) == half
+            target = pr.echelon()
+            inside = not any(any(target._reduce(w)) for w in images)
             intertwines = all(
                 (a @ m) == (m @ a) for m in structure.p_rep.mats
             )
@@ -749,17 +756,17 @@ def poincare_certificate(
 
 
 def _to_p_subspace(structure: KinStructure, ambient: Subspace) -> Subspace:
-    dp = len(structure.p_indices)
-    vectors = []
-    for b in ambient.basis:
-        coords = structure.p_space.coordinates_of(b)
-        if coords is None:
-            raise InternalFault(
-                "claimed momentum subspace leaves the momentum space",
-                {"vector": b},
-            )
-        vectors.append(coords)
-    return Subspace.span(dp, vectors)
+    """`ambient`, inside P, in P coordinates: the coordinates of a vector
+    in P's reduced echelon basis are its entries at P's pivots."""
+    p_space = structure.p_space
+    if not p_space.contains_space(ambient):
+        raise InternalFault(
+            "claimed momentum subspace leaves the momentum space",
+            {"basis": ambient.basis},
+        )
+    return _integer_echelon(p_space.dim, (
+        _sparse([row[p] for p in p_space.pivots]) for row in ambient.rows
+    )).subspace()
 
 
 # ---------------------------------------------------------------------------
@@ -878,17 +885,18 @@ def _heisenberg_certificates(
     alg = structure.algebra
     n = alg.dim
     rad = sym.radical
-    rad_ambient = Subspace.span(n, [structure.p_space.vector(b) for b in rad.basis])
+    rad_ambient = structure.p_space.embed(rad)
     comp = invariant_complement(structure.p_rep, rad)
-    comp_ambient = Subspace.span(n, [structure.p_space.vector(b) for b in comp.basis])
+    comp_ambient = structure.p_space.embed(comp)
     ww = alg.bracket_span(comp_ambient, comp_ambient)
     if ww != structure.z_space:
         raise InternalFault(
             "complement brackets do not span exactly the central line",
             {"ww_dim": ww.dim},
         )
-    for y in structure.p_space.basis:
-        if any(alg.bracket(structure.z0, y)):
+    (z_row,) = structure.z_space.rows
+    for y in structure.p_space.rows:
+        if any(alg._integer_bracket(z_row, y)):
             raise InternalFault(
                 "central element acts on momenta in the degenerate-summand case",
                 {},

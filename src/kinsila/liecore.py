@@ -6,22 +6,31 @@ construction time, so an instance that exists is a Lie algebra.
 
 The structure constants are held once, as a sparse table of integer
 rows over one common denominator (as structure-constant tables are in
-de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Brackets, the
-Jacobi check and the Killing form accumulate in integers and build an
-exact Fraction once per nonzero entry of what they return; `ad` and
-the Killing form are `Mat`s built from that table without any.
+de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Every product
+inside the package is `_integer_bracket`, which brackets integer
+vectors such as a `Subspace`'s echelon rows; `bracket` is the Fraction
+boundary over it, for callers outside, and builds an exact Fraction
+once per nonzero entry of what it returns.  `ad`, the Killing form,
+centralizers and Levi complements are built from that table and from
+integer rows without any Fraction; a restriction builds one per nonzero
+structure constant of the subalgebra, for its constructor.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
     _ZERO,
+    _dense,
     _fractions,
+    _integer_echelon,
+    _integer_kernel,
     _integer_mat,
     _integer_row,
+    _solve,
     _sparse,
     Echelon,
     Mat,
@@ -30,9 +39,7 @@ from .exactla import (
     kernel,
     q,
     rank,
-    solve,
     unit_vec,
-    vadd,
 )
 
 
@@ -150,6 +157,11 @@ class LieAlgebra:
         if len(x) != n:
             raise ValueError("vector length does not match dimension")
         dx, xs = _integer_row(x)
+        return self._integer_ad(xs, dx)
+
+    def _integer_ad(self, xs, dx: int) -> Mat:
+        """ad x for x = xs / dx, xs an integer vector."""
+        n = self.dim
         # column j is D [x, e_j]
         acc = [[0] * n for _ in range(n)]
         for a, si in zip(xs, self._struct):
@@ -213,9 +225,9 @@ class LieAlgebra:
 
     def derived_subalgebra(self) -> Subspace:
         if self._derived is None:
-            vectors = [self.structure_constant(i, j)
-                       for i in range(self.dim) for j in self._struct[i] if j > i]
-            self._derived = Subspace.span(self.dim, vectors)
+            self._derived = _integer_echelon(self.dim, (
+                row for i, si in enumerate(self._struct) for j, row in si.items() if j > i
+            )).subspace()
         return self._derived
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
@@ -231,21 +243,19 @@ class LieAlgebra:
         return span.subspace()
 
     def centralizer(self, of: Subspace, within: Optional[Subspace] = None) -> Subspace:
-        """{x in `within` : [x, v] = 0 for all v in `of`}."""
+        """{x in `within` : [x, v] = 0 for all v in `of`}, solved in
+        integers for the coefficients in the basis of `within`."""
         if within is None:
             within = Subspace.full(self.dim)
-        gens = within.basis
-        if not gens:
-            return Subspace.zero(self.dim)
-        if of.is_zero():
+        if within.is_zero() or of.is_zero():
             return within
+        gens = [_dense(row, self.dim) for row in within.basis_mat()._integer[1]]
         rows = []
-        columns = [[self.bracket(g, v) for g in gens] for v in of.basis]
-        for block in columns:
+        for v in of.rows:
+            block = [self._integer_bracket(g, v) for g in gens]
             for m in range(self.dim):
-                rows.append([block[a][m] for a in range(len(gens))])
-        combos = kernel(Mat(rows, cols=len(gens)))
-        return Subspace.span(self.dim, [within.vector(c) for c in combos.basis])
+                rows.append(_sparse([b[m] for b in block]))
+        return within.embed(_integer_kernel(len(gens), rows))
 
     # -- predicates on subspaces -----------------------------------------
     def is_subalgebra(self, space: Subspace) -> bool:
@@ -284,8 +294,9 @@ class LieAlgebra:
                 rad = Subspace.full(self.dim)
             else:
                 killing = self.killing_form()
-                rows = [killing.apply(d) for d in derived.basis]
-                rad = kernel(Mat(rows, cols=self.dim))
+                rad = _integer_kernel(self.dim, (
+                    _sparse(killing._integer_apply(d)) for d in derived.rows
+                ))
             # kept, printed in the report (radical-abelian gives its dimension)
             if not self.is_ideal(rad):
                 raise InternalFault(
@@ -339,18 +350,22 @@ class LieAlgebra:
     # -- subalgebras -----------------------------------------------------------
     def restrict(self, space: Subspace) -> "LieAlgebra":
         """Subalgebra on the echelon basis of `space`; ValueError when a
-        bracket of two basis vectors leaves `space`."""
+        bracket of two basis vectors leaves `space`.  For the basis over
+        one denominator L, D L^2 [b_a, b_b] is an integer bracket, and its
+        coordinates are its entries at the pivots."""
         k = space.dim
+        den, scaled = space.basis_mat()._integer
+        scaled = [_dense(row, self.dim) for row in scaled]
+        ech = space.echelon()
         pairs = {}
         for a in range(k):
             for b in range(a + 1, k):
-                coords = space.coordinates_of(
-                    self.bracket(space.basis[a], space.basis[b])
-                )
-                if coords is None:
+                w = self._integer_bracket(scaled[a], scaled[b])
+                coords = [w[p] for p in space.pivots]
+                if any(ech._reduce(w)):
                     raise ValueError("restriction to a non-subalgebra")
                 if any(coords):
-                    pairs[(a, b)] = coords
+                    pairs[(a, b)] = _fractions(coords, self._den * den * den)
         return LieAlgebra(k, pairs)
 
     # -- Levi complement --------------------------------------------------
@@ -407,14 +422,17 @@ class LieAlgebra:
         cm = contain.intersect(gminus)
         if cp.dim + cm.dim != contain.dim:
             raise ValueError("contain is not spanned by sigma eigenvectors")
+        # complement basis as integer rows, with eigenvalue tags and pinned flags
         wdata = []
         for part, radpart, eps in ((cp, radp, 1), (cm, radm, -1)):
-            for c in part.basis:
+            for c in part.rows:
                 wdata.append((c, eps, True))
-            cur = Echelon(n, part.basis + radpart.basis)
+            cur = part.echelon()
+            for r in radpart.rows:
+                cur.add_integer(list(r))
             side = gplus if eps == 1 else gminus
-            for v in side.basis:
-                if cur.add(v) is not None:
+            for v in side.rows:
+                if cur.add_integer(list(v)) is not None:
                     wdata.append((v, eps, False))
 
         k = len(wdata)
@@ -425,21 +443,24 @@ class LieAlgebra:
                 {"expected": n - d, "got": k},
             )
         wvecs = [w for (w, _, _) in wdata]
+        heads = [row[p] for row, p in zip(rad.rows, rad.pivots)]
 
-        # coordinates relative to (complement | radical)
-        m = Mat.from_cols(
-            [list(w) for w in wvecs] + [list(b) for b in rad.basis],
-            rows=n,
-        )
-        minv = inverse(m)
+        # coordinates relative to the columns (complement | radical rows),
+        # c / (den D) = M^-1 [w_a, w_b]; the radical part is rescaled to the
+        # radical's basis b_s = R_s / h_s, in which the unknowns are taken
+        cols = wvecs + list(rad.rows)
+        minv = inverse(_integer_mat(n, 1, tuple(
+            _sparse([col[i] for col in cols]) for i in range(n)
+        )))
+        cden = minv._integer[0] * self._den
         struct = {}
         for a in range(k):
             for b in range(a + 1, k):
-                coords = minv.apply(self.bracket(wvecs[a], wvecs[b]))
-                struct[(a, b)] = (coords[:k], coords[k:])
+                c = minv._integer_apply(self._integer_bracket(wvecs[a], wvecs[b]))
+                struct[(a, b)] = (c[:k], [x * h for x, h in zip(c[k:], heads)])
 
         # action of each complement vector on the radical, rad coordinates
-        pmats = [rad.matrix_of(self.ad(w)) for w in wvecs]
+        pmats = [rad.matrix_of(self._integer_ad(w, 1)) for w in wvecs]
         if None in pmats:
             raise InternalFault(
                 "radical escaped under bracket with complement",
@@ -450,81 +471,81 @@ class LieAlgebra:
         offset = {a: idx * d for idx, a in enumerate(free)}
         width = len(free) * d
 
+        # the augmented rows [T | w] of the system, each over its own
+        # denominator
         rows = []
-        rhs = []
         for (a, b), (cvec, rvec) in struct.items():
+            da, arows = pmats[a]._integer
+            db, brows = pmats[b]._integer
+            lcm = math.lcm(da, db, cden)
+            fa, fb, fc = lcm // da, lcm // db, lcm // cden
             for t in range(d):
-                row = [_ZERO] * width
+                row = [0] * (width + 1)
                 if b in offset:
                     ob = offset[b]
-                    for s in range(d):
-                        val = pmats[a][t, s]
-                        if val:
-                            row[ob + s] += val
+                    for s, x in arows[t]:
+                        row[ob + s] += fa * x
                 if a in offset:
                     oa = offset[a]
-                    for s in range(d):
-                        val = pmats[b][t, s]
-                        if val:
-                            row[oa + s] -= val
-                for e in range(k):
-                    ce = cvec[e]
-                    if ce and e in offset:
-                        row[offset[e] + t] -= ce
-                if any(row) or rvec[t]:
-                    rows.append(row)
-                    rhs.append(-rvec[t])
+                    for s, x in brows[t]:
+                        row[oa + s] -= fb * x
+                for e in free:
+                    row[offset[e] + t] -= fc * cvec[e]
+                row[width] = -fc * rvec[t]
+                rows.append(_sparse(row))
         if free:
             smat = rad.matrix_of(sigma)
             if smat is None:
                 raise InternalFault("radical not stable under sigma")
+            sden, srows = smat._integer
             for a in free:
                 eps = wdata[a][1]
                 oa = offset[a]
                 for t in range(d):
-                    row = [_ZERO] * width
-                    for s in range(d):
-                        val = smat[t, s]
-                        if val:
-                            row[oa + s] += val
-                    row[oa + t] -= eps
-                    if any(row):
-                        rows.append(row)
-                        rhs.append(_ZERO)
+                    row = [0] * (width + 1)
+                    for s, x in srows[t]:
+                        row[oa + s] += x
+                    row[oa + t] -= eps * sden
+                    rows.append(_sparse(row))
 
-        if width:
-            res = solve(Mat(rows, cols=width) if rows else Mat([], cols=width), rhs)
-            if res is None:
-                if unconstrained:
-                    raise InternalFault(
-                        "unconstrained complement correction has no solution"
-                    )
-                return None
-            x = res.particular
-        else:
-            if any(any(r) for (_, r) in struct.values()) or any(rhs):
-                return None
-            x = ()
+        res = _solve(width, rows)
+        if res is None:
+            if unconstrained:
+                raise InternalFault(
+                    "unconstrained complement correction has no solution"
+                )
+            return None
+        x = res.particular
 
-        lvecs = [
-            vadd(w, rad.vector(x[offset[a]:offset[a] + d])) if a in offset else w
-            for a, (w, _, _) in enumerate(wdata)
-        ]
-        levi = Subspace.span(n, lvecs)
+        corrected = Echelon(n)
+        for a, w in enumerate(wvecs):
+            if a in offset:
+                # w + sum_s x_s R_s / h_s, times the lcm of the denominators
+                coeffs = [c / h for c, h in zip(x[offset[a]:offset[a] + d], heads)]
+                lcm = math.lcm(*[c.denominator for c in coeffs])
+                w = [lcm * y for y in w]
+                for c, r in zip(coeffs, rad.rows):
+                    f = c.numerator * (lcm // c.denominator)
+                    for j, y in enumerate(r):
+                        w[j] += f * y
+            corrected.add_integer(list(w))
+        levi = corrected.subspace()
 
-        cert = {"levi_basis": levi.basis}
+        def fault(message):
+            raise InternalFault(message, {"levi_basis": levi.basis})
+
         if levi.dim != k:
-            raise InternalFault("complement corrections are dependent", cert)
+            fault("complement corrections are dependent")
         if not levi.intersect(rad).is_zero():
-            raise InternalFault("complement meets the radical", cert)
+            fault("complement meets the radical")
         if not levi.sum_with(rad).is_full():
-            raise InternalFault("complement plus radical is not everything", cert)
+            fault("complement plus radical is not everything")
         if not self.is_subalgebra(levi):
-            raise InternalFault("corrected complement is not closed", cert)
-        if not all(levi.contains(sigma.apply(b)) for b in levi.basis):
-            raise InternalFault("complement is not sigma-stable", cert)
+            fault("corrected complement is not closed")
+        if levi.matrix_of(sigma) is None:
+            fault("complement is not sigma-stable")
         if not levi.contains_space(contain):
-            raise InternalFault("complement lost the required subalgebra", cert)
+            fault("complement lost the required subalgebra")
         return levi
 
     def __repr__(self):

@@ -20,6 +20,9 @@ from .exactla import (
     _ONE,
     _ZERO,
     _integer_kernel,
+    _integer_mat,
+    _solve,
+    _sparse,
     Echelon,
     Mat,
     Poly,
@@ -28,7 +31,6 @@ from .exactla import (
     matrix_poly,
     min_poly,
     rank,
-    solve,
     unit_vec,
 )
 from .liecore import LieAlgebra
@@ -139,39 +141,59 @@ def wedge_square(rep: Rep) -> Rep:
             pairs.append((i, j))
     n2 = len(pairs)
 
-    def wedge_coord(out, a, b, coeff):
-        if a == b or not coeff:
-            return
+    def wedge_coord(out, col, a, b, coeff):
         if a < b:
-            out[index[(a, b)]] += coeff
-        else:
-            out[index[(b, a)]] -= coeff
+            out[index[(a, b)]][col] += coeff
+        elif a > b:
+            out[index[(b, a)]][col] -= coeff
 
     mats = []
     for m in rep.mats:
-        cols = []
-        for (i, j) in pairs:
-            col = [_ZERO] * n2
-            for k in range(d):
-                wedge_coord(col, k, j, m[k, i])
-                wedge_coord(col, i, k, m[k, j])
-            cols.append(col)
-        mats.append(Mat.from_cols(cols, rows=n2))
+        # m e_i = sum_k M[k][i] e_k / den, read off the columns of the view
+        den, view = m._integer_rows()
+        mcols = [[] for _ in range(d)]
+        for k, row in enumerate(view):
+            for i, x in row:
+                mcols[i].append((k, x))
+        out = [[0] * n2 for _ in range(n2)]
+        for col, (i, j) in enumerate(pairs):
+            for k, x in mcols[i]:
+                wedge_coord(out, col, k, j, x)
+            for k, x in mcols[j]:
+                wedge_coord(out, col, i, k, x)
+        mats.append(_integer_mat(n2, den, tuple(map(_sparse, out))))
     return Rep(rep.algebra, mats, check=False, dim=n2)
 
 
+def _flat(m: Mat) -> list:
+    """The square matrix m flattened row by row, times its denominator."""
+    n = m.cols
+    w = [0] * (m.rows * n)
+    for r, row in enumerate(m._integer_rows()[1]):
+        for c, x in row:
+            w[r * n + c] = x
+    return w
+
+
+def _flat_rank(mats: Sequence[Mat], d: int) -> int:
+    """The dimension of the span of the d x d matrices `mats`."""
+    found = Echelon(d * d)
+    for m in mats:
+        found.add_integer(_flat(m))
+    return len(found.rows)
+
+
 def is_faithful(rep: Rep) -> bool:
-    cols = [
-        tuple(m.entries[r][c] for r in range(rep.dim) for c in range(rep.dim))
-        for m in rep.mats
-    ]
-    return kernel(Mat.from_cols(cols)).is_zero()
+    """The matrices are linearly independent, so only 0 acts as 0."""
+    return _flat_rank(rep.mats, rep.dim) == len(rep.mats)
 
 
-def spin(mats: Sequence[Mat], v, d: int) -> Subspace:
-    """Smallest subspace of Q^d containing v and invariant under `mats`."""
+def spin(mats: Sequence[Mat], w: Sequence[int]) -> Subspace:
+    """Smallest subspace containing the integer vector w and invariant
+    under `mats`."""
+    d = len(w)
     found = Echelon(d)
-    queue = [found.add(v)]
+    queue = [found.add_integer(list(w))]
     while queue:
         u = queue.pop()
         if u is None:
@@ -229,10 +251,14 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
                     seen.add(key)
                     rows.append(key)
     combos = _integer_kernel(width, rows)
-    out = []
-    for v in combos.basis:
-        out.append(Mat([v[r * d1:(r + 1) * d1] for r in range(d2)], cols=d1))
-    return out
+    return [_unflat(row, row[p], d2, d1) for row, p in zip(combos.rows, combos.pivots)]
+
+
+def _unflat(w: Sequence[int], den: int, rows: int, cols: int) -> Mat:
+    """The rows x cols Mat read row by row from the integer vector w / den."""
+    return _integer_mat(cols, den, tuple(
+        _sparse(w[r * cols:(r + 1) * cols]) for r in range(rows)
+    ))
 
 
 def invariant_symmetric_forms(rep: Rep) -> List[Mat]:
@@ -244,20 +270,24 @@ def invariant_symmetric_forms(rep: Rep) -> List[Mat]:
     """
     d = rep.dim
     dual = Rep(rep.algebra, [-m.transpose() for m in rep.mats], check=False, dim=d)
-    homs = hom_space(rep, dual)
+    # each H_i times its denominator, flattened: scaling H_i leaves the
+    # span of the symmetric combinations as it is
+    flats = [_flat(h) for h in hom_space(rep, dual)]
     # sum c_i H_i is symmetric exactly when sum c_i (H_i - H_i^T) = 0
     skew = [
-        [h[r, c] - h[c, r] for h in homs] for r in range(d) for c in range(r + 1, d)
+        _sparse([h[r * d + c] - h[c * d + r] for h in flats])
+        for r in range(d) for c in range(r + 1, d)
     ]
-    combos = kernel(Mat(skew, cols=len(homs)))
-    forms = Subspace.span(d * d, [
-        [x for row in _combination(c, homs).entries for x in row]
-        for c in combos.basis
-    ])
-    return [
-        Mat([v[r * d:(r + 1) * d] for r in range(d)], cols=d)
-        for v in forms.basis
-    ]
+    forms = Echelon(d * d)
+    for c in _integer_kernel(len(flats), skew).rows:
+        w = [0] * (d * d)
+        for ci, h in zip(c, flats):
+            if ci:
+                for j, x in enumerate(h):
+                    w[j] += ci * x
+        forms.add_integer(w)
+    forms = forms.subspace()
+    return [_unflat(row, row[p], d, d) for row, p in zip(forms.rows, forms.pivots)]
 
 
 def _combination(combo: Sequence[int], mats: Sequence[Mat]) -> Mat:
@@ -304,12 +334,7 @@ def enveloping_basis(rep: Rep) -> List[Mat]:
     elements: List[Mat] = []
 
     def try_add(m: Mat) -> bool:
-        # m flattened row by row, times its denominator
-        w = [0] * (d * d)
-        for r, row in enumerate(m._integer_rows()[1]):
-            for c, x in row:
-                w[r * d + c] = x
-        if found.add_integer(w) is None:
+        if found.add_integer(_flat(m)) is None:
             return False
         elements.append(m)
         return True
@@ -356,9 +381,7 @@ def _factor_over_q(p: Poly) -> List[Tuple[Poly, int]]:
 
 
 def _invariant_under(rep: Rep, space: Subspace) -> bool:
-    return all(
-        space.contains(m.apply(b)) for m in rep.mats for b in space.basis
-    )
+    return all(space.matrix_of(m) is not None for m in rep.mats)
 
 
 def _certify_reducible(rep: Rep, space: Subspace):
@@ -383,8 +406,8 @@ def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat], spun: set):
     Returns (False, W) when a kernel vector generates a proper submodule,
     (True, None) when nullity is one and both spins fill everything (the
     nullity-one criterion is conclusive), or None when inconclusive.
-    `spun` holds kernel vectors already seen to spin to the whole module;
-    they are skipped, and every new one is added.
+    `spun` holds the integer rows of kernels already seen to spin to the
+    whole module; they are skipped, and every new one is added.
 
     Both spins run under the Lie generators only: `transposes` are the
     transposes of their matrices.  A subspace invariant under rho(x) and
@@ -398,23 +421,23 @@ def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat], spun: set):
     ker = kernel(a)
     if ker.is_zero() or ker.dim == d:
         return None
-    for v in ker.basis:
-        if v in spun:
+    for w in ker.rows:
+        if w in spun:
             continue
-        closure = spin(gens, v, d)
+        closure = spin(gens, w)
         if closure.dim < d:
             return _certify_reducible(rep, closure)
-        spun.add(v)
+        spun.add(w)
     if ker.dim != 1:
         return None
     kert = kernel(a.transpose())
     if kert.dim != 1:
         # rank is transpose-invariant, so the nullities must agree
         raise InternalFault("transpose changed a matrix rank", {"a": a.entries})
-    wclosure = spin(transposes, kert.basis[0], d)
+    wclosure = spin(transposes, kert.rows[0])
     if wclosure.dim < d:
         # orthogonal complement of a transpose-side submodule is invariant
-        comp = kernel(Mat([list(r) for r in wclosure.basis], cols=d))
+        comp = _integer_kernel(d, map(_sparse, wclosure.rows))
         return _certify_reducible(rep, comp)
     return True, None
 
@@ -515,8 +538,10 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
                 # the enveloping algebra is a field
                 if d == dim_e:
                     return _proved(rep, "field", x)
-                orbit = [b.apply(unit_vec(d, 0)) for b in env]
-                return _certify_reducible(rep, Subspace.span(d, orbit))
+                orbit = Echelon(d)
+                for b in env:
+                    orbit.add_integer(b._integer_apply([1] + [0] * (d - 1)))
+                return _certify_reducible(rep, orbit.subspace())
             # zero divisors: a proper factor has a proper invariant kernel
             fac = factors[0][0]
             if fac == mp:
@@ -573,11 +598,7 @@ def check_simplicity(rep: Rep) -> bool:
         verdict = _norton_probe(rep, cert.mats[0], transposes, set())
         return verdict is not None and verdict[0]
     if cert.kind == "burnside":
-        flat = [
-            [m.entries[r][c] for r in range(d) for c in range(d)]
-            for m in cert.mats
-        ]
-        return rank(Mat(flat, cols=d * d)) == d * d
+        return _flat_rank(cert.mats, d) == d * d
     if cert.kind == "field":
         x = cert.mats[0]
         mp = min_poly(x)
@@ -654,12 +675,19 @@ def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
         raise ValueError("complement asked for a trivial subspace")
     sub = rep_on_subspace(rep, space)
     homs = hom_space(rep, sub)
-    wcols = Mat.from_cols([list(b) for b in space.basis], rows=d)
-    restricted = [
-        [x for row in (h @ wcols).entries for x in row] for h in homs
-    ]
-    identity = [x for row in Mat.identity(k).entries for x in row]
-    found = solve(Mat.from_cols(restricted, rows=k * k), identity)
+    wcols = space.basis_mat().transpose()
+    # column i of the system is h_i|_W flattened, over one denominator
+    restricted = [h @ wcols for h in homs]
+    den = math.lcm(*[r._integer[0] for r in restricted])
+    flats = [[x * (den // r._integer[0]) for x in _flat(r)] for r in restricted]
+    eqs = []
+    for j in range(k * k):
+        eq = [(i, f[j]) for i, f in enumerate(flats) if f[j]]
+        if j % (k + 1) == 0:
+            # a diagonal entry: the right-hand side den id_W is den there
+            eq.append((len(homs), den))
+        eqs.append(eq)
+    found = _solve(len(homs), eqs)
     # the failed solve is the proof that W has no invariant complement
     if found is None:
         raise DecompositionError(
@@ -716,10 +744,7 @@ def simple_decomposition(rep: Rep) -> Decomposition:
             simple, wit = is_simple(sub)
             if not simple:
                 comp = invariant_complement(sub, wit)
-                pending += [
-                    Subspace.span(d, [piece.vector(v) for v in half.basis])
-                    for half in (comp, wit)
-                ]
+                pending += [piece.embed(half) for half in (comp, wit)]
                 continue
             searched.append(sub)
         parts.append(piece)

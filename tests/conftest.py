@@ -1,5 +1,10 @@
 """Shared builders for the test suite."""
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 from kinsila.exactla import Mat, Subspace, inverse, unit_vec
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import Rep
@@ -139,3 +144,28 @@ def heisenberg_document(m):
         ],
         "roles": {"Z": ["Z"], "s": [], "P": names},
     }
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@functools.lru_cache(maxsize=None)
+def bench_workloads():
+    """bench/workloads.py, for its seeded change of basis `rebase`."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def structure_pairs(alg):
+    """The nonzero brackets [e_i, e_j], i < j, of an algebra."""
+    pairs = {}
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            v = tuple(alg.structure_constant(i, j))
+            if any(v):
+                pairs[(i, j)] = v
+    return pairs

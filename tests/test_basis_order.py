@@ -10,18 +10,21 @@ holonomy data, and multiplies mu by lam^2.
 """
 
 import functools
-import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
 import pytest
 
-from conftest import assert_greedy_generators, heisenberg_like
+from conftest import (
+    assert_greedy_generators,
+    bench_workloads,
+    heisenberg_like,
+    structure_pairs,
+)
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.documents import entry_to_document
@@ -63,20 +66,6 @@ def json_report(text):
         assert main(["classify", doc, "--json", "--out", out]) == 0
         with open(out, encoding="utf-8") as fh:
             return fh.read()
-
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
-@functools.lru_cache(maxsize=None)
-def bench_workloads():
-    """bench/workloads.py, for its seeded change of basis `rebase`."""
-    spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def catalog_document(family):
@@ -123,17 +112,6 @@ def test_cli_classifies_a_reordered_document(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(out.stdout)["label"] == "poincare-type"
-
-
-def structure_pairs(alg):
-    """The nonzero brackets [e_i, e_j], i < j, of an algebra."""
-    pairs = {}
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            v = tuple(alg.structure_constant(i, j))
-            if any(v):
-                pairs[(i, j)] = v
-    return pairs
 
 
 def rebased(family):

@@ -405,10 +405,10 @@ class TestEchelon:
             built = ech.subspace()
             assert list(built.basis) == basis and list(built.pivots) == basis_pivots
             assert exact(built)
-            # one made directly from the basis builds its integer rows on
-            # the first echelon(); `built` holds the ones Echelon handed over,
-            # and both must extend alike
-            bare = Subspace(n, built.basis, built.pivots)
+            # a Subspace is its integer rows: one spanned again from the
+            # Fraction basis and `built`, which holds the rows Echelon
+            # handed over, must extend alike
+            bare = Subspace.span(n, built.basis)
             more = rand_rows(n, density, rng.randint(0, 3))
             for space in (built, bare):
                 ext = space.echelon()
@@ -518,8 +518,9 @@ class TestEchelon:
             ]
             for space in spaces:
                 assert all(type(x) is F for row in space.basis for x in row)
+        # spin takes an integer vector: each of these times its denominator
         for v in ((1, 0), (0, 1), (half, 0), (F(1), 0)):
-            space = repth.spin(line.mats, v, line.dim)
+            space = repth.spin(line.mats, exactla._integer_row(v)[1])
             assert all(type(x) is F for row in space.basis for x in row)
 
 

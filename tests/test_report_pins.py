@@ -1,20 +1,25 @@
-"""Pinned classify reports for every catalog entry at d = 1..6.
+"""Pinned classify reports for every catalog entry at d = 1..6, and for
+the rebased d = 4 draws of seeds 5, 11 and 23.
 
 For each entry the test pins either the sha256 of
 ``json.dumps(to_dict(), sort_keys=True, indent=2)`` or, for an entry
-that validation rejects, the ``ValidationError`` code.  The values were
-recorded before `Mat` stored only its integer view, so a change in the
-exact arithmetic that alters a single report byte fails here.
+that validation rejects, the ``ValidationError`` code.  The catalog
+values were recorded before `Mat` stored only its integer view, and the
+rebased ones before `Subspace` stored only its integer rows, so a change
+in the exact arithmetic that alters a single report byte fails here.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from conftest import bench_workloads, structure_pairs
 from kinsila import catalog
 from kinsila.errors import ValidationError
 from kinsila.kinematics import classify
+from kinsila.liecore import LieAlgebra
 
 # per family, the pins for d = 1, ..., 6; "error:CODE" for a rejection
 REPORTS = {
@@ -84,6 +89,57 @@ REPORTS = {
     ),
 }
 
+# per family, the pins of draw 0 of the `rebased` benchmark workload at
+# seeds 5, 11 and 23 (a role-preserving change of basis of the d = 4 entry)
+REBASED_SEEDS = (5, 11, 23)
+REBASED = {
+    "anti_de_sitter": (
+        "a5c6e9766be5942497c10ff2954537cd7782f427be8d7d3d68e80a15cd018e64",
+        "0716243f8a4155fed432f9335e042253110640cfa26a6f4db0e9fe69f0329fc2",
+        "7892cd8ba80f30d9bb4c931dd754f75eab4f67e7fe9af9607eefda0c154de526",
+    ),
+    "carroll": (
+        "ccf3afed5f9309f75e10eef92f407dd714ba89af4a4bf70ef64c04cc16b1323d",
+        "08be3b3cd1610a23383d17da6d6a7761c7de9cf5b2053e46d7dd3932138b6474",
+        "f7414f07e2a5c8e9fa3886c4a960cf1bb6621c205cf36480d04227e3c9aec59c",
+    ),
+    "de_sitter": (
+        "6aa8fc8f942f2ec6e206d2c5c1de8883e4b07d39affd3c3f6ad36f363056c675",
+        "34f35cf2863cec8bc023584bfb5187d763c0d064ec1ea4a980d73adeb5f83194",
+        "c889ff5a936757bae9cc030a46156913eadaf6c903745c5463fc5446a66024b6",
+    ),
+    "galilei": (
+        "55466f13417e6ae69b6e6a5844bb53593eb72ccd297edaa48f3299a46aeff31f",
+        "55466f13417e6ae69b6e6a5844bb53593eb72ccd297edaa48f3299a46aeff31f",
+        "55466f13417e6ae69b6e6a5844bb53593eb72ccd297edaa48f3299a46aeff31f",
+    ),
+    "newton_hooke_minus": (
+        "61cce3f119c3b11b5204ba78a7169672fa49c0e37cd67da5b59c52223fe74cc2",
+        "61cce3f119c3b11b5204ba78a7169672fa49c0e37cd67da5b59c52223fe74cc2",
+        "61cce3f119c3b11b5204ba78a7169672fa49c0e37cd67da5b59c52223fe74cc2",
+    ),
+    "newton_hooke_plus": (
+        "61cce3f119c3b11b5204ba78a7169672fa49c0e37cd67da5b59c52223fe74cc2",
+        "61cce3f119c3b11b5204ba78a7169672fa49c0e37cd67da5b59c52223fe74cc2",
+        "61cce3f119c3b11b5204ba78a7169672fa49c0e37cd67da5b59c52223fe74cc2",
+    ),
+    "poincare": (
+        "4a9b80ffed347b9089e63028a0590de307811ab6582e71959e053ed146811bc4",
+        "c6c0836c32916998c043635dc98fe524cab45e3e710d92cd5986783ab4d1c513",
+        "0944ebe42b9a7949c93d592572f9c70be80bdb9c6426d44cbbd5db74397d28f6",
+    ),
+    "static": (
+        "6bc8dae029f6c416f549a6e7eca50597be4bc416fc819dd0aa6f4ce9a66d4c1e",
+        "6bc8dae029f6c416f549a6e7eca50597be4bc416fc819dd0aa6f4ce9a66d4c1e",
+        "6bc8dae029f6c416f549a6e7eca50597be4bc416fc819dd0aa6f4ce9a66d4c1e",
+    ),
+}
+
+
+def digest(result):
+    text = json.dumps(result.to_dict(), sort_keys=True, indent=2)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 def report_pin(family, d):
     entry = catalog.make(family, d)
@@ -95,8 +151,19 @@ def report_pin(family, d):
         result = classify(entry.algebra, z, s, p)
     except ValidationError as exc:
         return "error:" + exc.code
-    text = json.dumps(result.to_dict(), sort_keys=True, indent=2)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return digest(result)
+
+
+def rebased_pin(family, seed):
+    """The pin of the draw that the `rebased` workload names
+    f"{family}_d4#0" at this seed."""
+    workloads = bench_workloads()
+    entry = catalog.make(family, 4)
+    alg = entry.algebra
+    roles = workloads.entry_roles(entry)
+    rng = random.Random(f"{seed}:{family}:0")
+    pairs, _ = workloads.rebase(alg.dim, structure_pairs(alg), roles, rng)
+    return digest(classify(LieAlgebra(alg.dim, pairs, list(alg.labels)), *roles))
 
 
 def test_every_family_is_pinned():
@@ -107,3 +174,13 @@ def test_every_family_is_pinned():
 @pytest.mark.parametrize("d", range(1, 7))
 def test_report_matches_pin(family, d):
     assert report_pin(family, d) == REPORTS[family][d - 1]
+
+
+def test_every_family_is_pinned_rebased():
+    assert sorted(REBASED) == sorted(catalog.FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(REBASED))
+@pytest.mark.parametrize("seed", REBASED_SEEDS)
+def test_rebased_report_matches_pin(family, seed):
+    assert rebased_pin(family, seed) == REBASED[family][REBASED_SEEDS.index(seed)]

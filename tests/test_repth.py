@@ -152,9 +152,9 @@ class TestProbeWorkIsNotRepeated:
         spins = []
         original = repth.spin
 
-        def counted(mats, v, d):
-            spins.append((mats, tuple(v)))
-            return original(mats, v, d)
+        def counted(mats, w):
+            spins.append((mats, tuple(w)))
+            return original(mats, w)
 
         monkeypatch.setattr(repth, "spin", counted)
         for d in (4, 5):
@@ -438,12 +438,12 @@ class TestInvariantForms:
 class TestSpinAndFaithful:
     def test_spin_full_on_simple(self):
         _, v = so_algebra_and_rep(3)
-        assert spin(v.mats, (1, 0, 0), 3).is_full()
+        assert spin(v.mats, (1, 0, 0)).is_full()
 
     def test_spin_proper_on_invariant_line(self):
         alg = LieAlgebra(1, {}, labels=["J"])
         rep = Rep(alg, [Mat([[0, 1], [0, 0]])])
-        assert spin(rep.mats, (1, 0), 2) == Subspace.span(2, [(1, 0)])
+        assert spin(rep.mats, (1, 0)) == Subspace.span(2, [(1, 0)])
 
     def test_spin_stops_once_the_span_is_full(self, monkeypatch):
         builders = []
@@ -467,7 +467,7 @@ class TestSpinAndFaithful:
             _, v = so_algebra_and_rep(d)
             builders.clear()
             applies.clear()
-            assert spin(v.mats, unit_vec(d, 0), d).is_full()
+            assert spin(v.mats, [int(i == 0) for i in range(d)]).is_full()
             # each apply before the span fills finds a new basis vector here
             assert applies == [False] * (d - 1)
 
@@ -498,7 +498,8 @@ class TestSpinAndFaithful:
                     c = rng.randint(-2, 2)
                     w = a + [c * x for x in a]
                 w = t.apply(w)
-                got = spin(rep.mats, w, rep.dim)
+                # t is unimodular, so t w has integer entries
+                got = spin(rep.mats, [int(x) for x in w])
                 assert got == full_closure(rep, w)
                 dims.add(got.dim)
             assert dims & {1, 2, 3, 4, 5}
@@ -665,8 +666,8 @@ class TestSubmoduleIntersections:
         _, v = so_algebra_and_rep(3)
         p = doubled(v)
         for _ in range(50):
-            a = spin(p.mats, tuple(rng.randint(-3, 3) for _ in range(6)), 6)
-            b = spin(p.mats, tuple(rng.randint(-3, 3) for _ in range(6)), 6)
+            a = spin(p.mats, tuple(rng.randint(-3, 3) for _ in range(6)))
+            b = spin(p.mats, tuple(rng.randint(-3, 3) for _ in range(6)))
             meet = a.intersect(b)
             join = a.sum_with(b)
             for m in p.mats:
