@@ -1055,13 +1055,23 @@ def char_poly(m: Mat) -> Poly:
     return Poly(coeffs)
 
 
-def _poly_apply(p: Poly, m: Mat, v: Sequence) -> tuple:
-    """p(m) v without forming the matrix p(m)."""
-    acc = zero_vec(len(v))
-    for c in reversed(p.coeffs):
-        acc = m.apply(acc)
+def _poly_apply(p: Poly, m: Mat, w: list) -> list:
+    """A nonzero integer multiple of p(m) w for an integer vector w,
+    without forming the matrix p(m).
+
+    With m = M / den and L p = sum C_j t^j in integers, Horner's rule
+    acc <- M acc + C_j den^(deg - j) w ends at den^deg L p(m) w.
+    """
+    den = m._integer[0]
+    _, cs = _integer_row(p.coeffs)
+    acc = [0] * len(w)
+    scale = 1
+    for c in reversed(cs):
+        acc = m._integer_apply(acc)
         if c:
-            acc = vadd(acc, vscale(c, v))
+            f = c * scale
+            acc = [x + f * y for x, y in zip(acc, w)]
+        scale *= den
     return acc
 
 
@@ -1071,29 +1081,39 @@ def min_poly(m: Mat) -> Poly:
     For each seed e_i the first linear dependence among e_i, m e_i, m^2 e_i,
     ... yields the monic annihilator of e_i; the minimal polynomial is the
     lcm of these, and the scan stops early once its degree reaches n.
+    The sequence runs in integers: with m = M / den, the k-th Krylov row
+    is (M^k e_i | den^k e_k) = den^k (m^k e_i | e_k), divided by the
+    common factors of its entries as they arise.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.rows
     if n == 0:
         return Poly.one()
+    den = m._integer[0]
     result = Poly.one()
     for i in range(n):
         if result.degree == n:
             break
-        seed = unit_vec(n, i)
-        if _poly_apply(result, m, seed) == zero_vec(n):
+        seed = [0] * n
+        seed[i] = 1
+        if not any(_poly_apply(result, m, seed)):
             continue
         # rows [m^k e_i | e_k]: the first whose residual vanishes on the
         # first n coordinates holds the coefficients of the annihilator
         krylov = Echelon(2 * n + 1)
-        v = seed
+        w, tag = seed, 1
         for k in range(n + 1):
-            row = krylov.add(v + unit_vec(n + 1, k))
+            row = krylov.add_integer(w + [0] * k + [tag] + [0] * (n - k))
             if krylov.pivots[-1] >= n:
                 result = poly_lcm(result, Poly(row[n:]).monic())
                 break
-            v = m.apply(v)
+            w = m._integer_apply(w)
+            tag *= den
+            g = math.gcd(tag, *w)
+            if g > 1:
+                w = [x // g for x in w]
+                tag //= g
     return result
 
 

@@ -108,7 +108,9 @@ class ZActionData:
     a_matrix: Mat                 # ad of the central vector on P, P coordinates
     s_part: Mat
     n_part: Mat
-    kind: str                     # "zero" | "nilpotent" | "semisimple"
+    kind: str                     # "zero" | "nilpotent" | "semisimple" | "mixed"
+    square: Mat                   # a_matrix @ a_matrix
+    mu: Fraction                  # trace(square) / dim P: the scalar, if square is one
 
 
 @dataclass
@@ -470,33 +472,44 @@ def transvection_and_holonomy(structure: KinStructure) -> TransvectionData:
 # the action of the central element on P
 
 def z_action_split(structure: KinStructure) -> ZActionData:
-    """Split ad(Z0)|P into commuting semisimple and nilpotent parts.
+    """Split a = ad(Z0)|P into commuting semisimple and nilpotent parts.
 
-    For validated inputs the action is one or the other, never properly
-    mixed, and a nonzero nilpotent action squares to zero; violations
-    raise InternalFault.
+    The kind is read off a and its square a² in three implications:
+    a² = mu·1 with mu != 0 makes a semisimple, because t² - mu is
+    squarefree and annihilates a; a² = 0 makes a nilpotent; and a
+    nilpotent a has a² = 0, because a commutes with s and so is a 2 x 2
+    matrix over the division algebra End_s(V), where a nilpotent map of
+    a plane squares to zero.  So only when a² is neither 0 nor a scalar
+    is the Jordan-Chevalley split computed: a nilpotent result there
+    raises InternalFault, and a result with both parts nonzero is kind
+    "mixed", which `classify` accepts only when the two-form vanishes
+    (with a nondegenerate form a lies in sl2 ⊗ 1 when End_s(V) = Q, so
+    a² is a scalar).
     """
     a = _ad_on_p(structure, structure.z0)
-    s_part, n_part = sn_decomposition(a)
     if a.is_zero():
-        kind = "zero"
-    elif n_part.is_zero():
+        return ZActionData(a, a, a, "zero", square=a, mu=_ZERO)
+    dp = a.rows
+    square = a @ a
+    zero = Mat.zeros(dp, dp)
+    if square.is_zero():
+        return ZActionData(a, zero, a, "nilpotent", square=square, mu=_ZERO)
+    mu = square.trace() / dp
+    if square == Mat.identity(dp).scale(mu):
+        return ZActionData(a, a, zero, "semisimple", square=square, mu=mu)
+    s_part, n_part = sn_decomposition(a)
+    if n_part.is_zero():
         kind = "semisimple"
     elif s_part.is_zero():
-        kind = "nilpotent"
-        if not (a @ a).is_zero():
-            raise InternalFault(
-                "nilpotent central action does not square to zero",
-                {"a": a.entries},
-            )
-    else:
         raise InternalFault(
-            "central action has both a semisimple and a nilpotent part",
-            {"s": s_part.entries, "n": n_part.entries},
+            "nilpotent central action does not square to zero",
+            {"a": a.entries},
         )
+    else:
+        kind = "mixed"
     if not is_semisimple(s_part) or not is_nilpotent(n_part):
         raise InternalFault("split parts fail their defining properties", {})
-    return ZActionData(a_matrix=a, s_part=s_part, n_part=n_part, kind=kind)
+    return ZActionData(a, s_part, n_part, kind, square=square, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +555,11 @@ def kahler_split(
         raise ValueError("split asked for a non-semisimple action")
     a = zdata.a_matrix
     dp = a.rows
-    a2 = a @ a
-    # the trace over dp is the scalar when a2 is one, which is checked next
-    mu = a2.trace() / dp
-    if a2 != Mat.identity(dp).scale(mu):
+    mu = zdata.mu
+    if zdata.square != Mat.identity(dp).scale(mu):
         raise InternalFault(
             "square of the semisimple central action is not scalar",
-            {"a_squared": a2.entries},
+            {"a_squared": zdata.square.entries},
         )
     if mu == 0:
         raise InternalFault("semisimple action with zero square is not zero", {})
@@ -818,6 +829,12 @@ def classify(
             certificates={"pp_dim": 0, "p_plus_z_ideal": True},
             notes=["the two-form vanishes identically"],
             **base,
+        )
+
+    if zdata.kind == "mixed":
+        raise InternalFault(
+            "central action has both a semisimple and a nilpotent part",
+            {"s": zdata.s_part.entries, "n": zdata.n_part.entries},
         )
 
     if sym.radical_case == "module":

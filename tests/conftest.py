@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from kinsila import catalog
+from kinsila.documents import entry_to_document
 from kinsila.exactla import Mat, Subspace, inverse, unit_vec
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import Rep
@@ -144,6 +146,24 @@ def heisenberg_document(m):
         ],
         "roles": {"Z": ["Z"], "s": [], "P": names},
     }
+
+
+def static_with_central_action(action, d=4):
+    """Catalog `static` at dimension d as a document, with Z = H acting on
+    each plane span(B_i, P_i) by the 2 x 2 matrix action = ((a, b), (c, e)):
+    [H, B_i] = a B_i + c P_i and [H, P_i] = b B_i + e P_i, so that
+    ad(H)|P = action ⊗ 1.  [P, P] = 0 in `static`, so the document is a
+    Lie algebra for every action, and its two-form vanishes."""
+    doc = entry_to_document(catalog.make("static", d))
+    (a, b), (c, e) = action
+    for i in range(1, d + 1):
+        for x, terms in ((f"B{i}", ((f"B{i}", a), (f"P{i}", c))),
+                         (f"P{i}", ((f"B{i}", b), (f"P{i}", e)))):
+            result = [{"basis": y, "coeff": str(k)} for y, k in terms if k]
+            if result:
+                doc["brackets"].append({"x": "H", "y": x, "result": result})
+    doc["name"] = f"static-d{d}-central-action"
+    return doc
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import heisenberg_document
+from conftest import heisenberg_document, static_with_central_action
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.documents import entry_to_document, parse_document, parse_text
@@ -274,6 +275,33 @@ def test_cli_large_heisenberg_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "P_NOT_TWO_COPIES" in err
     assert "Traceback" not in err
+
+
+def test_cli_mixed_central_action_exit_0(tmp_path, capsys):
+    # Z acts on each plane (B_i, P_i) by 1 + N with N² = 0 != N: a valid
+    # document whose central action has both parts, with a vanishing form
+    path = write_doc(tmp_path, static_with_central_action(((1, 0), (1, 1))))
+    assert main(["classify", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["z_action"] == "mixed"
+    assert payload["label"] == "flat-rad-equals-P"
+
+
+# sha256 of the report of the action diag(1, 2) ⊗ 1, as it was before the
+# kind was read off the square: its square is not a scalar
+DIAGONAL_ACTION_REPORT = (
+    "61cce3f119c3b11b5204ba78a7169672fa49c0e37cd67da5b59c52223fe74cc2"
+)
+
+
+def test_cli_non_scalar_semisimple_central_action_report(tmp_path, capsys):
+    path = write_doc(tmp_path, static_with_central_action(((1, 0), (0, 2))))
+    assert main(["classify", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.pop("name") == "static-d4-central-action"
+    assert payload["z_action"] == "semisimple"
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIAGONAL_ACTION_REPORT
 
 
 def test_cli_batch_summary_table(capsys):

@@ -5,6 +5,10 @@ callers and reports.  Here `bracket` raises and `entries` reads are
 counted while catalog entries at d = 4, 5, 6 and one rebased draw per
 family are validated and classified: each still gets its label, no
 bracket is taken, and `validate` reads no Fraction entries.
+
+The same entries are classified with the Jordan-Chevalley machinery made
+to raise: their central actions square to 0 or to a scalar, so their
+kind is read off the square and no split is computed.
 """
 
 import random
@@ -12,8 +16,8 @@ import random
 import pytest
 
 from conftest import bench_workloads, structure_pairs
-from kinsila import catalog
-from kinsila.exactla import Mat
+from kinsila import catalog, exactla, kinematics
+from kinsila.exactla import Mat, is_nilpotent
 from kinsila.kinematics import classify, validate
 from kinsila.liecore import LieAlgebra
 
@@ -75,3 +79,33 @@ def test_the_boundary_is_watched(entries_reads):
         alg.bracket((1, 0), (0, 1))
     Mat([[1]]).entries
     assert entries_reads[0] == 1
+
+
+@pytest.fixture
+def no_split(monkeypatch):
+    """Make `sn_decomposition`, `char_poly` and `min_poly` raise where the
+    central action could reach them: in `exactla`, whose `is_semisimple`
+    and `is_nilpotent` look `min_poly` up there, and `kinematics`'s own
+    reference to `sn_decomposition`.  `repth` keeps its `min_poly`, which
+    the simplicity certificates need."""
+
+    def raiser(name):
+        def fail(*args):
+            raise AssertionError(f"{name} called by classify")
+        return fail
+
+    for name in ("sn_decomposition", "char_poly", "min_poly"):
+        monkeypatch.setattr(exactla, name, raiser(name))
+    monkeypatch.setattr(kinematics, "sn_decomposition", raiser("sn_decomposition"))
+
+
+@pytest.mark.parametrize("family,d,rebased", CASES)
+def test_classify_computes_no_jordan_chevalley_split(family, d, rebased, no_split):
+    label = bench_workloads().load_oracle()["labels"][family]
+    algebra, roles = algebra_and_roles(family, d, rebased)
+    assert classify(algebra, *roles).label == label
+
+
+def test_the_split_is_watched(no_split):
+    with pytest.raises(AssertionError):
+        is_nilpotent(Mat([[0, 1], [0, 0]]))
