@@ -56,6 +56,15 @@ class CatalogEntry:
         self.p_labels = tuple(p_labels)
         self.expected_label = EXPECTED_LABEL[family]
 
+    def roles(self) -> Tuple[Tuple[int, ...], ...]:
+        """(z, s, p): the basis indices of each role's labels."""
+        index = self.algebra.labels.index
+        return (
+            (index(self.z_label),),
+            tuple(map(index, self.s_labels)),
+            tuple(map(index, self.p_labels)),
+        )
+
     def __repr__(self):
         return f"CatalogEntry({self.family}, d={self.d})"
 

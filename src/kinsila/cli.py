@@ -128,14 +128,8 @@ def _cmd_batch(args) -> int:
         for d in dims:
             entry = catalog.make(fam, d)
             name = f"{fam}_d{d}"
-            labels = entry.algebra.labels
             try:
-                result = classify(
-                    entry.algebra,
-                    [labels.index(entry.z_label)],
-                    [labels.index(x) for x in entry.s_labels],
-                    [labels.index(x) for x in entry.p_labels],
-                )
+                result = classify(entry.algebra, *entry.roles())
                 outcome = result.label
                 payload = {"name": name}
                 payload.update(result.to_dict())

@@ -210,11 +210,4 @@ def to_document(name: str, algebra: LieAlgebra, z_indices, s_indices,
 
 def entry_to_document(entry) -> dict:
     """Serialize a catalog entry."""
-    labels = entry.algebra.labels
-    return to_document(
-        f"{entry.family}_d{entry.d}",
-        entry.algebra,
-        [labels.index(entry.z_label)],
-        [labels.index(x) for x in entry.s_labels],
-        [labels.index(x) for x in entry.p_labels],
-    )
+    return to_document(f"{entry.family}_d{entry.d}", entry.algebra, *entry.roles())

@@ -23,16 +23,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
-    "Q",
     "q",
     "zero_vec",
     "unit_vec",
-    "vadd",
-    "vsub",
-    "vscale",
     "Mat",
     "Echelon",
     "Subspace",
@@ -57,7 +53,6 @@ __all__ = [
     "sqrt_rational",
 ]
 
-Q = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _FRACTION_ONLY = frozenset((Fraction,))
@@ -93,20 +88,6 @@ def zero_vec(n: int) -> tuple:
 
 def unit_vec(n: int, i: int) -> tuple:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    if not c:
-        return zero_vec(len(a))
-    return tuple(c * x if x else x for x in a)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +182,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def _integer_rows(self) -> tuple:
-        """(den, rows), the integer view: den is the lcm of the entries'
-        denominators, and each row the (column, entry * den) pairs of its
-        nonzero entries."""
-        return self._integer
 
     # -- arithmetic ----------------------------------------------------
     def _plus(self, other: "Mat", sign: int) -> "Mat":
@@ -420,12 +395,6 @@ class Echelon:
         for r in rows:
             self.add(r)
 
-    def residual(self, v) -> list:
-        """An integer row: a nonzero multiple of v minus the combination of
-        stored rows that clears every pivot; all zero exactly when v is in
-        the span of the rows."""
-        return self._reduce(_integer_row(v)[1])
-
     def _reduce(self, w: list) -> list:
         """The integer row w reduced fraction-free at every stored pivot."""
         for row, p, cols in zip(self.rows, self.pivots, self.support):
@@ -591,32 +560,9 @@ class Subspace:
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
-        return not any(self.echelon().residual(v))
-
-    def coordinates_of(self, v) -> Optional[tuple]:
-        """Coefficients of v in this basis, or None when v is outside.
-
-        For a reduced-echelon basis the coefficient of basis row j is just
-        the entry of v at pivot j; membership is verified exactly against
-        the basis' integer echelon rows.
-        """
-        v = _exact(tuple(v))
-        if not self.contains(v):
-            return None
-        return tuple(v[p] for p in self.pivots)
-
-    def vector(self, coords) -> tuple:
-        """The vector with these coefficients in this basis; the inverse
-        of `coordinates_of`."""
-        if len(coords) != self.dim:
-            raise ValueError("need one coefficient per basis vector")
-        v = [_ZERO] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] += c * x
-        return tuple(v)
+        # v times the lcm of its denominators, reduced fraction-free: it
+        # vanishes exactly when v is in the span of the rows
+        return not any(self.echelon()._reduce(_integer_row(v)[1]))
 
     def embed(self, sub: "Subspace") -> "Subspace":
         """`sub`, a subspace of the coordinate space of this basis, as a
@@ -739,7 +685,7 @@ def _null_space(rows, pivots, cols: int) -> Subspace:
 
 def _integer_echelon(width: int, rows: Iterable[Sequence]) -> Echelon:
     """An Echelon holding integer rows, each given as the (column, entry)
-    pairs of its nonzero entries, as in `Mat._integer_rows`."""
+    pairs of its nonzero entries, as in a `Mat`'s integer view."""
     ech = Echelon(width)
     for row in rows:
         ech.add_integer(_dense(row, width))
@@ -753,25 +699,16 @@ def _integer_kernel(width: int, rows: Iterable[Sequence]) -> Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0}, as a canonical Subspace of Q^cols."""
-    return _integer_kernel(m.cols, m._integer_rows()[1])
+    return _integer_kernel(m.cols, m._integer[1])
 
 
 def rank(m: Mat) -> int:
-    return len(_integer_echelon(m.cols, m._integer_rows()[1]).rows)
+    return len(_integer_echelon(m.cols, m._integer[1]).rows)
 
 
-class SolveResult:
-    __slots__ = ("particular", "kernel")
-
-    def __init__(self, particular, kern):
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "kernel", kern)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SolveResult is immutable")
-
-    def __iter__(self):
-        return iter((self.particular, self.kernel))
+class SolveResult(NamedTuple):
+    particular: tuple
+    kernel: Subspace
 
 
 def solve(m: Mat, b: Sequence) -> Optional[SolveResult]:
@@ -796,7 +733,7 @@ def solve(m: Mat, b: Sequence) -> Optional[SolveResult]:
 
 def _solve(n: int, rows: Iterable[Sequence]) -> Optional[SolveResult]:
     """`solve` for the system whose augmented matrix [T | w] is given as
-    sparse integer rows, as in `Mat._integer_rows`, of width n + 1."""
+    sparse integer rows, as in a `Mat`'s integer view, of width n + 1."""
     reduced, pivots = _integer_echelon(n + 1, rows).reduced_rows()
     if n in pivots:
         return None

@@ -73,7 +73,6 @@ class KinStructure:
     z_indices: Tuple[int, ...]
     s_indices: Tuple[int, ...]
     p_indices: Tuple[int, ...]
-    z0: tuple                     # ambient coordinates of the marked central vector
     z_space: Subspace
     s_space: Subspace
     p_space: Subspace
@@ -83,7 +82,6 @@ class KinStructure:
     v_rep: Rep                    # action on parts[0] in its echelon basis
     invariant_form: Optional[Mat]
     sigma: Mat
-    sigma_check: Dict[str, bool]  # outcome of the involution check
     items: Tuple[Tuple[str, bool], ...]
 
 
@@ -273,8 +271,7 @@ def validate(
     if len(z_indices) != 1:
         fail(1, f"the central component must be one-dimensional, got {len(z_indices)}")
     ok(1)
-    z0 = unit_vec(n, z_indices[0])
-    z_space = Subspace.span(n, [z0])
+    z_space = Subspace.span(n, [unit_vec(n, z_indices[0])])
     s_space = Subspace.span(n, [unit_vec(n, i) for i in s_indices])
     p_space = Subspace.span(n, [unit_vec(n, i) for i in p_indices])
 
@@ -358,7 +355,6 @@ def validate(
         z_indices=z_indices,
         s_indices=s_indices,
         p_indices=p_indices,
-        z0=z0,
         z_space=z_space,
         s_space=s_space,
         p_space=p_space,
@@ -368,7 +364,6 @@ def validate(
         v_rep=v_rep,
         invariant_form=form,
         sigma=sigma,
-        sigma_check={"involutive": True, "automorphism": True},
         items=tuple(items),
     )
 
@@ -396,7 +391,7 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
                             {"omega": omega.entries})
 
     # invariance under z and s actions on P
-    actors = [("z", _ad_on_p(structure, structure.z0))]
+    actors = [("z", _ad_on_p(structure, structure.z_space.rows[0]))]
     actors += [(f"s{k}", m) for k, m in enumerate(structure.p_rep.mats)]
     for name, m in actors:
         if not (m.transpose() @ omega + omega @ m).is_zero():
@@ -436,13 +431,14 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
     return SymplecticData(omega=omega, radical=rad, radical_case=case)
 
 
-def _ad_on_p(structure: KinStructure, ambient_vec) -> Mat:
-    """Matrix of ad(ambient_vec) restricted to P, in P coordinates."""
-    m = structure.p_space.matrix_of(structure.algebra.ad(ambient_vec))
+def _ad_on_p(structure: KinStructure, row: Sequence[int]) -> Mat:
+    """Matrix of ad(row) restricted to P, in P coordinates, for an integer
+    echelon row (Z's is the marked central basis vector itself)."""
+    m = structure.p_space.matrix_of(structure.algebra._integer_ad(row, 1))
     if m is None:
         raise InternalFault(
             "fixed-part action does not preserve the momentum space",
-            {"vector": ambient_vec},
+            {"vector": row},
         )
     return m
 
@@ -486,7 +482,7 @@ def z_action_split(structure: KinStructure) -> ZActionData:
     (with a nondegenerate form a lies in sl2 ⊗ 1 when End_s(V) = Q, so
     a² is a scalar).
     """
-    a = _ad_on_p(structure, structure.z0)
+    a = _ad_on_p(structure, structure.z_space.rows[0])
     if a.is_zero():
         return ZActionData(a, a, a, "zero", square=a, mu=_ZERO)
     dp = a.rows
@@ -613,7 +609,7 @@ def kahler_split(
     targets = {
         ("1", "-1"): g_zero, ("0", "1"): g_plus, ("0", "-1"): g_minus,
         ("0", "0"): g_zero,
-        ("1", "1"): Subspace.span(n, []), ("-1", "-1"): Subspace.span(n, []),
+        ("1", "1"): Subspace.zero(n), ("-1", "-1"): Subspace.zero(n),
     }
     for (i, j), target in targets.items():
         got = structure.algebra.bracket_span(grading[i], grading[j])
@@ -801,7 +797,8 @@ def classify(
 
     base = dict(
         validation_items=structure.items,
-        sigma_check=dict(structure.sigma_check),
+        # validate raised unless sigma is an involutive automorphism
+        sigma_check={"involutive": True, "automorphism": True},
         omega=sym.omega,
         radical_case=sym.radical_case,
         radical_dim=sym.radical.dim,

@@ -23,7 +23,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
-    _ZERO,
     _dense,
     _fractions,
     _integer_echelon,
@@ -69,7 +68,7 @@ class LieAlgebra:
                 raise ValueError("bracket value has wrong length")
             values[(i, j)] = vv
         # the integer view of the matrix whose rows are the brackets
-        den, rows = Mat(list(values.values()), cols=dim)._integer_rows()
+        den, rows = Mat(list(values.values()), cols=dim)._integer
         struct = [{} for _ in range(dim)]
         for (i, j), row in zip(values, rows):
             if row:
@@ -83,14 +82,11 @@ class LieAlgebra:
         self._derived: Optional[Subspace] = None
         self._radical: Optional[Subspace] = None
         self._generators: Optional[tuple] = None
-        self._validate_jacobi()
-
-    # -- construction-time validation -----------------------------------
-    def _validate_jacobi(self):
         bad = self.jacobi_defect()
         if bad is not None:
             raise JacobiError(*bad)
 
+    # -- construction-time validation -----------------------------------
     def jacobi_defect(self):
         """Recompute every cyclic bracket sum from the structure constants.
 
@@ -150,17 +146,10 @@ class LieAlgebra:
                             out[m] += f * c
         return out
 
-    def ad(self, x) -> Mat:
-        """The matrix of ad x = [x, -] in the defining basis, built in
-        integers from the structure constants."""
-        n = self.dim
-        if len(x) != n:
-            raise ValueError("vector length does not match dimension")
-        dx, xs = _integer_row(x)
-        return self._integer_ad(xs, dx)
-
     def _integer_ad(self, xs, dx: int) -> Mat:
-        """ad x for x = xs / dx, xs an integer vector."""
+        """The matrix of ad x = [x, -] in the defining basis for x = xs /
+        dx, xs an integer vector, built in integers from the structure
+        constants."""
         n = self.dim
         # column j is D [x, e_j]
         acc = [[0] * n for _ in range(n)]
@@ -195,9 +184,9 @@ class LieAlgebra:
                 while queue and len(closure.rows) < n:
                     u = queue.pop()
                     for w in list(closure.rows):
-                        v = closure._reduce(self._integer_bracket(u, w))
-                        if any(v):
-                            queue.append(closure._store(v))
+                        v = closure.add_integer(self._integer_bracket(u, w))
+                        if v is not None:
+                            queue.append(v)
             self._generators = tuple(chosen)
         return self._generators
 
@@ -326,7 +315,7 @@ class LieAlgebra:
             return False
         if rank(t) != n:
             return False
-        den, trows = t._integer_rows()
+        den, trows = t._integer
         img = [[0] * n for _ in range(n)]
         for r, row in enumerate(trows):
             for c, x in row:

@@ -17,8 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, InternalFault, RepError, SimplicityUndecided
 from .exactla import (
-    _ONE,
-    _ZERO,
     _integer_kernel,
     _integer_mat,
     _solve,
@@ -150,7 +148,7 @@ def wedge_square(rep: Rep) -> Rep:
     mats = []
     for m in rep.mats:
         # m e_i = sum_k M[k][i] e_k / den, read off the columns of the view
-        den, view = m._integer_rows()
+        den, view = m._integer
         mcols = [[] for _ in range(d)]
         for k, row in enumerate(view):
             for i, x in row:
@@ -169,7 +167,7 @@ def _flat(m: Mat) -> list:
     """The square matrix m flattened row by row, times its denominator."""
     n = m.cols
     w = [0] * (m.rows * n)
-    for r, row in enumerate(m._integer_rows()[1]):
+    for r, row in enumerate(m._integer[1]):
         for c, x in row:
             w[r * n + c] = x
     return w
@@ -232,8 +230,8 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
         # equation block: T m1 - m2 T = 0, unknown T is d2 x d1, row-major,
         # times the lcm of the two denominators so that it is integral;
         # each row is kept as its sorted nonzero (unknown, coefficient) pairs
-        den1, m1_rows = m1._integer_rows()
-        den2, m2_rows = m2._integer_rows()
+        den1, m1_rows = m1._integer
+        den2, m2_rows = m2._integer
         den = math.lcm(den1, den2)
         f1, f2 = den // den1, den // den2
         m1_cols = [[] for _ in range(d1)]

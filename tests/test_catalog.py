@@ -86,6 +86,17 @@ def test_expected_labels():
         assert catalog.make(fam, 5).expected_label == catalog.EXPECTED_LABEL[fam]
 
 
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_roles_index_the_role_labels(family):
+    e = catalog.make(family, 3)
+    z, s, p = e.roles()
+    labels = e.algebra.labels
+    assert [labels[i] for i in z] == [e.z_label]
+    assert tuple(labels[i] for i in s) == e.s_labels
+    assert tuple(labels[i] for i in p) == e.p_labels
+    assert sorted(z + s + p) == list(range(e.algebra.dim))
+
+
 def test_cache_identity():
     assert catalog.make("poincare", 4) is catalog.make("poincare", 4)
 

@@ -50,14 +50,14 @@ def assert_matches_reference(zd):
 
 def central_structure(alg, roles):
     """The part of a validated structure that `z_action_split` reads: the
-    algebra, the central vector and the momentum space, built as
+    algebra, the central line and the momentum space, built as
     `validate` builds them.  Catalog entries at d = 3 fail validation, so
     the comparison does not go through `validate`."""
     (z,), _, p = roles
     n = alg.dim
     return SimpleNamespace(
         algebra=alg,
-        z0=unit_vec(n, z),
+        z_space=Subspace.span(n, [unit_vec(n, z)]),
         p_space=Subspace.span(n, [unit_vec(n, i) for i in p]),
     )
 

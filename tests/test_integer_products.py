@@ -10,6 +10,7 @@ out on a dense tensor of Fraction tuples (None for a zero bracket) and
 as Gauss-Jordan elimination on Fraction rows.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -640,7 +641,9 @@ def test_ad_and_its_matrix_on_subspaces_match_fraction_brackets_seeded():
         full = Subspace.full(n)
         derived = alg.derived_subalgebra()
         for x in vectors(rng, n):
-            ad = alg.ad(x)
+            # ad x from x times the lcm of its denominators
+            dx = math.lcm(*(F(c).denominator for c in x))
+            ad = alg._integer_ad([int(F(c) * dx) for c in x], dx)
             assert rows_of(ad) == [
                 [ref_bracket(t, x, e)[i] for e in full.basis] for i in range(n)
             ]

@@ -9,7 +9,7 @@ from conftest import heisenberg_document, heisenberg_like
 from kinsila import catalog, repth
 from kinsila.documents import parse_document
 from kinsila.errors import InternalFault, ValidationError
-from kinsila.exactla import Mat, Subspace, unit_vec, vadd, vsub
+from kinsila.exactla import Mat, Subspace, solve, unit_vec
 from kinsila.kinematics import (
     LABELS,
     canonical_involution,
@@ -335,8 +335,10 @@ def test_de_sitter_split():
     c = r.certificates
     assert c["eigenvalue"] == 1
     assert all(c["checks"].values())
-    lpos = Subspace.span(8, [vsub(unit_vec(8, i), unit_vec(8, 4 + i)) for i in range(4)])
-    lneg = Subspace.span(8, [vadd(unit_vec(8, i), unit_vec(8, 4 + i)) for i in range(4)])
+    lpos = Subspace.span(8, [tuple(int(j == i) - int(j == 4 + i) for j in range(8))
+                             for i in range(4)])
+    lneg = Subspace.span(8, [tuple(int(j == i) + int(j == 4 + i) for j in range(8))
+                             for i in range(4)])
     assert c["l_basis"] == lpos
     assert c["l_bar_basis"] == lneg
     grading = c["grading"]
@@ -352,6 +354,71 @@ def test_anti_de_sitter_split():
     assert r.mu == -1
     j = r.certificates["complex_like_structure"]
     assert (j @ j) == Mat.identity(8).scale(F(-1))
+
+
+def so_q_de_sitter_like(h_scale=1):
+    """so(Q) for Q = diag(-1, 1, 1, 1, 1, 2), a d = 4 de Sitter-like
+    algebra whose central action squares to an irrational scale.
+
+    Realized by matrices, as the catalog realizes its families: the
+    rotations J_ab = E_ab - E_ba, B_i = E_0i + E_i0, P_i = E_i5 - E_5i / 2
+    and H = h_scale (E_05 + E_50 / 2); each commutator's coordinates are
+    solved for in the span of the generators.  Returns the algebra and
+    its (z, s, p) roles.
+    """
+
+    def unit(i, j, c=1):
+        rows = [[0] * 6 for _ in range(6)]
+        rows[i][j] = c
+        return Mat(rows)
+
+    mats, labels = [], []
+    for a in range(1, 5):
+        for b in range(a + 1, 5):
+            mats.append(unit(a, b) - unit(b, a))
+            labels.append(f"J{a}_{b}")
+    for i in range(1, 5):
+        mats.append(unit(0, i) + unit(i, 0))
+        labels.append(f"B{i}")
+    for i in range(1, 5):
+        mats.append(unit(i, 5) - unit(5, i, F(1, 2)))
+        labels.append(f"P{i}")
+    mats.append((unit(0, 5) + unit(5, 0, F(1, 2))).scale(h_scale))
+    labels.append("H")
+
+    def flat(m):
+        return [x for row in m.entries for x in row]
+
+    span = Mat.from_cols([flat(m) for m in mats])
+    pairs = {}
+    for i, x in enumerate(mats):
+        for j in range(i + 1, len(mats)):
+            comm = x @ mats[j] - mats[j] @ x
+            if not comm.is_zero():
+                pairs[(i, j)] = solve(span, flat(comm)).particular
+    n = len(mats)
+    return LieAlgebra(n, pairs, labels), ([n - 1], list(range(6)), list(range(6, n - 1)))
+
+
+def test_positive_irrational_square_is_certified_by_the_scalar():
+    algebra, roles = so_q_de_sitter_like()
+    report = classify(algebra, *roles).to_dict()
+    assert report["label"] == "three-graded-para-kahler"
+    assert report["z_action"] == "semisimple"
+    assert report["mu"] == "1/2" and report["mu_sign"] == 1
+    # no eigenspace certificate: sqrt(1/2) is not rational
+    assert report["certificates"] == {"a_squared_scalar": "1/2"}
+    assert report["notes"][1] == (
+        "the action squares to 1/2 > 0 with irrational root; the eigenspace "
+        "split exists over the extension field and is certified here only "
+        "by the scalar square"
+    )
+    # rescaling Z by lambda = 2 multiplies mu by lambda^2
+    algebra, roles = so_q_de_sitter_like(h_scale=2)
+    r2 = classify(algebra, *roles)
+    assert r2.label == "three-graded-para-kahler"
+    assert r2.mu == 2
+    assert r2.certificates == {"a_squared_scalar": 2}
 
 
 def test_poincare_certificate_items():

@@ -146,6 +146,30 @@ class TestSimplicity:
         ok, _ = is_simple(Rep(alg, [Mat.zeros(1, 1)]))
         assert ok
 
+    def test_transpose_side_spin_gives_the_witness(self, monkeypatch):
+        # b(2) = span(E11, E12, E22) on Q^2 by its own matrices: E11 has
+        # nullity 1 and its kernel vector e2 spins to everything, but on
+        # the transpose side e2 spins only to span(e2), whose orthogonal
+        # complement span(e1) is the invariant line
+        alg = LieAlgebra(3, {(0, 1): (0, 1, 0), (1, 2): (0, 1, 0)},
+                         labels=["E11", "E12", "E22"])
+        rep = Rep(alg, [Mat([[1, 0], [0, 0]]), Mat([[0, 1], [0, 0]]),
+                        Mat([[0, 0], [0, 1]])])
+        complements = []
+        integer_kernel = repth._integer_kernel
+
+        def spy(width, rows):
+            rows = list(rows)
+            complements.append((width, rows))
+            return integer_kernel(width, rows)
+
+        monkeypatch.setattr(repth, "_integer_kernel", spy)
+        ok, wit = is_simple(rep)
+        assert not ok
+        assert wit == Subspace.span(2, [(1, 0)])
+        # the witness is the complement of the transpose-side closure span(e2)
+        assert complements == [(2, [((1, 1),)])]
+
 
 class TestProbeWorkIsNotRepeated:
     def test_each_vector_spins_once_per_call(self, monkeypatch):
@@ -357,13 +381,14 @@ class TestGeneratorsDecideModuleQuestions:
         alg, v = so_algebra_and_rep(5)
         w = wedge_square(v)
         read = []
-        integer_rows = Mat._integer_rows
+        # every read of a Mat's integer view goes through this slot
+        slot = Mat.__dict__["_integer"]
 
         def counted(m):
             read.append(m)
-            return integer_rows(m)
+            return slot.__get__(m, Mat)
 
-        monkeypatch.setattr(Mat, "_integer_rows", counted)
+        monkeypatch.setattr(Mat, "_integer", property(counted, slot.__set__))
         hom_space(v, w)
         blocks = [m for m in read if any(m is x for x in v.mats)]
         assert len(blocks) == len(alg.generators()) == 4
