@@ -10,7 +10,7 @@ de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Every product
 inside the package is `_integer_bracket`, which brackets integer
 vectors such as a `Subspace`'s echelon rows; `bracket` is the Fraction
 boundary over it, for callers outside, and builds an exact Fraction
-once per nonzero entry of what it returns.  `ad`, the Killing form,
+once per nonzero entry of what it returns.  ad x, the Killing form,
 centralizers and Levi complements are built from that table and from
 integer rows without any Fraction; a restriction builds one per nonzero
 structure constant of the subalgebra, for its constructor.
@@ -38,7 +38,6 @@ from .exactla import (
     kernel,
     q,
     rank,
-    unit_vec,
 )
 
 
@@ -176,7 +175,7 @@ class LieAlgebra:
             closure = Echelon(n)
             chosen = []
             for i in range(n):
-                row = closure.add(unit_vec(n, i))
+                row = closure.add_integer([int(j == i) for j in range(n)])
                 if row is None:
                     continue
                 chosen.append(i)
