@@ -1,19 +1,21 @@
 """Catalog of classical kinematical Lie algebras.
 
 No structure constant in this file is written down by hand.  Each family
-is realized by explicit matrices; commutators are computed exactly, their
-coordinates in the generator span are solved for, and the expansion is
-re-verified entry by entry before it becomes a structure constant.
+is realized by explicit integer matrices; commutators are computed in
+integers, their coordinates in the generator span are solved for, and the
+expansion is re-verified entry by entry before it becomes a structure
+constant, a Fraction only when it is handed to `LieAlgebra`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .errors import InternalFault
-from .exactla import _ZERO, Mat, Subspace, inverse
+from .exactla import (
+    _flat, _fractions, _integer_echelon, _integer_mat, _sparse, Mat, inverse,
+)
 from .liecore import LieAlgebra
 
 FAMILIES = (
@@ -69,8 +71,13 @@ class CatalogEntry:
         return f"CatalogEntry({self.family}, d={self.d})"
 
 
-def _empty(n: int) -> List[List[Fraction]]:
-    return [[_ZERO] * n for _ in range(n)]
+def _empty(n: int) -> List[List[int]]:
+    return [[0] * n for _ in range(n)]
+
+
+def _mat(rows: List[List[int]]) -> Mat:
+    """The square Mat with these int rows."""
+    return _integer_mat(len(rows), 1, tuple(map(_sparse, rows)))
 
 
 def _pair_labels(d: int) -> List[str]:
@@ -92,13 +99,13 @@ def _realization(family: str, d: int) -> Tuple[List[Mat], int]:
             for b in range(a + 1, d + 1):
                 rows = _empty(n)
                 _so_block(rows, a, b, 1)
-                mats.append(Mat(rows))
+                mats.append(_mat(rows))
         for i in range(1, d + 1):  # boosts
             rows = _empty(n)
             rows[0][i] += 1
             if family != "carroll":
                 rows[i][0] += 1
-            mats.append(Mat(rows))
+            mats.append(_mat(rows))
         for i in range(1, d + 1):  # spatial translations
             rows = _empty(n)
             rows[i][d + 1] += 1
@@ -106,14 +113,14 @@ def _realization(family: str, d: int) -> Tuple[List[Mat], int]:
                 rows[d + 1][i] -= 1
             elif family == "anti_de_sitter":
                 rows[d + 1][i] += 1
-            mats.append(Mat(rows))
+            mats.append(_mat(rows))
         rows = _empty(n)  # time translation
         rows[0][d + 1] += 1
         if family == "de_sitter":
             rows[d + 1][0] += 1
         elif family == "anti_de_sitter":
             rows[d + 1][0] -= 1
-        mats.append(Mat(rows))
+        mats.append(_mat(rows))
         return mats, n
 
     # the four flat families share one affine realization, parametrized by
@@ -133,15 +140,15 @@ def _realization(family: str, d: int) -> Tuple[List[Mat], int]:
             rows = _empty(n)
             _so_block(rows, a, b, 0)
             _so_block(rows, a, b, d)
-            mats.append(Mat(rows))
+            mats.append(_mat(rows))
     for i in range(1, d + 1):
         rows = _empty(n)
         rows[i - 1][2 * d] += 1
-        mats.append(Mat(rows))
+        mats.append(_mat(rows))
     for i in range(1, d + 1):
         rows = _empty(n)
         rows[d + i - 1][2 * d] += 1
-        mats.append(Mat(rows))
+        mats.append(_mat(rows))
     rows = _empty(n)
     for i in range(1, d + 1):
         if c_p:
@@ -151,12 +158,8 @@ def _realization(family: str, d: int) -> Tuple[List[Mat], int]:
     # a decoupled nilpotent corner keeps H nonzero even when both
     # coefficients vanish (the static family)
     rows[2 * d + 1][2 * d + 2] += 1
-    mats.append(Mat(rows))
+    mats.append(_mat(rows))
     return mats, n
-
-
-def _flatten(m: Mat) -> tuple:
-    return tuple(x for row in m.entries for x in row)
 
 
 @lru_cache(maxsize=None)
@@ -173,27 +176,33 @@ def make(family: str, d: int) -> CatalogEntry:
             "realization has the wrong number of generators",
             {"family": family, "d": d, "got": g},
         )
-    flat = [_flatten(m) for m in mats]
-    span = Subspace.span(n * n, flat)
-    if span.dim != g:
+    # the matrices and their commutators are integral: a flat is the entries
+    flat = [_flat(m) for m in mats]
+    span = _integer_echelon(n * n, map(_sparse, flat))
+    if len(span.rows) != g:
         raise InternalFault(
             "realization generators are linearly dependent",
             {"family": family, "d": d},
         )
+    # the generators' entries at the pivot columns form an invertible
+    # minor, whose inverse T / den reads coordinates off those entries
     piv = span.pivots
-    small = Mat([[flat[j][p] for j in range(g)] for p in piv], cols=g)
-    small_inv = inverse(small)
-    generators = Mat.from_cols(flat)
+    small_inv = inverse(
+        _integer_mat(g, 1, tuple(_sparse([w[p] for w in flat]) for p in piv))
+    )
+    den = small_inv._integer[0]
+    generators = _integer_mat(g, 1, tuple(map(_sparse, zip(*flat))))
 
     def coords_of(m: Mat, where) -> tuple:
-        fv = _flatten(m)
-        c = small_inv.apply(tuple(fv[p] for p in piv))
-        if generators.apply(c) != fv:
+        fv = _flat(m)
+        # the coordinates are T w / den, for w the entries at the pivots
+        c = small_inv._integer_apply([fv[p] for p in piv])
+        if generators._integer_apply(c) != [den * x for x in fv]:
             raise InternalFault(
                 "commutator is not in the generator span",
                 {"family": family, "d": d, "pair": where},
             )
-        return c
+        return _fractions(c, den)
 
     pairs: Dict[Tuple[int, int], tuple] = {}
     for i in range(g):

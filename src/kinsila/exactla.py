@@ -149,15 +149,6 @@ class Mat:
     def identity(n: int) -> "Mat":
         return _integer_mat(n, 1, tuple(((i, 1),) for i in range(n)))
 
-    @staticmethod
-    def from_cols(cols, rows: Optional[int] = None) -> "Mat":
-        cols = [tuple(c) for c in cols]
-        if cols:
-            height = len(cols[0])
-        else:
-            height = rows or 0
-        return Mat([[c[i] for c in cols] for i in range(height)], cols=len(cols))
-
     # -- access --------------------------------------------------------
     @property
     def entries(self) -> tuple:
@@ -175,9 +166,6 @@ class Mat:
             entries = tuple(out)
             object.__setattr__(self, "_entries", entries)
             return entries
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -321,6 +309,23 @@ def _dense(pairs, width: int) -> list:
     return w
 
 
+def _flat(m: Mat) -> list:
+    """The matrix m flattened row by row, times its denominator."""
+    n = m.cols
+    w = [0] * (m.rows * n)
+    for r, row in enumerate(m._integer[1]):
+        for c, x in row:
+            w[r * n + c] = x
+    return w
+
+
+def _unflat(w: Sequence[int], den: int, rows: int, cols: int) -> Mat:
+    """The rows x cols Mat read row by row from the integer vector w / den."""
+    return _integer_mat(cols, den, tuple(
+        _sparse(w[r * cols:(r + 1) * cols]) for r in range(rows)
+    ))
+
+
 def _integer_mat(cols: int, den: int, rows: tuple) -> Mat:
     """The Mat whose integer view is (den, rows) once den and the entries
     are divided by their gcd; every integer result is built here."""
@@ -361,12 +366,11 @@ def _fractions(ints, den: int) -> tuple:
 class Echelon:
     """Incremental fraction-free row echelon form over Q.
 
-    Rows go in one at a time through `add`, which scales a Fraction row
-    to integers by the lcm of its denominators, or through `add_integer`,
-    for a row a caller has built in integers and which meets no Fraction
-    on the way.
-    Each is reduced against the rows already stored and kept only when it
-    is independent of them.  A stored row is a
+    Integer rows go in one at a time through `add_integer`; a caller
+    holding a Fraction vector scales it by the lcm of its denominators
+    first (`_integer_row`), as `Subspace.span` does.  Each is reduced
+    against the rows already stored and kept only when it is independent
+    of them.  A stored row is a
     primitive integer tuple (its entries have gcd 1) with a positive
     pivot entry; it is zero before its pivot and at the pivots of the rows
     stored before it, so reducing in storage order clears every pivot.
@@ -387,13 +391,11 @@ class Echelon:
 
     __slots__ = ("width", "rows", "pivots", "support")
 
-    def __init__(self, width: int, rows: Iterable[Sequence] = ()):
+    def __init__(self, width: int):
         self.width = width
         self.rows: list = []
         self.pivots: list = []
         self.support: list = []
-        for r in rows:
-            self.add(r)
 
     def _reduce(self, w: list) -> list:
         """The integer row w reduced fraction-free at every stored pivot."""
@@ -417,17 +419,13 @@ class Echelon:
                         w = [x // g for x in w]
         return w
 
-    def add(self, v) -> Optional[tuple]:
-        """Store v's residual as a primitive integer row with a positive
-        pivot entry and return it: a nonzero multiple of v reduced.
-
-        Returns None, storing nothing, when v is in the span of the rows.
-        """
-        return self.add_integer(_integer_row(v)[1])
-
     def add_integer(self, w: list) -> Optional[tuple]:
-        """`add` for a row already in integers: w is a list of ints, which
-        the reduction may overwrite."""
+        """Store the residual of w, a list of ints that the reduction may
+        overwrite, as a primitive integer row with a positive pivot entry
+        and return it: a nonzero multiple of w reduced.
+
+        Returns None, storing nothing, when w is in the span of the rows.
+        """
         if len(self.rows) == self.width:
             return None
         w = self._reduce(w)
@@ -501,13 +499,13 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = []
+        ech = Echelon(ambient_dim)
         for v in vectors:
             t = _exact(tuple(v))
             if len(t) != ambient_dim:
                 raise ValueError("vector does not live in the ambient space")
-            rows.append(t)
-        return Echelon(ambient_dim, rows).subspace()
+            ech.add_integer(_integer_row(t)[1])
+        return ech.subspace()
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -1116,23 +1114,21 @@ def is_nilpotent(m: Mat) -> bool:
 def polynomial_in(m: Mat, target: Mat) -> Optional[tuple]:
     """Coefficients c with target = sum c_k m^k (k < n), or None.
 
-    Used to certify that computed parts lie in the Krylov span of m.
+    Used to certify that computed parts lie in the Krylov span of m.  The
+    system [I, m, ..., m^(n-1) | target] reaches `solve` in integers.
     """
     if not m.is_square() or not target.is_square() or m.rows != target.rows:
         raise ValueError("shape mismatch")
     n = m.rows
     if n == 0:
         return ()
-    powers = []
-    acc = Mat.identity(n)
-    for _ in range(n):
-        powers.append(acc)
-        acc = acc @ m
-    cols = [
-        tuple(p.entries[i][j] for i in range(n) for j in range(n)) for p in powers
-    ]
-    flat_target = tuple(target.entries[i][j] for i in range(n) for j in range(n))
-    res = solve(Mat.from_cols(cols), flat_target)
+    mats = [Mat.identity(n)]
+    while len(mats) < n:
+        mats.append(mats[-1] @ m)
+    mats.append(target)
+    den = math.lcm(*[a._integer[0] for a in mats])
+    *flats, b = [[x * (den // a._integer[0]) for x in _flat(a)] for a in mats]
+    res = solve(_integer_mat(n, 1, tuple(map(_sparse, zip(*flats)))), b)
     return None if res is None else res.particular
 
 

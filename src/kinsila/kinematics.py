@@ -24,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .exactla import (
-    _ONE,
     _ZERO,
     _dense,
     _integer_echelon,
@@ -70,9 +69,6 @@ class KinStructure:
     """A validated decomposition plus everything derived during validation."""
 
     algebra: LieAlgebra
-    z_indices: Tuple[int, ...]
-    s_indices: Tuple[int, ...]
-    p_indices: Tuple[int, ...]
     z_space: Subspace
     s_space: Subspace
     p_space: Subspace
@@ -135,7 +131,6 @@ class ClassificationResult:
     holonomy_dim: int
     flat: bool
     indecomposable: Optional[bool]
-    sigma_check: Dict[str, bool] = field(default_factory=dict)
     omega: Optional[Mat] = None
     mu: Optional[Fraction] = None
     certificates: Dict[str, object] = field(default_factory=dict)
@@ -159,7 +154,8 @@ class ClassificationResult:
         out = {
             "label": self.label,
             "validation": [[name, ok] for name, ok in self.validation_items],
-            "sigma_check": dict(self.sigma_check),
+            # validate raised unless sigma is an involutive automorphism
+            "sigma_check": {"involutive": True, "automorphism": True},
             "radical_case": self.radical_case,
             "radical_dim": self.radical_dim,
             "z_action": self.z_action,
@@ -216,12 +212,10 @@ def canonical_involution(
     input brackets break the grading this raises a validation error with
     code SIGMA_NOT_AUTOMORPHISM.
     """
-    n = algebra.dim
     p_set = set(p_indices)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = -_ONE if i in p_set else _ONE
-    sigma = Mat(rows)
+    sigma = _integer_mat(algebra.dim, 1, tuple(
+        ((i, -1 if i in p_set else 1),) for i in range(algebra.dim)
+    ))
     if not algebra.is_involution(sigma) or not algebra.is_automorphism(sigma):
         raise ValidationError(
             "SIGMA_NOT_AUTOMORPHISM",
@@ -243,9 +237,6 @@ def validate(
     Returns the structure object all later stages consume.
     """
     n = algebra.dim
-    z_indices = tuple(z_indices)
-    s_indices = tuple(s_indices)
-    p_indices = tuple(p_indices)
     items: List[Tuple[str, bool]] = []
 
     def fail(pos: int, message: str):
@@ -352,9 +343,6 @@ def validate(
 
     return KinStructure(
         algebra=algebra,
-        z_indices=z_indices,
-        s_indices=s_indices,
-        p_indices=p_indices,
         z_space=z_space,
         s_space=s_space,
         p_space=p_space,
@@ -378,7 +366,7 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
     theorems here, so violations raise InternalFault.
     """
     alg = structure.algebra
-    zi = structure.z_indices[0]
+    zi = structure.z_space.pivots[0]
     # omega = [x, y] at Z over D L^2, with x, y the momenta basis times L
     den, momenta = structure.p_space.basis_mat()._integer
     momenta = [_dense(x, alg.dim) for x in momenta]
@@ -648,7 +636,7 @@ def poincare_certificate(
         raise ValueError("certificate asked with a degenerate two-form")
     alg = structure.algebra
     items: List[Tuple[str, bool, str]] = []
-    dp = len(structure.p_indices)
+    dp = structure.p_space.dim
     half = dp // 2
 
     rad_g = alg.solvable_radical()
@@ -797,8 +785,6 @@ def classify(
 
     base = dict(
         validation_items=structure.items,
-        # validate raised unless sigma is an involutive automorphism
-        sigma_check={"involutive": True, "automorphism": True},
         omega=sym.omega,
         radical_case=sym.radical_case,
         radical_dim=sym.radical.dim,

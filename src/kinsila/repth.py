@@ -17,10 +17,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, InternalFault, RepError, SimplicityUndecided
 from .exactla import (
+    _flat,
     _integer_kernel,
     _integer_mat,
     _solve,
     _sparse,
+    _unflat,
     Echelon,
     Mat,
     Poly,
@@ -163,16 +165,6 @@ def wedge_square(rep: Rep) -> Rep:
     return Rep(rep.algebra, mats, check=False, dim=n2)
 
 
-def _flat(m: Mat) -> list:
-    """The square matrix m flattened row by row, times its denominator."""
-    n = m.cols
-    w = [0] * (m.rows * n)
-    for r, row in enumerate(m._integer[1]):
-        for c, x in row:
-            w[r * n + c] = x
-    return w
-
-
 def _flat_rank(mats: Sequence[Mat], d: int) -> int:
     """The dimension of the span of the d x d matrices `mats`."""
     found = Echelon(d * d)
@@ -250,13 +242,6 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
                     rows.append(key)
     combos = _integer_kernel(width, rows)
     return [_unflat(row, row[p], d2, d1) for row, p in zip(combos.rows, combos.pivots)]
-
-
-def _unflat(w: Sequence[int], den: int, rows: int, cols: int) -> Mat:
-    """The rows x cols Mat read row by row from the integer vector w / den."""
-    return _integer_mat(cols, den, tuple(
-        _sparse(w[r * cols:(r + 1) * cols]) for r in range(rows)
-    ))
 
 
 def invariant_symmetric_forms(rep: Rep) -> List[Mat]:
@@ -378,14 +363,10 @@ def _factor_over_q(p: Poly) -> List[Tuple[Poly, int]]:
     return out
 
 
-def _invariant_under(rep: Rep, space: Subspace) -> bool:
-    return all(space.matrix_of(m) is not None for m in rep.mats)
-
-
 def _certify_reducible(rep: Rep, space: Subspace):
     if space.is_zero() or space.is_full():
         raise InternalFault("reducibility certificate is not proper", {})
-    if not _invariant_under(rep, space):
+    if any(space.matrix_of(m) is None for m in rep.mats):
         raise InternalFault(
             "reducibility certificate is not invariant",
             {"basis": space.basis},

@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
 from conftest import so_algebra_and_rep, unimodular_conjugate
-from kinsila import catalog, exactla, kinematics, liecore, repth
+from kinsila import exactla, kinematics, liecore, repth
 from kinsila.exactla import (
     Echelon,
     Mat,
@@ -36,6 +37,15 @@ from kinsila.exactla import (
 )
 
 
+def echelon_of(n, rows):
+    """An Echelon of width n holding the rows, each scaled to integers by
+    the lcm of its denominators."""
+    ech = Echelon(n)
+    for v in rows:
+        ech.add_integer(exactla._integer_row(v)[1])
+    return ech
+
+
 def rand_mat(rng, n, lo=-5, hi=5):
     return Mat([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
@@ -53,7 +63,6 @@ class TestScalarsAndVectors:
         assert q(half) == half and type(q(half)) is F
         for build in (
             lambda: Mat([[0.5]]),
-            lambda: Mat.from_cols([[0.5]]),
             lambda: Subspace.span(1, [[0.5]]),
             lambda: Poly([0.5]),
             lambda: solve(Mat([[1]]), [0.5]),
@@ -72,10 +81,8 @@ class TestScalarsAndVectors:
         assert all(type(x) is F for row in basis for x in row)
 
     def test_one_shared_zero_and_one(self):
-        # the modules that build matrices from the constants
-        for module in (kinematics, catalog):
-            assert module._ZERO is exactla._ZERO
-        assert kinematics._ONE is exactla._ONE
+        # the modules that import the constants
+        assert kinematics._ZERO is exactla._ZERO
 
     def test_vector_helpers(self):
         assert unit_vec(3, 1) == (0, 1, 0)
@@ -372,7 +379,7 @@ class TestEchelon:
             den = math.lcm(*(x.denominator for x in v))
             residual = ech._reduce([int(x * den) for x in v])
             assert_nonzero_multiple(residual, dense_residual(rows, pivots, v))
-            got = ech.add(v)
+            got = ech.add_integer([int(x * den) for x in v])
             want = dense_add(rows, pivots, v)
             assert (got is None) == (want is None)
             if want is not None:
@@ -413,7 +420,7 @@ class TestEchelon:
                     ref_rows, ref_pivots
                 )
                 assert exact(sub)
-            other = Echelon(n, rand_rows(n, density, rng.randint(0, n))).subspace()
+            other = echelon_of(n, rand_rows(n, density, rng.randint(0, n))).subspace()
             rows2, pivots2 = list(basis), list(basis_pivots)
             for v in other.basis:
                 dense_add(rows2, pivots2, v)
@@ -481,8 +488,10 @@ class TestEchelon:
                         scaled += 1
                         assert math.gcd(*after) == 1
                     before = after
-                ech.add(v)
-            parent = ParentEchelon(n, vectors)
+                ech.add_integer(list(v))
+            parent = ParentEchelon(n)
+            for v in vectors:
+                parent.add_integer(list(v))
             assert ech.rows == parent.rows and ech.pivots == parent.pivots
             basis, pivots = dense_span(n, vectors)
             built = ech.subspace()
@@ -503,7 +512,7 @@ class TestEchelon:
             [(F(2), F(0), F(1)), (F(0), F(3), F(0))],
         ):
             spaces = [
-                Echelon(3, rows).subspace(),
+                echelon_of(3, rows).subspace(),
                 Subspace.span(3, rows),
                 kernel(Mat(rows)),
                 Subspace.span(3, rows).sum_with(Subspace.span(3, rows[:1])),
@@ -641,9 +650,8 @@ class TestFractionGrowth:
                 conj, _ = unimodular_conjugate(rep, rng)
                 matrices += conj.mats
                 # every generator's entries as one column: the faithfulness system
-                matrices.append(Mat.from_cols(
-                    [[x for row in m.entries for x in row] for m in conj.mats]
-                ))
+                flats = [[x for row in m.entries for x in row] for m in conj.mats]
+                matrices.append(Mat([list(col) for col in zip(*flats)]))
 
         for m in matrices:
             rows, cols = [list(r) for r in m.entries], m.cols
@@ -827,6 +835,14 @@ class TestSqrtRational:
 # acceptance criterion that calls it
 CALLED_ONLY_BY_CRITERIA = {"polynomial_in": "test_acceptance.py, criterion 8"}
 
+# public methods of the matrix and echelon classes that no code of the
+# package calls, each with the reason it is kept
+KEPT_METHODS = {
+    "Mat.apply": "the Fraction boundary: a matrix applied to a caller's vector",
+    "Subspace.contains": "the Fraction boundary: is a caller's vector in the span",
+    "Mat.power": "test_acceptance.py, criterion 8",
+}
+
 
 def names_loaded(tree, own=False):
     """Names loaded by a Name or an Attribute node in a module's syntax
@@ -854,9 +870,24 @@ def names_loaded(tree, own=False):
 
 def test_every_public_name_is_used_in_the_package():
     package = Path(exactla.__file__).parent
-    loaded = set()
+    loaded, attributes = set(), set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         loaded |= names_loaded(tree, own=path.name == "exactla.py")
+        attributes |= {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
     unused = set(exactla.__all__) - loaded
     assert unused == set(CALLED_ONLY_BY_CRITERIA)
+    # a method is used when an attribute of its name is read anywhere in
+    # the package: the owner is not resolved, so a read through any object
+    # counts
+    methods = {
+        f"{cls.__name__}.{name}"
+        for cls in (Mat, Echelon, Subspace)
+        for name, member in vars(cls).items()
+        if not name.startswith("_")
+        and isinstance(member, (FunctionType, property, staticmethod))
+    }
+    assert {m for m in methods if m.split(".")[1] not in attributes} == set(KEPT_METHODS)

@@ -6,6 +6,10 @@ counted while catalog entries at d = 4, 5, 6 and one rebased draw per
 family are validated and classified: each still gets its label, no
 bracket is taken, and `validate` reads no Fraction entries.
 
+Building the catalog entries reads no `entries`, spans no Fraction
+vectors, and makes one Fraction `Mat` per algebra: the one
+`LieAlgebra.__init__` builds from its structure constants.
+
 The same entries are classified with the Jordan-Chevalley machinery made
 to raise: their central actions square to 0 or to a scalar, so their
 kind is read off the square and no split is computed.
@@ -17,7 +21,7 @@ import pytest
 
 from conftest import bench_workloads, structure_pairs
 from kinsila import catalog, exactla, kinematics
-from kinsila.exactla import Mat, is_nilpotent
+from kinsila.exactla import Mat, Subspace, is_nilpotent
 from kinsila.kinematics import classify, validate
 from kinsila.liecore import LieAlgebra
 
@@ -79,6 +83,35 @@ def test_the_boundary_is_watched(entries_reads):
         alg.bracket((1, 0), (0, 1))
     Mat([[1]]).entries
     assert entries_reads[0] == 1
+
+
+def test_the_catalog_is_built_in_integers(monkeypatch):
+    counts = {"entries": 0, "span": 0, "init": 0}
+    entries, span, init = Mat.entries, Subspace.span, Mat.__init__
+
+    def counted_entries(m):
+        counts["entries"] += 1
+        return entries.fget(m)
+
+    def counted_span(*args):
+        counts["span"] += 1
+        return span(*args)
+
+    def counted_init(m, *args, **kwargs):
+        counts["init"] += 1
+        init(m, *args, **kwargs)
+
+    monkeypatch.setattr(Mat, "entries", property(counted_entries))
+    monkeypatch.setattr(Subspace, "span", staticmethod(counted_span))
+    monkeypatch.setattr(Mat, "__init__", counted_init)
+    catalog.make.cache_clear()
+    try:
+        for d in (4, 5, 6):
+            for family in catalog.FAMILIES:
+                catalog.make(family, d)
+    finally:
+        catalog.make.cache_clear()
+    assert counts == {"entries": 0, "span": 0, "init": 24}
 
 
 @pytest.fixture

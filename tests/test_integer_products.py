@@ -162,7 +162,7 @@ def rebase(n, pairs, roles, rng):
                 else:
                     x = rng.randint(-1, 1) if pb < pa else 0
                 cols[idx[b]][idx[a]] = F(x)
-    minv = inverse(Mat.from_cols(cols)).entries
+    minv = inverse(Mat(list(zip(*cols)))).entries
     t = ref_tensor(n, pairs)
     out = {}
     for a in range(n):
@@ -273,7 +273,7 @@ def test_mat_products_match_fraction_arithmetic_seeded():
     for n, pairs in algebras(rng):
         t = ref_tensor(n, pairs)
         ad = [
-            Mat.from_cols([t[i][j] or (F(0),) * n for j in range(n)])
+            Mat(list(zip(*[t[i][j] or (F(0),) * n for j in range(n)])))
             for i in range(n)
         ]
         for _ in range(4):
@@ -315,7 +315,7 @@ def test_hom_space_matches_fraction_equations_seeded():
             for a in range(d):
                 for b in range(a + 1):
                     cols[b][a] = F(rng.choice((1, 2)) if a == b else rng.randint(-1, 1))
-            t = Mat.from_cols(cols)
+            t = Mat(list(zip(*cols)))
             conj.append(Rep(rep.algebra, [t @ m @ inverse(t) for m in rep.mats]))
         for a, b in ((conj[0], conj[1]), (conj[1], conj[2]), (conj[2], conj[2])):
             got = hom_space(a, b)

@@ -389,7 +389,7 @@ def so_q_de_sitter_like(h_scale=1):
     def flat(m):
         return [x for row in m.entries for x in row]
 
-    span = Mat.from_cols([flat(m) for m in mats])
+    span = Mat(list(zip(*[flat(m) for m in mats])))
     pairs = {}
     for i, x in enumerate(mats):
         for j in range(i + 1, len(mats)):

@@ -44,12 +44,13 @@ def sl2_on_plane():
 def change_basis(alg, new_basis_cols):
     """Structure constants of `alg` rewritten in the given new basis."""
     n = alg.dim
-    m = Mat.from_cols(new_basis_cols)
+    m = Mat(list(zip(*new_basis_cols)))
+    cols = list(zip(*m.entries))
     minv = inverse(m)
     pairs = {}
     for a in range(n):
         for b in range(a + 1, n):
-            w = minv.apply(alg.bracket(m.col(a), m.col(b)))
+            w = minv.apply(alg.bracket(cols[a], cols[b]))
             if any(w):
                 pairs[(a, b)] = w
     return LieAlgebra(n, pairs)
@@ -162,7 +163,7 @@ def all_pairs_automorphism(alg, t):
     n = alg.dim
     if rank(t) != n:
         return False
-    img = [t.col(i) for i in range(n)]
+    img = list(zip(*t.entries))
     return all(
         alg.bracket(img[i], img[j]) == t.apply(alg.structure_constant(i, j))
         for i in range(n) for j in range(i + 1, n)
@@ -241,7 +242,7 @@ class TestAutomorphismOnGenerators:
         # with rational entries are not
         g = sl2_on_plane()
         x = (0, F(1, 3), 0, 0, 0)
-        ad = Mat.from_cols([g.bracket(x, unit_vec(5, i)) for i in range(5)])
+        ad = Mat(list(zip(*[g.bracket(x, unit_vec(5, i)) for i in range(5)])))
         ad2 = ad @ ad
         exp_ad = Mat.identity(5) + ad + ad2.scale(F(1, 2)) + (ad2 @ ad).scale(F(1, 6))
         half = Mat([[F(1, 2) if i == j and i >= 3 else int(i == j) for j in range(5)]
@@ -276,7 +277,7 @@ class TestAutomorphismOnGenerators:
         # like an automorphism but is not invertible
         g = sl2_on_plane()
         proj = Mat([[int(i == j and i < 3) for j in range(5)] for i in range(5)])
-        img = [proj.col(i) for i in range(5)]
+        img = list(zip(*proj.entries))
         assert all(g.bracket(img[i], img[j]) == proj.apply(g.structure_constant(i, j))
                    for i in range(5) for j in range(5))
         assert not g.is_automorphism(proj)

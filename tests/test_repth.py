@@ -6,7 +6,9 @@ import pytest
 from conftest import doubled, so_algebra_and_rep, unimodular_conjugate
 from kinsila import repth
 from kinsila.errors import DecompositionError, InternalFault, RepError
-from kinsila.exactla import Echelon, Mat, Subspace, inverse, kernel, unit_vec
+from kinsila.exactla import (
+    _integer_row, Echelon, Mat, Subspace, inverse, kernel, unit_vec,
+)
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import (
     Rep,
@@ -79,7 +81,8 @@ class TestSimplicity:
             elements = []
 
             def try_add(m):
-                if found.add([x for row in m.entries for x in row]) is None:
+                flat = [x for row in m.entries for x in row]
+                if found.add_integer(_integer_row(flat)[1]) is None:
                     return False
                 elements.append(m)
                 return True
