@@ -513,9 +513,15 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        n = ambient_dim
-        rows = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-        return Subspace(n, rows, tuple(range(n)))
+        return Subspace.coordinate(ambient_dim, range(ambient_dim))
+
+    @staticmethod
+    def coordinate(ambient_dim: int, indices: Iterable[int]) -> "Subspace":
+        """The span of the basis vectors at `indices`: their unit rows,
+        in index order, are already its reduced echelon rows."""
+        pivots = tuple(sorted(indices))
+        rows = tuple(tuple(int(j == i) for j in range(ambient_dim)) for i in pivots)
+        return Subspace(ambient_dim, rows, pivots)
 
     @property
     def basis(self) -> tuple:

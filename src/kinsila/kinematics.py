@@ -10,6 +10,17 @@ The one exception is the bracket condition on the action of s on P: it
 is the Jacobi identity (checked when the LieAlgebra was built) restricted
 to s and P, so once s closes and ad s maps P into P it holds, and it is
 not checked a second time.
+
+A document assigns its roles to basis vectors, so Z, s and P are
+coordinate subspaces, and the reduced echelon basis of each is its basis
+vectors in index order.  The role-level facts are therefore read straight
+from blocks of the structure-constant table over the sorted role
+indices: s as a Lie algebra from the s x s block (step 2), the brackets
+of Z with s from Z's row (step 3), the action of s on P from the s x P
+block (step 4), the grading from the support of every nonzero structure
+constant (step 10), the action a = ad(Z)|P from the Z x P block, and the
+two-form from the P x P block at Z.  When the two-form vanishes, [P, P]
+inside s and P + Z being an ideal are support tests on the same table.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .errors import (
 )
 from .exactla import (
     _ZERO,
-    _dense,
+    _fractions,
     _integer_echelon,
     _integer_mat,
     _sparse,
@@ -37,7 +48,6 @@ from .exactla import (
     rank,
     sn_decomposition,
     sqrt_rational,
-    unit_vec,
 )
 from .liecore import LieAlgebra
 from .repth import (
@@ -74,6 +84,7 @@ class KinStructure:
     p_space: Subspace
     s_algebra: LieAlgebra
     p_rep: Rep                    # action of s on P, in P coordinates
+    a_matrix: Mat                 # ad of the central vector on P, P coordinates
     parts: List[Subspace]         # two simple summands of P, in P coordinates
     v_rep: Rep                    # action on parts[0] in its echelon basis
     invariant_form: Optional[Mat]
@@ -210,18 +221,39 @@ def canonical_involution(
 
     Verified (not assumed) to be an involutive automorphism; when the
     input brackets break the grading this raises a validation error with
-    code SIGMA_NOT_AUTOMORPHISM.
+    code SIGMA_NOT_AUTOMORPHISM.  A diagonal map with entries +-1 is
+    invertible and its own inverse, and it preserves the bracket exactly
+    when every nonzero structure constant c of [e_i, e_j] at e_m has
+    sign(m) = sign(i) sign(j), which is what is checked.
     """
     p_set = set(p_indices)
-    sigma = _integer_mat(algebra.dim, 1, tuple(
-        ((i, -1 if i in p_set else 1),) for i in range(algebra.dim)
-    ))
-    if not algebra.is_involution(sigma) or not algebra.is_automorphism(sigma):
-        raise ValidationError(
-            "SIGMA_NOT_AUTOMORPHISM",
-            "the grading involution is not an automorphism of the bracket",
-        )
-    return sigma
+    sign = [-1 if i in p_set else 1 for i in range(algebra.dim)]
+    for i, si in enumerate(algebra._struct):
+        for j, row in si.items():
+            if any(sign[m] != sign[i] * sign[j] for m, _ in row):
+                raise ValidationError(
+                    "SIGMA_NOT_AUTOMORPHISM",
+                    "the grading involution is not an automorphism of the bracket",
+                )
+    return _integer_mat(algebra.dim, 1, tuple(((i, e),) for i, e in enumerate(sign)))
+
+
+def _ad_block(
+    algebra: LieAlgebra, x: int, cols: Sequence[int], pos: Dict[int, int]
+) -> Optional[Mat]:
+    """ad e_x on the span of the basis vectors at the sorted indices
+    `cols`, in their coordinates, read from the structure constants; None
+    when a bracket has a component outside that span.  `pos` maps each
+    index of `cols` to its place there."""
+    si = algebra._struct[x]
+    acc = [[] for _ in cols]
+    for b, j in enumerate(cols):
+        for m, c in si.get(j, ()):
+            k = pos.get(m)
+            if k is None:
+                return None
+            acc[k].append((b, c))
+    return _integer_mat(len(cols), algebra._den, tuple(map(tuple, acc)))
 
 
 def validate(
@@ -262,28 +294,40 @@ def validate(
     if len(z_indices) != 1:
         fail(1, f"the central component must be one-dimensional, got {len(z_indices)}")
     ok(1)
-    z_space = Subspace.span(n, [unit_vec(n, z_indices[0])])
-    s_space = Subspace.span(n, [unit_vec(n, i) for i in s_indices])
-    p_space = Subspace.span(n, [unit_vec(n, i) for i in p_indices])
+    # the roles are coordinate subspaces, whose reduced echelon bases are
+    # their basis vectors in index order: every check below reads a block
+    # of the structure constants in that order
+    z_space = Subspace.coordinate(n, z_indices)
+    s_space = Subspace.coordinate(n, s_indices)
+    p_space = Subspace.coordinate(n, p_indices)
+    (zi,), s_idx, p_idx = z_space.pivots, s_space.pivots, p_space.pivots
+    s_pos = {i: k for k, i in enumerate(s_idx)}
+    p_pos = {i: k for k, i in enumerate(p_idx)}
+    struct = algebra._struct
 
     # 2: s closes under the bracket
-    try:
-        s_algebra = algebra.restrict(s_space)
-    except ValueError:
-        fail(2, "the rotation component is not a subalgebra")
+    pairs = {}
+    for a, x in enumerate(s_idx):
+        for b in range(a + 1, len(s_idx)):
+            row = struct[x].get(s_idx[b])
+            if row is None:
+                continue
+            if any(m not in s_pos for m, _ in row):
+                fail(2, "the rotation component is not a subalgebra")
+            coords = [0] * len(s_idx)
+            for m, c in row:
+                coords[s_pos[m]] = c
+            pairs[(a, b)] = _fractions(coords, algebra._den)
+    s_algebra = LieAlgebra(len(s_idx), pairs)
     ok(2)
 
     # 3: the central line commutes with s
-    (z_row,) = z_space.rows
-    if any(any(algebra._integer_bracket(z_row, x)) for x in s_space.rows):
+    if any(j in s_pos for j in struct[zi]):
         fail(3, "the central line does not commute with the rotation subalgebra")
     ok(3)
 
     # 4: P is an s-module
-    p_mats = [
-        p_space.matrix_of(algebra._integer_ad(x, x[p]))
-        for x, p in zip(s_space.rows, s_space.pivots)
-    ]
+    p_mats = [_ad_block(algebra, x, p_idx, p_pos) for x in s_idx]
     if None in p_mats:
         fail(4, "the bracket of a rotation with a momentum leaves the momentum space")
     ok(4)
@@ -341,6 +385,13 @@ def validate(
         fail(10, "the grading involution is not an automorphism of the bracket")
     ok(10)
 
+    # the grading sends [Z, P] into P
+    a_matrix = _ad_block(algebra, zi, p_idx, p_pos)
+    if a_matrix is None:
+        raise InternalFault(
+            "fixed-part action does not preserve the momentum space", {}
+        )
+
     return KinStructure(
         algebra=algebra,
         z_space=z_space,
@@ -348,6 +399,7 @@ def validate(
         p_space=p_space,
         s_algebra=s_algebra,
         p_rep=p_rep,
+        a_matrix=a_matrix,
         parts=parts,
         v_rep=v_rep,
         invariant_form=form,
@@ -366,20 +418,23 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
     theorems here, so violations raise InternalFault.
     """
     alg = structure.algebra
+    struct = alg._struct
     zi = structure.z_space.pivots[0]
-    # omega = [x, y] at Z over D L^2, with x, y the momenta basis times L
-    den, momenta = structure.p_space.basis_mat()._integer
-    momenta = [_dense(x, alg.dim) for x in momenta]
-    dp = len(momenta)
-    omega = _integer_mat(dp, alg._den * den * den, tuple(
-        _sparse([alg._integer_bracket(x, y)[zi] for y in momenta]) for x in momenta
+    p_idx = structure.p_space.pivots
+    p_set = set(p_idx)
+    dp = len(p_idx)
+    # omega(x, y) = [x, y] at Z: the P x P block of the structure constants at Z
+    omega = _integer_mat(dp, alg._den, tuple(
+        tuple([(b, c) for b, y in enumerate(p_idx)
+               for m, c in struct[x].get(y, ()) if m == zi])
+        for x in p_idx
     ))
     if omega.transpose() != -omega:
         raise InternalFault("central two-form is not antisymmetric",
                             {"omega": omega.entries})
 
     # invariance under z and s actions on P
-    actors = [("z", _ad_on_p(structure, structure.z_space.rows[0]))]
+    actors = [("z", structure.a_matrix)]
     actors += [(f"s{k}", m) for k, m in enumerate(structure.p_rep.mats)]
     for name, m in actors:
         if not (m.transpose() @ omega + omega @ m).is_zero():
@@ -407,28 +462,28 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
             )
         case = "module"
 
-    # brackets of radical vectors with momenta stay inside the rotations
-    rotations = structure.s_space.echelon()
-    for r in structure.p_space.embed(rad).rows:
-        for y in momenta:
-            if any(rotations._reduce(alg._integer_bracket(r, y))):
-                raise InternalFault(
-                    "bracket of a radical vector with momenta leaves the rotations",
-                    {"radical_basis": rad.basis},
-                )
-    return SymplecticData(omega=omega, radical=rad, radical_case=case)
-
-
-def _ad_on_p(structure: KinStructure, row: Sequence[int]) -> Mat:
-    """Matrix of ad(row) restricted to P, in P coordinates, for an integer
-    echelon row (Z's is the marked central basis vector itself)."""
-    m = structure.p_space.matrix_of(structure.algebra._integer_ad(row, 1))
-    if m is None:
-        raise InternalFault(
-            "fixed-part action does not preserve the momentum space",
-            {"vector": row},
+    # brackets of radical vectors with momenta stay inside the rotations;
+    # with the radical all of P, the P x P block has its support in s
+    if case == "all":
+        s_set = set(structure.s_space.pivots)
+        leaves = any(
+            m not in s_set
+            for x in p_idx for y, row in struct[x].items() if y in p_set
+            for m, _ in row
         )
-    return m
+    else:
+        rotations = structure.s_space.echelon()
+        leaves = any(
+            any(rotations._reduce(alg._integer_bracket(r, y)))
+            for r in structure.p_space.embed(rad).rows
+            for y in structure.p_space.rows
+        )
+    if leaves:
+        raise InternalFault(
+            "bracket of a radical vector with momenta leaves the rotations",
+            {"radical_basis": rad.basis},
+        )
+    return SymplecticData(omega=omega, radical=rad, radical_case=case)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +525,7 @@ def z_action_split(structure: KinStructure) -> ZActionData:
     (with a nondegenerate form a lies in sl2 ⊗ 1 when End_s(V) = Q, so
     a² is a scalar).
     """
-    a = _ad_on_p(structure, structure.z_space.rows[0])
+    a = structure.a_matrix
     if a.is_zero():
         return ZActionData(a, a, a, "zero", square=a, mu=_ZERO)
     dp = a.rows
@@ -800,8 +855,13 @@ def classify(
                 "brackets of momenta survive although the two-form vanishes",
                 {"pp_dim": trans.pp.dim},
             )
-        ideal = structure.p_space.sum_with(structure.z_space)
-        if not algebra.is_ideal(ideal):
+        # P + Z is a coordinate subspace: it is an ideal when the brackets
+        # of its basis vectors with all of g have their support in it
+        ideal = set(structure.p_space.pivots) | set(structure.z_space.pivots)
+        if any(
+            m not in ideal
+            for x in ideal for row in algebra._struct[x].values() for m, _ in row
+        ):
             raise InternalFault(
                 "momenta plus center fail to form an ideal in the fully "
                 "degenerate case",
@@ -883,7 +943,6 @@ def _heisenberg_certificates(
 ) -> Dict[str, object]:
     """Certificates for the case where the radical is one simple summand."""
     alg = structure.algebra
-    n = alg.dim
     rad = sym.radical
     rad_ambient = structure.p_space.embed(rad)
     comp = invariant_complement(structure.p_rep, rad)
@@ -894,13 +953,11 @@ def _heisenberg_certificates(
             "complement brackets do not span exactly the central line",
             {"ww_dim": ww.dim},
         )
-    (z_row,) = structure.z_space.rows
-    for y in structure.p_space.rows:
-        if any(alg._integer_bracket(z_row, y)):
-            raise InternalFault(
-                "central element acts on momenta in the degenerate-summand case",
-                {},
-            )
+    if not structure.a_matrix.is_zero():
+        raise InternalFault(
+            "central element acts on momenta in the degenerate-summand case",
+            {},
+        )
     if not alg.bracket_span(rad_ambient, comp_ambient).is_zero():
         raise InternalFault(
             "radical summand does not commute with its complement",

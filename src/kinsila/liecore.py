@@ -7,13 +7,13 @@ construction time, so an instance that exists is a Lie algebra.
 The structure constants are held once, as a sparse table of integer
 rows over one common denominator (as structure-constant tables are in
 de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Every product
-inside the package is `_integer_bracket`, which brackets integer
-vectors such as a `Subspace`'s echelon rows; `bracket` is the Fraction
-boundary over it, for callers outside, and builds an exact Fraction
-once per nonzero entry of what it returns.  ad x, the Killing form,
-centralizers and Levi complements are built from that table and from
-integer rows without any Fraction; a restriction builds one per nonzero
-structure constant of the subalgebra, for its constructor.
+inside the package either is `_integer_bracket`, which brackets integer
+vectors such as a `Subspace`'s echelon rows, or reads the table itself
+(`kinematics` reads the blocks of its basis-vector roles there);
+`bracket` is the Fraction boundary over it, for callers outside, and
+builds an exact Fraction once per nonzero entry of what it returns.
+ad x, the Killing form, centralizers and Levi complements are built from
+that table and from integer rows without any Fraction.
 """
 
 from __future__ import annotations
@@ -334,27 +334,6 @@ class LieAlgebra:
 
     def is_involution(self, t: Mat) -> bool:
         return t.is_square() and t.rows == self.dim and (t @ t).is_identity()
-
-    # -- subalgebras -----------------------------------------------------------
-    def restrict(self, space: Subspace) -> "LieAlgebra":
-        """Subalgebra on the echelon basis of `space`; ValueError when a
-        bracket of two basis vectors leaves `space`.  For the basis over
-        one denominator L, D L^2 [b_a, b_b] is an integer bracket, and its
-        coordinates are its entries at the pivots."""
-        k = space.dim
-        den, scaled = space.basis_mat()._integer
-        scaled = [_dense(row, self.dim) for row in scaled]
-        ech = space.echelon()
-        pairs = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                w = self._integer_bracket(scaled[a], scaled[b])
-                coords = [w[p] for p in space.pivots]
-                if any(ech._reduce(w)):
-                    raise ValueError("restriction to a non-subalgebra")
-                if any(coords):
-                    pairs[(a, b)] = _fractions(coords, self._den * den * den)
-        return LieAlgebra(k, pairs)
 
     # -- Levi complement --------------------------------------------------
     def levi_complement(

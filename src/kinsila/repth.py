@@ -31,7 +31,6 @@ from .exactla import (
     matrix_poly,
     min_poly,
     rank,
-    unit_vec,
 )
 from .liecore import LieAlgebra
 
@@ -486,7 +485,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     if dim_e == d * d:
         return _proved(rep, "burnside", *env)
     if dim_e == 1:
-        return _certify_reducible(rep, Subspace.span(d, [unit_vec(d, 0)]))
+        return _certify_reducible(rep, Subspace.coordinate(d, [0]))
 
     for a in env:
         if a in seen:

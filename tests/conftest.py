@@ -74,6 +74,31 @@ def generated_subalgebra(alg, indices):
         space = grown
 
 
+def ad_matrix(alg, x):
+    """ad x = [x, -] as a Fraction matrix in the defining basis: column j
+    is the bracket of x with e_j."""
+    n = alg.dim
+    cols = [alg.bracket(x, unit_vec(n, j)) for j in range(n)]
+    return Mat([[col[i] for col in cols] for i in range(n)])
+
+
+def restricted(alg, space):
+    """The subalgebra on the reduced echelon basis of `space`, from the
+    brackets of its Fraction basis vectors: a vector in the span has its
+    coordinates at the pivots.  ValueError when a bracket leaves `space`."""
+    basis = space.basis
+    pairs = {}
+    for a, u in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            w = alg.bracket(u, basis[b])
+            if not space.contains(w):
+                raise ValueError("restriction to a non-subalgebra")
+            coords = [w[p] for p in space.pivots]
+            if any(coords):
+                pairs[(a, b)] = coords
+    return LieAlgebra(space.dim, pairs)
+
+
 def assert_greedy_generators(alg):
     """alg.generators() is memoised, and e_i is among them exactly when it
     lies outside the subalgebra generated by those before it, which then

@@ -16,7 +16,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import bench_workloads, static_with_central_action, structure_pairs
+from conftest import (
+    ad_matrix,
+    bench_workloads,
+    static_with_central_action,
+    structure_pairs,
+)
 from kinsila import catalog, kinematics
 from kinsila.documents import parse_document
 from kinsila.errors import InternalFault
@@ -49,17 +54,14 @@ def assert_matches_reference(zd):
 
 
 def central_structure(alg, roles):
-    """The part of a validated structure that `z_action_split` reads: the
-    algebra, the central line and the momentum space, built as
-    `validate` builds them.  Catalog entries at d = 3 fail validation, so
-    the comparison does not go through `validate`."""
+    """The part of a validated structure that `z_action_split` reads:
+    a = ad(Z)|P in P coordinates, built here from brackets as the matrix
+    of ad Z on the span of the momenta.  Catalog entries at d = 3 fail
+    validation, so the comparison does not go through `validate`."""
     (z,), _, p = roles
     n = alg.dim
-    return SimpleNamespace(
-        algebra=alg,
-        z_space=Subspace.span(n, [unit_vec(n, z)]),
-        p_space=Subspace.span(n, [unit_vec(n, i) for i in p]),
-    )
+    p_space = Subspace.span(n, [unit_vec(n, i) for i in p])
+    return SimpleNamespace(a_matrix=p_space.matrix_of(ad_matrix(alg, unit_vec(n, z))))
 
 
 @pytest.mark.parametrize("family", catalog.FAMILIES)

@@ -833,13 +833,18 @@ class TestSqrtRational:
 
 # public names of exactla that no code of the package loads, each with the
 # acceptance criterion that calls it
-CALLED_ONLY_BY_CRITERIA = {"polynomial_in": "test_acceptance.py, criterion 8"}
+CALLED_ONLY_BY_CRITERIA = {
+    "polynomial_in": "test_acceptance.py, criterion 8",
+    "unit_vec": "test_acceptance.py, criteria 1, 2, 5 and 6",
+}
 
 # public methods of the matrix and echelon classes that no code of the
 # package calls, each with the reason it is kept
 KEPT_METHODS = {
     "Mat.apply": "the Fraction boundary: a matrix applied to a caller's vector",
     "Subspace.contains": "the Fraction boundary: is a caller's vector in the span",
+    "Subspace.span": "the Fraction boundary: the span of a caller's vectors; "
+                     "bench/spans.py traces it",
     "Mat.power": "test_acceptance.py, criterion 8",
 }
 

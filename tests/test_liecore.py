@@ -4,7 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import assert_greedy_generators, so_algebra_and_rep, unit_triangular
+from conftest import (
+    assert_greedy_generators,
+    restricted,
+    so_algebra_and_rep,
+    unit_triangular,
+)
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.errors import JacobiError, NonAbelianRadicalError
@@ -322,13 +327,13 @@ class TestQuotientRestrict:
     def test_restrict_levi(self):
         g = sl2_on_plane()
         levi = Subspace.span(5, [unit_vec(5, i) for i in range(3)])
-        sub = g.restrict(levi)
+        sub = restricted(g, levi)
         assert sub.killing_form() == Mat([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
 
     def test_restrict_requires_closure(self):
         g = sl2_on_plane()
         with pytest.raises(ValueError):
-            g.restrict(Subspace.span(5, [unit_vec(5, 1), unit_vec(5, 4)]))
+            restricted(g, Subspace.span(5, [unit_vec(5, 1), unit_vec(5, 4)]))
 
 
 class TestLeviComplement:
