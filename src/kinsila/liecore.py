@@ -7,13 +7,13 @@ construction time, so an instance that exists is a Lie algebra.
 The structure constants are held once, as a sparse table of integer
 rows over one common denominator (as structure-constant tables are in
 de Graaf, Lie Algebras: Theory and Algorithms, 2000).  Every product
-inside the package either is `_integer_bracket`, which brackets integer
-vectors such as a `Subspace`'s echelon rows, or reads the table itself
-(`kinematics` reads the blocks of its basis-vector roles there);
-`bracket` is the Fraction boundary over it, for callers outside, and
-builds an exact Fraction once per nonzero entry of what it returns.
-ad x, the Killing form, centralizers and Levi complements are built from
-that table and from integer rows without any Fraction.
+inside the package is `_integer_bracket`, which brackets integer
+vectors such as a `Subspace`'s echelon rows, or a read of the table
+itself (see `kinematics`); `bracket` is the Fraction boundary over it,
+for callers outside, and builds an exact Fraction once per nonzero entry
+of what it returns.  ad x, the Killing form, centralizers and Levi
+complements are built from that table and from integer rows without any
+Fraction.
 """
 
 from __future__ import annotations
