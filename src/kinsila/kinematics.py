@@ -210,13 +210,10 @@ _CHECKS = (
 )
 
 
-def canonical_involution(
-    algebra: LieAlgebra,
-    z_indices: Sequence[int],
-    s_indices: Sequence[int],
-    p_indices: Sequence[int],
-) -> Mat:
-    """The map fixing the central line and rotations, negating the rest.
+def canonical_involution(algebra: LieAlgebra, p_indices: Sequence[int]) -> Mat:
+    """The map negating the momenta and fixing every other basis vector
+    (the central line and the rotations, once the roles partition the
+    basis).
 
     Verified (not assumed) to be an involutive automorphism; when the
     input brackets break the grading this raises a validation error with
@@ -376,7 +373,7 @@ def validate(
 
     # 10: the grading involution is an involutive automorphism
     try:
-        sigma = canonical_involution(algebra, z_indices, s_indices, p_indices)
+        sigma = canonical_involution(algebra, p_indices)
     except ValidationError:
         fail(10, "the grading involution is not an automorphism of the bracket")
     ok(10)

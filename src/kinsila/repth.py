@@ -105,7 +105,13 @@ class Simplicity:
                        irreducible of degree dim, so V is a line over a
                        field;
       "intertwiner"    mats[0] is an invertible intertwiner from `source`,
-                       a module proved simple (Schur's lemma).
+                       a module proved simple (Schur's lemma);
+      "commutant"      the algebra is nonzero with a nondegenerate Killing
+                       form, so semisimple (Cartan's criterion) and every
+                       module is a direct sum of simple ones (Weyl's
+                       theorem), and End_s(V) is the scalars, so that sum
+                       has one term.  No mats are recorded: both facts are
+                       computed again.
     """
 
     kind: str
@@ -547,6 +553,17 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     )
 
 
+def _semisimple(algebra: LieAlgebra) -> bool:
+    """The algebra is nonzero with a nondegenerate Killing form: Cartan's
+    criterion for semisimplicity, the hypothesis of Weyl's theorem."""
+    return 0 < algebra.dim == rank(algebra.killing_form())
+
+
+def _scalar_commutant(rep: Rep) -> bool:
+    """End_s(V) is the scalars: one intertwiner from the module to itself."""
+    return len(hom_space(rep, rep)) == 1
+
+
 def _is_isomorphism(source: Rep, target: Rep, t: Mat) -> bool:
     # kept as a cheap guard against a bug in the code (hom_space uses generators)
     return (
@@ -589,6 +606,8 @@ def check_simplicity(rep: Rep) -> bool:
         return check_simplicity(cert.source) and _is_isomorphism(
             cert.source, rep, cert.mats[0]
         )
+    if cert.kind == "commutant":
+        return _semisimple(rep.algebra) and _scalar_commutant(rep)
     return False
 
 
@@ -685,6 +704,27 @@ def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
     return comp
 
 
+def _spun_complement(rep: Rep, space: Subspace) -> Subspace:
+    """An invariant complement of the invariant subspace W, spun if it can be.
+
+    The first spin, under the Lie generators, of a unit vector off W's
+    pivots that has dimension dim M - dim W and fills M together with W is
+    invariant and meets W in zero, so it is a complement.  When no unit
+    vector spins to one, `invariant_complement` solves for one, and its
+    failure proves that W has none.
+    """
+    d, k = rep.dim, space.dim
+    gens = _generator_mats(rep)
+    pivots = set(space.pivots)
+    for i in range(d):
+        if i in pivots:
+            continue
+        closure = spin(gens, [0] * i + [1] + [0] * (d - 1 - i))
+        if closure.dim == d - k and space.sum_with(closure).is_full():
+            return closure
+    return invariant_complement(rep, space)
+
+
 class Decomposition(list):
     """Simple summands of a module, as invariant subspaces in order.
 
@@ -702,28 +742,37 @@ def simple_decomposition(rep: Rep) -> Decomposition:
 
     Pieces are taken depth first, the invariant subspace found by
     is_simple before its complement.  A piece that `certify_copy` can
-    reach from a summand the schedule already certified is simple by an
-    invertible intertwiner; only the others run is_simple, so each
-    isomorphism type of summand is searched once.  Raises
-    DecompositionError when the module is not semisimple and
-    SimplicityUndecided when irreducibility of a piece cannot be
-    certified.  A reducible piece is split along the invariant subspace
-    is_simple found and the complement `invariant_complement` solves for.
-    The returned subspaces are verified independent and spanning.
+    reach from a summand already certified is simple by an invertible
+    intertwiner, so each isomorphism type of summand is certified once.
+    When the algebra is semisimple, a piece cut off by a split is then
+    certified by its commutant, with no search (the "commutant" kind of
+    `Simplicity`); the module as a whole, and every piece otherwise, runs
+    is_simple, whose first probe usually splits a reducible module for
+    less than its commutant costs.  A reducible piece is split along the
+    invariant subspace is_simple found and the complement
+    `_spun_complement` gives.  Raises DecompositionError when the module
+    is not semisimple and SimplicityUndecided when irreducibility of a
+    piece cannot be certified.  The returned subspaces are verified
+    independent and spanning.
     """
     d = rep.dim
+    weyl = _semisimple(rep.algebra)
     parts = Decomposition()
     searched: List[Rep] = []
     pending = [Subspace.full(d)]
     while pending:
         piece = pending.pop()
-        sub = rep if piece.is_full() else rep_on_subspace(rep, piece)
+        whole = piece.is_full()
+        sub = rep if whole else rep_on_subspace(rep, piece)
         if not any(certify_copy(v, sub) is not None for v in searched):
-            simple, wit = is_simple(sub)
-            if not simple:
-                comp = invariant_complement(sub, wit)
-                pending += [piece.embed(half) for half in (comp, wit)]
-                continue
+            if weyl and not whole and _scalar_commutant(sub):
+                sub.simplicity = Simplicity("commutant")
+            else:
+                simple, wit = is_simple(sub)
+                if not simple:
+                    comp = _spun_complement(sub, wit)
+                    pending += [piece.embed(half) for half in (comp, wit)]
+                    continue
             searched.append(sub)
         parts.append(piece)
         parts.modules.append(sub)

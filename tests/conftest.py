@@ -5,7 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from kinsila import catalog
+from kinsila import catalog, repth
 from kinsila.documents import entry_to_document
 from kinsila.exactla import Mat, Subspace, inverse, unit_vec
 from kinsila.liecore import LieAlgebra
@@ -124,6 +124,20 @@ def doubled(rep):
                 rows[d + i][d + j] = m[i, j]
         mats.append(Mat(rows))
     return Rep(rep.algebra, mats)
+
+
+def count_calls(monkeypatch, name):
+    """Patch `repth.<name>` to record the dimension of each module it is
+    called on; returns the list of those dimensions."""
+    calls = []
+    original = getattr(repth, name)
+
+    def counted(rep, *args):
+        calls.append(rep.dim)
+        return original(rep, *args)
+
+    monkeypatch.setattr(repth, name, counted)
+    return calls
 
 
 def unit_triangular(rng, n, upper):

@@ -103,7 +103,7 @@ def test_criterion_02_involution():
         z, s, p = roles(e)
         alg = e.algebra
         n = alg.dim
-        sigma = canonical_involution(alg, z, s, p)
+        sigma = canonical_involution(alg, p)
         assert (sigma @ sigma) == Mat.identity(n), (fam, d)
         basis = [unit_vec(n, i) for i in range(n)]
         for i in range(n):

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import heisenberg_document, heisenberg_like
-from kinsila import catalog, repth
+from conftest import count_calls, heisenberg_document, heisenberg_like
+from kinsila import catalog
 from kinsila.documents import parse_document
 from kinsila.errors import InternalFault, ValidationError
 from kinsila.exactla import Mat, Subspace, solve, unit_vec
@@ -147,8 +147,9 @@ def test_p_does_not_split():
 
 @pytest.mark.parametrize("m", [18, 30])
 def test_large_heisenberg_momenta_rejected_quickly(m):
-    # P splits into m lines; each split is one linear solve, so the
-    # rejection time grows polynomially in m, not exponentially
+    # P splits into m lines; each split is at most m unit-vector spins and
+    # one linear solve (s = 0 is not semisimple, so no piece is certified
+    # by its commutant), so the rejection time grows polynomially in m
     parsed = parse_document(heisenberg_document(m))
     start = time.perf_counter()
     expect_code(
@@ -196,14 +197,14 @@ def test_sigma_not_automorphism():
 
 def test_canonical_involution_function():
     e = catalog.make("poincare", 4)
-    z, s, p = entry_roles(e)
-    sigma = canonical_involution(e.algebra, z, s, p)
+    _, _, p = entry_roles(e)
+    sigma = canonical_involution(e.algebra, p)
     n = e.algebra.dim
     for i in range(n):
         expected = -1 if i in p else 1
         assert sigma[i, i] == expected
     with pytest.raises(ValidationError):
-        canonical_involution(alg(3, {(1, 2): (0, 1, 0)}), [0], [], [1, 2])
+        canonical_involution(alg(3, {(1, 2): (0, 1, 0)}), [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +491,34 @@ REPORTS_BEFORE_TRANSPORT = {
 
 @pytest.mark.parametrize("family", sorted(REPORTS_BEFORE_TRANSPORT))
 def test_one_enveloping_algebra_per_classify(monkeypatch, family):
-    calls = []
-    original = repth.enveloping_basis
-
-    def counted(rep):
-        calls.append(rep.dim)
-        return original(rep)
-
-    monkeypatch.setattr(repth, "enveloping_basis", counted)
+    calls = count_calls(monkeypatch, "enveloping_basis")
     r, _ = classify_entry(family, 4)
-    assert calls == [4]
+    # the summand is certified by its commutant, with no enveloping algebra
+    assert calls == []
     label, digest = REPORTS_BEFORE_TRANSPORT[family]
     assert r.label == label
     text = json.dumps(r.to_dict(), sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_catalog_summands_need_no_envelope_and_no_solve(monkeypatch):
+    # P runs the schedule once, whose first probe splits it; the first
+    # summand is simple by its commutant, the other is a copy of it, and a
+    # unit-vector spin is the complement
+    calls = {
+        name: count_calls(monkeypatch, name)
+        for name in ("is_simple", "enveloping_basis", "invariant_complement")
+    }
+    for d in (3, 4, 5, 6):
+        for family in catalog.FAMILIES:
+            for seen in calls.values():
+                seen.clear()
+            e = catalog.make(family, d)
+            z, s, p = entry_roles(e)
+            try:
+                classify(e.algebra, z, s, p)
+            except ValidationError as exc:
+                assert (d, exc.code) == (3, "WEDGE_CONDITION_FAILS")
+            assert calls == {
+                "is_simple": [2 * d], "enveloping_basis": [], "invariant_complement": []
+            }, (family, d)

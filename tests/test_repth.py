@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import doubled, so_algebra_and_rep, unimodular_conjugate
+from conftest import count_calls, doubled, so_algebra_and_rep, unimodular_conjugate
 from kinsila import repth
 from kinsila.errors import DecompositionError, InternalFault, RepError
 from kinsila.exactla import (
@@ -626,25 +626,22 @@ class TestCertifiedSimplicity:
     def test_double_runs_the_schedule_once_per_isomorphism_type(
         self, monkeypatch
     ):
-        calls = {"is_simple": [], "enveloping_basis": []}
-        for name in calls:
-            original = getattr(repth, name)
-
-            def counted(rep, _name=name, _original=original):
-                calls[_name].append(rep.dim)
-                return _original(rep)
-
-            monkeypatch.setattr(repth, name, counted)
-        # so(3) closes on a nullity-one generator, so(4) by Burnside
-        for d, envelopes in ((3, []), (4, [4])):
+        calls = {
+            name: count_calls(monkeypatch, name)
+            for name in ("is_simple", "enveloping_basis")
+        }
+        # the whole module runs the schedule, which splits it; the first
+        # piece is simple by its commutant, the second is a copy of it
+        for d in (3, 4):
             for seen in calls.values():
                 seen.clear()
             _, v = so_algebra_and_rep(d)
             parts = simple_decomposition(doubled(v))
             assert [q.dim for q in parts] == [d, d]
-            assert calls["is_simple"] == [2 * d, d]
-            assert calls["enveloping_basis"] == envelopes
+            assert calls["is_simple"] == [2 * d]
+            assert calls["enveloping_basis"] == []
             first, second = parts.modules
+            assert first.simplicity.kind == "commutant"
             assert second.simplicity.kind == "intertwiner"
             assert second.simplicity.source is first
             assert check_simplicity(first) and check_simplicity(second)
@@ -684,6 +681,74 @@ class TestCertifiedSimplicity:
         forged.simplicity = Simplicity("dimension-one")
         with pytest.raises(InternalFault):
             certify_copy(forged, Rep(alg, [Mat.zeros(2, 2)]))
+
+
+def affine_line_module():
+    """s = span(x, y) with [x, y] = y on Q^2 by x = diag(1, 0), y = E_12.
+
+    s is solvable, so Weyl's theorem does not apply: End_s is the scalars,
+    yet the line Q e_1 is invariant and has no invariant complement.
+    """
+    alg = LieAlgebra(2, {(0, 1): (0, 1)}, labels=["x", "y"])
+    return Rep(alg, [Mat([[1, 0], [0, 0]]), Mat([[0, 1], [0, 0]])])
+
+
+class TestWeylHypothesis:
+    def test_scalar_commutant_without_semisimplicity_is_not_simple(
+        self, monkeypatch
+    ):
+        m = affine_line_module()
+        assert len(hom_space(m, m)) == 1
+        assert not repth._semisimple(m.algebra)
+        assert is_simple(m) == (False, Subspace.span(2, [(1, 0)]))
+        m.simplicity = Simplicity("commutant")
+        assert not check_simplicity(m)
+        with pytest.raises(DecompositionError):
+            simple_decomposition(m)
+        # the double splits into two copies of m; the first copy still
+        # runs the schedule, which finds its invariant line, and that line
+        # has no complement
+        calls = count_calls(monkeypatch, "is_simple")
+        with pytest.raises(DecompositionError):
+            simple_decomposition(doubled(m))
+        assert calls == [4, 2]
+
+    def test_forged_commutant_on_a_double_fails(self):
+        _, v = so_algebra_and_rep(4)
+        p = doubled(v)
+        assert repth._semisimple(p.algebra)
+        assert len(hom_space(p, p)) == 4
+        p.simplicity = Simplicity("commutant")
+        assert not check_simplicity(p)
+
+    def test_abelian_double_runs_the_schedule_on_its_pieces(
+        self, monkeypatch
+    ):
+        _, rot = so2_line()
+        calls = count_calls(monkeypatch, "is_simple")
+        parts = simple_decomposition(doubled(rot))
+        assert calls == [4, 2]
+        first, second = parts.modules
+        assert first.simplicity.kind == "field"
+        assert second.simplicity.source is first
+
+    def test_unit_spins_that_fill_the_module_fall_back_to_the_solve(
+        self, monkeypatch
+    ):
+        rng = random.Random(0)
+        for d in (3, 4):
+            p, _ = unimodular_conjugate(doubled(so_algebra_and_rep(d)[1]), rng)
+            simple, w = is_simple(p)
+            assert not simple
+            for i in range(2 * d):
+                if i not in w.pivots:
+                    assert spin(p.mats, [int(j == i) for j in range(2 * d)]).is_full()
+            calls = count_calls(monkeypatch, "invariant_complement")
+            parts = simple_decomposition(p)
+            assert calls == [2 * d]
+            assert [q.dim for q in parts] == [d, d]
+            assert all(check_simplicity(m) for m in parts.modules)
+            monkeypatch.undo()
 
 
 class TestSubmoduleIntersections:
