@@ -834,9 +834,6 @@ class Poly:
             a[i] -= c
         return Poly(a)
 
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly.zero()

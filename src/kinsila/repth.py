@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, InternalFault, RepError, SimplicityUndecided
@@ -310,12 +310,13 @@ def nondegenerate_invariant_form(rep: Rep) -> Optional[Mat]:
 def enveloping_basis(rep: Rep) -> List[Mat]:
     """Basis of the unital algebra generated by the representing matrices.
 
-    The element order is part of `is_simple`'s schedule: stages 2-4 probe
-    the elements and their +- pairwise sums in this order, and the first
-    probe that closes picks the certificate.  So another basis of the same
-    algebra is no drop-in replacement: a left-multiplication spin of the
-    identity left P (dimension 8, envelope 16) of a dense d = 4 Poincare
-    and de Sitter draw SimplicityUndecided.
+    The element order is part of `is_simple`'s schedule: its stream
+    probes the elements, then candidates made of them and their +-
+    pairwise sums, in this order, and the first that closes picks the
+    certificate.  So another basis of the same algebra is no drop-in
+    replacement: a left-multiplication spin of the identity left P
+    (dimension 8, envelope 16) of a dense d = 4 Poincare and de Sitter
+    draw SimplicityUndecided.
     """
     d = rep.dim
     found = Echelon(d * d)
@@ -437,27 +438,28 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     Returns (True, None) or (False, W) with W a verified proper nonzero
     invariant subspace.  A True verdict records its evidence as
     `rep.simplicity`, which `check_simplicity` re-verifies without a
-    search.  The decision procedure is a deterministic schedule: kernel
-    spins of singular elements (with the nullity-one double spin
-    conclusive in both directions), the enveloping-algebra dimension
-    count, the commutative primitive-element route, and factored minimal
-    polynomials to manufacture more singular elements.  If the whole
-    schedule is inconclusive it raises SimplicityUndecided.  A module
-    isomorphic to one already proved simple needs no schedule:
-    `certify_copy` carries simplicity along an invertible intertwiner.
+    search.  A module isomorphic to one already proved simple needs no
+    search: `certify_copy` carries simplicity along an invertible
+    intertwiner.
 
-    Within one call each kernel vector is spun at most once: a spin under
-    the fixed matrices depends only on the vector, so a repeat could only
-    fill the space again.  The stage-1 products are formed one at a time,
-    as the probes reach them.
-
-    Stage 1 probes the matrices of the Lie generators and their pairwise
-    products, not those of every basis element: each is still an element
-    of the enveloping algebra, so every certificate stays valid, and the
-    spins need only the generators (see `_norton_probe`).  The
-    enveloping algebra of stage 2 is still built from every matrix,
-    because its element order is part of the schedule (see
-    `enveloping_basis`).
+    The search probes one ordered stream of enveloping-algebra elements
+    with `_norton_probe` (kernel spins, with the nullity-one double spin
+    conclusive in both directions), and the first probe that closes
+    decides.  The stream is the Lie generators' matrices, then their
+    products in pairs (stage 1); the enveloping basis (stage 2), once its
+    dimension has not decided (d^2 is "burnside", 1 a scalar action); and
+    f(x) for each proper factor f of the minimal polynomial of each
+    candidate x (stage 4).  The candidates are the enveloping basis, then
+    x + y and x - y for each pair of its elements, formed one at a time
+    as the search reaches them.  Before stage 4, when the enveloping
+    algebra is commutative, the first candidate whose minimal polynomial
+    has its degree decides by the factorization (stage 3): a field, which
+    is "field" when it has degree d and otherwise leaves the orbit of e_1
+    as the witness, or zero divisors, one of which has a proper kernel.
+    Zero and repeated elements are skipped, and each kernel vector is
+    spun at most once per call: a spin under the fixed matrices depends
+    only on the vector.  When nothing closes, SimplicityUndecided is
+    raised.
     """
     d = rep.dim
     if d == 0:
@@ -466,54 +468,45 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
         return _proved(rep, "dimension-one")
     transposes = [m.transpose() for m in _generator_mats(rep)]
     spun: set = set()
+    seen = set()
 
-    def probe(a: Mat):
-        verdict = _norton_probe(rep, a, transposes, spun)
-        if verdict is not None and verdict[0]:
-            return _proved(rep, "nullity-one", a)
-        return verdict
+    def first_closing(elements):
+        for a in elements:
+            if a.is_zero() or a in seen:
+                continue
+            seen.add(a)
+            verdict = _norton_probe(rep, a, transposes, spun)
+            if verdict is not None:
+                return _proved(rep, "nullity-one", a) if verdict[0] else verdict
+        return None
 
     # stage 1: the nonzero generator matrices, then their products in
     # pairs of distinct indices
     gens = [m for m in _generator_mats(rep) if not m.is_zero()]
-    seen = set()
-    for a in chain(gens, (x @ y for x, y in permutations(gens, 2))):
-        if a.is_zero() or a in seen:
-            continue
-        seen.add(a)
-        verdict = probe(a)
-        if verdict is not None:
-            return verdict
+    verdict = first_closing(chain(gens, (x @ y for x, y in permutations(gens, 2))))
+    if verdict is not None:
+        return verdict
 
-    # stage 2: enveloping algebra dimension
+    # stage 2: enveloping algebra dimension, then its elements
     env = enveloping_basis(rep)
     dim_e = len(env)
     if dim_e == d * d:
         return _proved(rep, "burnside", *env)
     if dim_e == 1:
         return _certify_reducible(rep, Subspace.coordinate(d, [0]))
+    verdict = first_closing(env)
+    if verdict is not None:
+        return verdict
 
-    for a in env:
-        if a in seen:
-            continue
-        seen.add(a)
-        verdict = probe(a)
-        if verdict is not None:
-            return verdict
+    def candidates():
+        yield from env
+        for x, y in combinations(env, 2):
+            yield x + y
+            yield x - y
 
     # stage 3: commutative enveloping algebra via a primitive element
-    commutative = all(
-        env[i] @ env[j] == env[j] @ env[i]
-        for i in range(len(env))
-        for j in range(i + 1, len(env))
-    )
-    candidates = list(env)
-    for i in range(len(env)):
-        for j in range(i + 1, len(env)):
-            candidates.append(env[i] + env[j])
-            candidates.append(env[i] - env[j])
-    if commutative:
-        for x in candidates:
+    if all(x @ y == y @ x for x, y in combinations(env, 2)):
+        for x in candidates():
             mp = min_poly(x)
             if mp.degree != dim_e:
                 continue
@@ -522,10 +515,10 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
                 # the enveloping algebra is a field
                 if d == dim_e:
                     return _proved(rep, "field", x)
-                orbit = Echelon(d)
-                for b in env:
-                    orbit.add_integer(b._integer_apply([1] + [0] * (d - 1)))
-                return _certify_reducible(rep, orbit.subspace())
+                # the orbit of e_1 under the enveloping algebra, which
+                # the generators' matrices generate
+                orbit = spin(_generator_mats(rep), [1] + [0] * (d - 1))
+                return _certify_reducible(rep, orbit)
             # zero divisors: a proper factor has a proper invariant kernel
             fac = factors[0][0]
             if fac == mp:
@@ -533,20 +526,16 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
             return _certify_reducible(rep, kernel(matrix_poly(fac, x)))
 
     # stage 4: factored minimal polynomials manufacture singular elements
-    for x in candidates:
-        mp = min_poly(x)
-        factors = _factor_over_q(mp)
-        if len(factors) == 1 and factors[0][1] == 1:
-            continue
-        for fac, _mult in factors:
-            b = matrix_poly(fac, x)
-            if b.is_zero() or b in seen:
-                continue
-            seen.add(b)
-            verdict = probe(b)
-            if verdict is not None:
-                return verdict
+    def proper_factor_values():
+        for x in candidates():
+            mp = min_poly(x)
+            for fac, _mult in _factor_over_q(mp):
+                if fac != mp:
+                    yield matrix_poly(fac, x)
 
+    verdict = first_closing(proper_factor_values())
+    if verdict is not None:
+        return verdict
     raise SimplicityUndecided(
         f"no certificate found for a module of dimension {d} "
         f"with enveloping algebra of dimension {dim_e}"

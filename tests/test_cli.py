@@ -12,7 +12,7 @@ from conftest import heisenberg_document, static_with_central_action
 from kinsila import catalog
 from kinsila.cli import main
 from kinsila.documents import entry_to_document, parse_document, parse_text
-from kinsila.errors import DocumentError
+from kinsila.errors import DocumentError, InternalFault, SimplicityUndecided
 from kinsila.kinematics import classify
 
 
@@ -351,6 +351,57 @@ def test_cli_batch_out_dir(tmp_path, capsys):
     assert rows[0] == ["family", "dim", "label"]
     assert ["poincare", "4", "poincare-type"] in rows
     assert ["carroll", "4", "flat-other"] in rows
+
+
+# the two failures that exit 3, with the stderr lines `main` prints for them
+FAULTS = {
+    "undecided": (
+        SimplicityUndecided("no certificate found for a module of dimension 8"),
+        ["internal fault: no certificate found for a module of dimension 8"],
+    ),
+    "internal": (
+        InternalFault("summands fail to stack up", {"dims": [4, 3]}),
+        ["internal fault: summands fail to stack up",
+         "certificate: {'dims': [4, 3]}"],
+    ),
+}
+
+
+def classify_raising(monkeypatch, fault):
+    def raising(*_args):
+        raise fault
+
+    monkeypatch.setattr("kinsila.cli.classify", raising)
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_cli_classify_fault_exit_3(tmp_path, capsys, monkeypatch, kind):
+    fault, err_lines = FAULTS[kind]
+    classify_raising(monkeypatch, fault)
+    assert main(["classify", write_doc(tmp_path, good_doc())]) == 3
+    captured = capsys.readouterr()
+    # exactly the fault lines: no traceback, no report
+    assert captured.err.splitlines() == err_lines
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_cli_batch_fault_row_exit_3(tmp_path, capsys, monkeypatch, kind):
+    fault, _ = FAULTS[kind]
+    classify_raising(monkeypatch, fault)
+    out = str(tmp_path / "reports")
+    code = main(["batch", "--families", "poincare", "--dims", "4",
+                 "--out-dir", out])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1].split(None, 2) == [
+        "poincare", "4", "internal fault",
+    ]
+    with open(os.path.join(out, "poincare_d4.report.json")) as fh:
+        assert json.load(fh) == {"name": "poincare_d4", "fault": str(fault)}
+    with open(os.path.join(out, "summary.csv")) as fh:
+        assert list(csv.reader(fh))[1] == ["poincare", "4", "internal fault"]
 
 
 def test_cli_batch_unknown_family_is_usage_error():
