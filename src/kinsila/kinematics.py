@@ -102,6 +102,7 @@ class SymplecticData:
 class TransvectionData:
     pp: Subspace                  # [P, P], ambient
     transvection: Subspace        # [P, P] + P, ambient
+    derived: Subspace             # [T, T] for T the transvection algebra, ambient
     centralizer: Subspace         # elements of [P, P] commuting with P, ambient
     holonomy_dim: int
     flat: bool
@@ -473,13 +474,17 @@ def transvection_and_holonomy(structure: KinStructure) -> TransvectionData:
     alg = structure.algebra
     pp = alg.bracket_span(structure.p_space, structure.p_space)
     transvection = pp.sum_with(structure.p_space)
-    if not alg.is_subalgebra(transvection):
+    # bracketed once per classify: the subalgebra test here, and the first
+    # derived step of the solvability item of the Poincare certificate
+    derived = alg.bracket_span(transvection, transvection)
+    if not transvection.contains_space(derived):
         raise InternalFault("transvection span is not a subalgebra", {})
     cent = alg.centralizer(structure.p_space, within=pp)
     hol = pp.dim - cent.dim
     return TransvectionData(
         pp=pp,
         transvection=transvection,
+        derived=derived,
         centralizer=cent,
         holonomy_dim=hol,
         flat=(hol == 0),
@@ -729,11 +734,25 @@ def poincare_certificate(
             f"complement in dim {pl.dim}",
         ))
 
+        amap_ok = False
+        if dims_ok:
+            a = zdata.a_matrix
+            images = [a._integer_apply(b) for b in pl.rows]
+            full = len(_integer_echelon(dp, map(_sparse, images)).rows) == half
+            target = pr.echelon()
+            inside = not any(any(target._reduce(w)) for w in images)
+            intertwines = all(
+                (a @ m) == (m @ a) for m in structure.p_rep.mats
+            )
+            amap_ok = inside and full and intertwines
+        # with amap_ok, a restricted to pl is an exactly checked
+        # s-isomorphism onto pr: pl is certified once, and pr, a copy of pl
+        # along a, is a copy of V exactly when pl is
         iso_ok = dims_ok and pr.dim > 0 and all(
             certify_copy(
                 structure.v_rep, rep_on_subspace(structure.p_rep, piece)
             ) is not None
-            for piece in (pr, pl)
+            for piece in ((pl,) if amap_ok else (pr, pl))
         )
         items.append((
             "pieces-isomorphic-to-v",
@@ -751,17 +770,6 @@ def poincare_certificate(
             "bracket of the two pieces spans exactly the central line",
         ))
 
-        amap_ok = False
-        if dims_ok:
-            a = zdata.a_matrix
-            images = [a._integer_apply(b) for b in pl.rows]
-            full = len(_integer_echelon(dp, map(_sparse, images)).rows) == half
-            target = pr.echelon()
-            inside = not any(any(target._reduce(w)) for w in images)
-            intertwines = all(
-                (a @ m) == (m @ a) for m in structure.p_rep.mats
-            )
-            amap_ok = inside and full and intertwines
         items.append((
             "z-action-maps-one-piece-onto-the-other",
             amap_ok,
@@ -769,7 +777,7 @@ def poincare_certificate(
             "radical piece and commutes with the rotations",
         ))
 
-    not_solvable = not alg.is_solvable_space(trans.transvection)
+    not_solvable = not alg.is_solvable_space(trans.transvection, trans.derived)
     items.append((
         "transvection-not-solvable",
         not_solvable,

@@ -162,32 +162,42 @@ class LieAlgebra:
     def generators(self) -> tuple:
         """Basis indices whose elements generate the algebra under brackets.
 
-        Chosen greedily: e_i joins when it lies outside the subalgebra
-        generated by the indices chosen before it (d - 1 rotations for the
+        Chosen greedily by `_greedy_generators` (d - 1 rotations for the
         catalog's so(d)).  A map or subspace compatible with rho(x) and
         rho(y) is compatible with rho([x, y]), so module questions can be
-        asked of these elements only.  The subalgebra grows in one integer
-        echelon; each new row is bracketed with every row stored by then,
-        so every pair of rows is bracketed.
+        asked of these elements only.
         """
         if self._generators is None:
             n = self.dim
-            closure = Echelon(n)
-            chosen = []
-            for i in range(n):
-                row = closure.add_integer([int(j == i) for j in range(n)])
-                if row is None:
-                    continue
-                chosen.append(i)
-                queue = [row]
-                while queue and len(closure.rows) < n:
-                    u = queue.pop()
-                    for w in list(closure.rows):
-                        v = closure.add_integer(self._integer_bracket(u, w))
-                        if v is not None:
-                            queue.append(v)
-            self._generators = tuple(chosen)
+            units = [[int(j == i) for j in range(n)] for i in range(n)]
+            self._generators = self._greedy_generators(units)[0]
         return self._generators
+
+    def _greedy_generators(self, rows) -> tuple:
+        """(indices, dim): the positions of the integer rows, in order,
+        that lie outside the subalgebra generated by the rows before
+        them, and the dimension of the subalgebra all the rows generate.
+
+        The subalgebra grows in one integer echelon; each new row is
+        bracketed with every row stored by then, so every pair of rows is
+        bracketed.
+        """
+        n = self.dim
+        closure = Echelon(n)
+        chosen = []
+        for i, r in enumerate(rows):
+            row = closure.add_integer(list(r))
+            if row is None:
+                continue
+            chosen.append(i)
+            queue = [row]
+            while queue and len(closure.rows) < n:
+                u = queue.pop()
+                for w in list(closure.rows):
+                    v = closure.add_integer(self._integer_bracket(u, w))
+                    if v is not None:
+                        queue.append(v)
+        return tuple(chosen), len(closure.rows)
 
     # -- derived objects ---------------------------------------------------
     def killing_form(self) -> Mat:
@@ -257,17 +267,26 @@ class LieAlgebra:
     def is_abelian_space(self, space: Subspace) -> bool:
         return self.bracket_span(space, space).is_zero()
 
-    def is_solvable_space(self, space: Subspace) -> bool:
-        """Derived series of a subalgebra terminates at zero."""
-        if not self.is_subalgebra(space):
+    def is_solvable_space(
+        self, space: Subspace, derived: Optional[Subspace] = None
+    ) -> bool:
+        """Derived series of a subalgebra terminates at zero.
+
+        [space, space] is bracketed once: it is the subalgebra test and
+        the first derived step.  A caller that has it already passes it
+        as `derived`.
+        """
+        if derived is None:
+            derived = self.bracket_span(space, space)
+        if not space.contains_space(derived):
             raise ValueError("solvability asked of a non-subalgebra")
         s = space
-        while not s.is_zero():
-            d = self.bracket_span(s, s)
-            if d.dim == s.dim:
-                return False
-            s = d
-        return True
+        # derived lies in s, so equal dimensions mean s is perfect and nonzero
+        while derived.dim < s.dim:
+            if derived.is_zero():
+                return True
+            s, derived = derived, self.bracket_span(derived, derived)
+        return s.is_zero()
 
     def solvable_radical(self) -> Subspace:
         """Largest solvable ideal, certified before being returned.
@@ -353,6 +372,21 @@ class LieAlgebra:
         closure condition.  Returns None when the constrained system is
         unsolvable; the unconstrained system always has a solution, so an
         unconstrained call never returns None.
+
+        The complement vectors spanning `contain` are pinned and the
+        others free; the system has one block of rows per pair u, v,
+        saying that [u', v'] lies in the corrected span.  Only blocks that
+        constrain anything are built: pinned pairs give zero rows, since
+        `contain` is a subalgebra; pinned vectors meet the free ones only
+        through a greedy generating set of `contain` (by Jacobi, the
+        elements whose brackets keep the corrected span in itself form a
+        subalgebra); and ad is built only for the vectors of kept pairs.
+        The cut system has the full one's solutions, and a consistent
+        system's rows [T | w] span every affine equation its solutions
+        satisfy, so both have the same reduced echelon form, from which
+        `_solve` reads the particular solution: the complement is the
+        full system's (de Graaf, Lie Algebras: Theory and Algorithms,
+        2000, section 4.13).
         """
         n = self.dim
         rad = self.solvable_radical()
@@ -363,9 +397,11 @@ class LieAlgebra:
         unconstrained = sigma is None and contain is None
         if contain is None:
             contain = Subspace.zero(n)
-        elif not self.is_subalgebra(contain):
+        gens, closed_dim = self._greedy_generators(contain.rows)
+        if closed_dim != contain.dim:
             raise ValueError("contain is not a subalgebra")
-        if not contain.intersect(rad).is_zero():
+        # the two spaces meet in zero exactly when their dimensions add
+        if contain.sum_with(rad).dim != contain.dim + rad.dim:
             return None
         ident = Mat.identity(n)
         if sigma is None:
@@ -375,7 +411,6 @@ class LieAlgebra:
         if rad.is_full():
             return Subspace.zero(n) if contain.is_zero() else None
 
-        # complement basis with eigenvalue tags and pinned flags
         gplus = kernel(sigma - ident)
         gminus = kernel(sigma + ident)
         radp = rad.intersect(gplus)
@@ -411,54 +446,58 @@ class LieAlgebra:
             )
         wvecs = [w for (w, _, _) in wdata]
         heads = [row[p] for row, p in zip(rad.rows, rad.pivots)]
+        free = [a for a, (_, _, pin) in enumerate(wdata) if not pin]
+        offset = {a: idx * d for idx, a in enumerate(free)}
+        width = len(free) * d
+
+        # the kept pairs (s, t) of `ends`, the generators of contain and
+        # then the free vectors, each with the offset of its unknown (None
+        # when pinned): every pair whose second vector is free
+        ends = [(contain.rows[i], None) for i in gens]
+        ends += [(wvecs[a], offset[a]) for a in free]
+        pairs = [
+            (s, t) for t in range(len(gens), len(ends)) for s in range(t)
+        ]
 
         # coordinates relative to the columns (complement | radical rows),
-        # c / (den D) = M^-1 [w_a, w_b]; the radical part is rescaled to the
+        # c / (den D) = M^-1 [u, v]; the radical part is rescaled to the
         # radical's basis b_s = R_s / h_s, in which the unknowns are taken
         cols = wvecs + list(rad.rows)
         minv = inverse(_integer_mat(n, 1, tuple(
             _sparse([col[i] for col in cols]) for i in range(n)
         )))
         cden = minv._integer[0] * self._den
-        struct = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                c = minv._integer_apply(self._integer_bracket(wvecs[a], wvecs[b]))
-                struct[(a, b)] = (c[:k], [x * h for x, h in zip(c[k:], heads)])
 
-        # action of each complement vector on the radical, rad coordinates
-        pmats = [rad.matrix_of(self._integer_ad(w, 1)) for w in wvecs]
+        # action of each kept vector on the radical, rad coordinates
+        pmats = [rad.matrix_of(self._integer_ad(u, 1)) for u, _ in ends if pairs]
         if None in pmats:
             raise InternalFault(
                 "radical escaped under bracket with complement",
                 {"index": pmats.index(None)},
             )
 
-        free = [a for a, (_, _, pin) in enumerate(wdata) if not pin]
-        offset = {a: idx * d for idx, a in enumerate(free)}
-        width = len(free) * d
-
         # the augmented rows [T | w] of the system, each over its own
-        # denominator
+        # denominator: P_u x_v - P_v x_u - sum_e c_e x_e = -r for
+        # [u, v] = sum_e c_e w_e + r
         rows = []
-        for (a, b), (cvec, rvec) in struct.items():
-            da, arows = pmats[a]._integer
-            db, brows = pmats[b]._integer
-            lcm = math.lcm(da, db, cden)
-            fa, fb, fc = lcm // da, lcm // db, lcm // cden
-            for t in range(d):
+        for s, t in pairs:
+            (u, ou), (v, ov) = ends[s], ends[t]
+            c = minv._integer_apply(self._integer_bracket(u, v))
+            cvec, rvec = c[:k], [x * h for x, h in zip(c[k:], heads)]
+            du, urows = pmats[s]._integer
+            dv, vrows = pmats[t]._integer
+            lcm = math.lcm(du, dv, cden)
+            fu, fv, fc = lcm // du, lcm // dv, lcm // cden
+            for r in range(d):
                 row = [0] * (width + 1)
-                if b in offset:
-                    ob = offset[b]
-                    for s, x in arows[t]:
-                        row[ob + s] += fa * x
-                if a in offset:
-                    oa = offset[a]
-                    for s, x in brows[t]:
-                        row[oa + s] -= fb * x
+                for j, x in urows[r]:
+                    row[ov + j] += fu * x
+                if ou is not None:
+                    for j, x in vrows[r]:
+                        row[ou + j] -= fv * x
                 for e in free:
-                    row[offset[e] + t] -= fc * cvec[e]
-                row[width] = -fc * rvec[t]
+                    row[offset[e] + r] -= fc * cvec[e]
+                row[width] = -fc * rvec[r]
                 rows.append(_sparse(row))
         if free:
             smat = rad.matrix_of(sigma)
@@ -503,9 +542,10 @@ class LieAlgebra:
 
         if levi.dim != k:
             fault("complement corrections are dependent")
-        if not levi.intersect(rad).is_zero():
+        total = levi.sum_with(rad)
+        if total.dim != levi.dim + rad.dim:
             fault("complement meets the radical")
-        if not levi.sum_with(rad).is_full():
+        if not total.is_full():
             fault("complement plus radical is not everything")
         if not self.is_subalgebra(levi):
             fault("corrected complement is not closed")

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import count_calls, heisenberg_document, heisenberg_like
-from kinsila import catalog
+from kinsila import catalog, kinematics
 from kinsila.documents import parse_document
 from kinsila.errors import InternalFault, ValidationError
 from kinsila.exactla import Mat, Subspace, solve, unit_vec
@@ -256,6 +256,46 @@ def test_transvection_poincare():
     assert tr.centralizer.dim == 0
     assert tr.holonomy_dim == 7
     assert not tr.flat
+
+
+def test_classify_brackets_the_transvection_algebra_once(monkeypatch):
+    # [T, T] is the subalgebra test of transvection_and_holonomy and the
+    # first derived step of the transvection-not-solvable item
+    e = catalog.make("poincare", 5)
+    z, s, p = entry_roles(e)
+    t = transvection_and_holonomy(validate(e.algebra, z, s, p)).transvection
+    calls = []
+    original = LieAlgebra.bracket_span
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", counted)
+    result = classify(e.algebra, z, s, p)
+    assert result.label == "poincare-type"
+    assert ("transvection-not-solvable", True) in [
+        (name, ok) for name, ok, _ in result.poincare_items
+    ]
+    assert sum(a == t and b == t for a, b in calls) == 1
+
+
+def test_poincare_pieces_are_certified_once(monkeypatch):
+    # the central action maps the complement piece onto the radical piece
+    # as s-modules, so only the complement piece is compared with V
+    calls = []
+    original = kinematics.certify_copy
+
+    def counted(simple, module):
+        calls.append(module.dim)
+        return original(simple, module)
+
+    monkeypatch.setattr(kinematics, "certify_copy", counted)
+    result, _ = classify_entry("poincare", 5)
+    items = {name: ok for name, ok, _ in result.poincare_items}
+    assert items["pieces-isomorphic-to-v"]
+    assert items["z-action-maps-one-piece-onto-the-other"]
+    assert calls == [5]
 
 
 def test_transvection_carroll_is_flat_with_nonzero_brackets():
