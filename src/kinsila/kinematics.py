@@ -474,8 +474,8 @@ def transvection_and_holonomy(structure: KinStructure) -> TransvectionData:
     alg = structure.algebra
     pp = alg.bracket_span(structure.p_space, structure.p_space)
     transvection = pp.sum_with(structure.p_space)
-    # bracketed once per classify: the subalgebra test here, and the first
-    # derived step of the solvability item of the Poincare certificate
+    # bracketed once per classify: the subalgebra test here, and the space
+    # whose solvability the Poincare certificate decides
     derived = alg.bracket_span(transvection, transvection)
     if not transvection.contains_space(derived):
         raise InternalFault("transvection span is not a subalgebra", {})
@@ -777,7 +777,13 @@ def poincare_certificate(
             "radical piece and commutes with the rotations",
         ))
 
-    not_solvable = not alg.is_solvable_space(trans.transvection, trans.derived)
+    # T is solvable exactly when [T, T] is, and a nonzero perfect T is not:
+    # the derived series goes on from the carried [T, T] only when it is
+    # smaller than T
+    derived = trans.derived
+    not_solvable = (
+        derived.dim == trans.transvection.dim and not derived.is_zero()
+    ) or not alg.is_solvable_space(derived)
     items.append((
         "transvection-not-solvable",
         not_solvable,

@@ -267,17 +267,13 @@ class LieAlgebra:
     def is_abelian_space(self, space: Subspace) -> bool:
         return self.bracket_span(space, space).is_zero()
 
-    def is_solvable_space(
-        self, space: Subspace, derived: Optional[Subspace] = None
-    ) -> bool:
+    def is_solvable_space(self, space: Subspace) -> bool:
         """Derived series of a subalgebra terminates at zero.
 
         [space, space] is bracketed once: it is the subalgebra test and
-        the first derived step.  A caller that has it already passes it
-        as `derived`.
+        the first derived step.
         """
-        if derived is None:
-            derived = self.bracket_span(space, space)
+        derived = self.bracket_span(space, space)
         if not space.contains_space(derived):
             raise ValueError("solvability asked of a non-subalgebra")
         s = space
@@ -469,11 +465,13 @@ class LieAlgebra:
         cden = minv._integer[0] * self._den
 
         # action of each kept vector on the radical, rad coordinates
-        pmats = [rad.matrix_of(self._integer_ad(u, 1)) for u, _ in ends if pairs]
+        pmats = [
+            rad.matrix_of(self._integer_ad(u, 1)) for u, _ in ends
+        ] if pairs else []
         if None in pmats:
             raise InternalFault(
                 "radical escaped under bracket with complement",
-                {"index": pmats.index(None)},
+                {"vector": list(ends[pmats.index(None)][0])},
             )
 
         # the augmented rows [T | w] of the system, each over its own
