@@ -20,6 +20,7 @@ from .exactla import (
     _flat,
     _integer_kernel,
     _integer_mat,
+    _null_space,
     _solve,
     _sparse,
     _unflat,
@@ -27,6 +28,7 @@ from .exactla import (
     Mat,
     Poly,
     Subspace,
+    inverse,
     kernel,
     matrix_poly,
     min_poly,
@@ -183,70 +185,134 @@ def is_faithful(rep: Rep) -> bool:
     return _flat_rank(rep.mats, rep.dim) == len(rep.mats)
 
 
+def _spin_tree(mats: Sequence[Mat], found: Echelon, w: Sequence[int], tree: list):
+    """Grow `found` by the spin of the integer vector w under `mats`.
+
+    Each vector that enlarges the span is appended to `tree` as
+    (b, parent, i): w itself with parent None, or b = den * mats[i] b_p for
+    the vector b_p at index `parent`.  The matrices act on these images,
+    not on the echelon's residual rows, so every vector is its parent's
+    image up to a positive scalar.  The walk stops once the span is full:
+    no further image can change it.
+    """
+    if found.add_integer(list(w)) is None:
+        return
+    tree.append((w, None, None))
+    stack = [len(tree) - 1]
+    while stack:
+        k = stack.pop()
+        for i, m in enumerate(mats):
+            if len(found.rows) == found.width:
+                return
+            b = m._integer_apply(tree[k][0])
+            if found.add_integer(list(b)) is not None:
+                tree.append((b, k, i))
+                stack.append(len(tree) - 1)
+
+
 def spin(mats: Sequence[Mat], w: Sequence[int]) -> Subspace:
     """Smallest subspace containing the integer vector w and invariant
     under `mats`."""
-    d = len(w)
-    found = Echelon(d)
-    queue = [found.add_integer(list(w))]
-    while queue:
-        u = queue.pop()
-        if u is None:
-            continue
-        for m in mats:
-            if len(found.rows) == d:
-                # a full span stores no further row, so no image can change it
-                return found.subspace()
-            # u is a stored integer row; its image times den spans the same line
-            queue.append(found.add_integer(m._integer_apply(u)))
+    found = Echelon(len(w))
+    _spin_tree(mats, found, w, [])
     return found.subspace()
 
 
 def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
     """Basis of the intertwiners T with T rho1(x) = rho2(x) T for all x.
 
-    The equations are taken for the algebra's Lie generators only
-    (`LieAlgebra.generators`).  As rho1 and rho2 are representations, T
-    commuting with rho(x) and rho(y) commutes with rho([x, y]), so the
-    solution space, and with it the reduced echelon basis returned, is
-    the one every basis element gives.  `_is_isomorphism`, which re-checks
-    the intertwiners that certify simplicity, still tests every matrix,
-    as a guard against a bug here.  Both modules must be of the same
-    algebra object, whose generating set is used.
+    Solved by the standard-basis method (Lux & Szőke, Computing
+    homomorphism spaces between modules over finite dimensional algebras,
+    Exp. Math. 12 (2003)).  Unit vectors of rep1 are spun under the Lie
+    generators (`LieAlgebra.generators`) until they span it, and each
+    vector b_k the spin keeps is a seed or the image g b_p of an earlier
+    one.  The unknowns t are T's values on the seeds: d2 per seed, where
+    the entries of T are d1 * d2.
+      - T is fixed by its values on the seeds: T b_k = rho2(g) T b_p, so
+        T b_k = X_k t with X_k the product along the spin tree in rep2,
+        and T = [X_k t] B^-1 for B the matrix of the b_k.
+      - Tree edges give no equation: they define X_k.  Every other pair
+        (k, g) gives rho2(g) X_k t = sum_j c_j X_j t with
+        c = B^-1 rho1(g) b_k.  Once the system has full rank the answer
+        is [], and no further block is built.
+      - The solution space is unchanged, so its reduced echelon basis,
+        read row by row and returned, is unchanged: it is the space of T
+        commuting with the generators, and T commuting with rho(x) and
+        rho(y) commutes with rho([x, y]), so with every basis element.
+    `_is_isomorphism`, which re-checks the intertwiners that certify
+    simplicity, still tests every matrix, as a guard against a bug here.
+    Both modules must be of the same algebra object, whose generating set
+    is used.
     """
     if rep1.algebra is not rep2.algebra:
         raise ValueError("intertwiners need representations of the same algebra")
     d1, d2 = rep1.dim, rep2.dim
-    width = d1 * d2
-    # different generators often give the same equation row; hashing the
-    # sparse key of a repeat is cheaper than reducing it to zero in the kernel
-    seen = set()
-    rows = []
-    for i in rep1.algebra.generators():
-        m1, m2 = rep1.mats[i], rep2.mats[i]
-        # equation block: T m1 - m2 T = 0, unknown T is d2 x d1, row-major,
-        # times the lcm of the two denominators so that it is integral;
-        # each row is kept as its sorted nonzero (unknown, coefficient) pairs
-        den1, m1_rows = m1._integer
-        den2, m2_rows = m2._integer
-        den = math.lcm(den1, den2)
-        f1, f2 = den // den1, den // den2
-        m1_cols = [[] for _ in range(d1)]
-        for k, m1_row in enumerate(m1_rows):
-            for c, a in m1_row:
-                m1_cols[c].append((k, f1 * a))
-        for r in range(d2):
-            m2_row = [(k * d1, f2 * b) for k, b in m2_rows[r]]
-            for c in range(d1):
-                eq = {r * d1 + k: a for k, a in m1_cols[c]}
-                for kd, b in m2_row:
-                    eq[kd + c] = eq.get(kd + c, 0) - b
-                key = tuple(sorted((j, x) for j, x in eq.items() if x))
-                if key and key not in seen:
-                    seen.add(key)
-                    rows.append(key)
-    combos = _integer_kernel(width, rows)
-    return [_unflat(row, row[p], d2, d1) for row, p in zip(combos.rows, combos.pivots)]
+    gens = rep1.algebra.generators()
+    mats1 = [rep1.mats[i] for i in gens]
+    mats2 = [rep2.mats[i] for i in gens]
+    found = Echelon(d1)
+    tree: list = []
+    for j in range(d1):
+        if len(found.rows) == d1:
+            break
+        _spin_tree(mats1, found, [int(c == j) for c in range(d1)], tree)
+    seeds = [k for k, (_, parent, _) in enumerate(tree) if parent is None]
+    width = d2 * len(seeds)
+    # T b_k = f_k X_k t: a seed's own d2 unknowns, or, along a tree edge,
+    # b_k = den1 rho1(g) b_p, so T b_k = den1 rho2(g) T b_p
+    xs: List[Mat] = []
+    fs: List[int] = []
+    for k, (_, parent, i) in enumerate(tree):
+        if parent is None:
+            first = d2 * seeds.index(k)
+            xs.append(_integer_mat(width, 1, tuple(((first + r, 1),) for r in range(d2))))
+            fs.append(1)
+        else:
+            xs.append(mats2[i] @ xs[parent])
+            fs.append(mats1[i]._integer[0] * fs[parent])
+    # over one denominator: T b_k = Z_k t / lcm, Z_k as sparse integer rows
+    lcm = math.lcm(*[x._integer[0] for x in xs])
+    zs = []
+    for x, f in zip(xs, fs):
+        den, rows = x._integer
+        f *= lcm // den
+        zs.append([[(a, f * z) for a, z in row] for row in rows])
+    binv = inverse(_integer_mat(d1, 1, tuple(_sparse(b) for b, _, _ in tree)).transpose())
+    tree_edges = {(parent, i) for _, parent, i in tree}
+    eqs = Echelon(width)
+    for k, (b, _, _) in enumerate(tree):
+        for i, (m1, m2) in enumerate(zip(mats1, mats2)):
+            if (k, i) in tree_edges:
+                continue
+            # with G = den rho(g) and beta the denominator of B^-1,
+            # c = beta B^-1 G1 b_k is beta den1 times the coordinates of
+            # rho1(g) b_k in the b_j, so beta den1 G2 Z_k = den2 sum_j c_j Z_j
+            c = binv._integer_apply(m1._integer_apply(b))
+            f = binv._integer[0] * m1._integer[0]
+            den2, g2_rows = m2._integer
+            terms = [(den2 * cj, zs[j]) for j, cj in enumerate(c) if cj]
+            zk = zs[k]
+            for r, g2_row in enumerate(g2_rows):
+                w = [0] * width
+                for m, x in g2_row:
+                    x *= f
+                    for a, z in zk[m]:
+                        w[a] += x * z
+                for cj, zj in terms:
+                    for a, z in zj[r]:
+                        w[a] -= cj * z
+                if any(w):
+                    eqs.add_integer(w)
+            if len(eqs.rows) == width:
+                return []
+    homs = Echelon(d1 * d2)
+    for t in _null_space(*eqs.reduced_rows(), width).rows:
+        # T = [Z_j t] B^-1 up to a positive scalar
+        images = [[sum(z * t[a] for a, z in row) for row in zj] for zj in zs]
+        tb = _integer_mat(len(zs), 1, tuple(map(_sparse, zip(*images))))
+        homs.add_integer(_flat(tb @ binv))
+    homs = homs.subspace()
+    return [_unflat(row, row[p], d2, d1) for row, p in zip(homs.rows, homs.pivots)]
 
 
 def invariant_symmetric_forms(rep: Rep) -> List[Mat]:

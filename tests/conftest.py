@@ -7,7 +7,7 @@ from pathlib import Path
 
 from kinsila import catalog, repth
 from kinsila.documents import entry_to_document
-from kinsila.exactla import Mat, Subspace, inverse, unit_vec
+from kinsila.exactla import Mat, Subspace, inverse, rank, unit_vec
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import Rep
 
@@ -217,6 +217,16 @@ def bench_workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def dense_block(rng, k):
+    """A k x k invertible integer matrix, off-diagonal entries from
+    {-1, 0, 1} and diagonal entries from {1, 2}, redrawn until invertible."""
+    while True:
+        rows = [[rng.choice((1, 2)) if i == j else rng.choice((-1, 0, 1))
+                 for j in range(k)] for i in range(k)]
+        if rank(Mat(rows)) == k:
+            return rows
 
 
 def structure_pairs(alg):

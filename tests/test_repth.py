@@ -1,10 +1,22 @@
+import hashlib
+import json
 import operator
 import random
 
 import pytest
 
-from conftest import count_calls, doubled, so_algebra_and_rep, unimodular_conjugate
-from kinsila import repth
+from conftest import (
+    ad_matrix,
+    bench_workloads,
+    count_calls,
+    dense_block,
+    doubled,
+    restricted,
+    so_algebra_and_rep,
+    structure_pairs,
+    unimodular_conjugate,
+)
+from kinsila import catalog, repth
 from kinsila.errors import DecompositionError, InternalFault, RepError
 from kinsila.exactla import (
     _integer_row, Echelon, Mat, Subspace, inverse, kernel, unit_vec,
@@ -32,6 +44,29 @@ from kinsila.repth import (
 
 def dual(rep):
     return Rep(rep.algebra, [-m.transpose() for m in rep.mats])
+
+
+def momentum_module(alg, roles):
+    """P as a module of s, from the brackets of the roles' basis vectors."""
+    _, s, p = roles
+    n = alg.dim
+    p_space = Subspace.coordinate(n, p)
+    mats = [p_space.matrix_of(ad_matrix(alg, unit_vec(n, x))) for x in s]
+    return Rep(restricted(alg, Subspace.coordinate(n, s)), mats, dim=len(p))
+
+
+def catalog_momentum(family, d):
+    entry = catalog.make(family, d)
+    return momentum_module(entry.algebra, bench_workloads().entry_roles(entry))
+
+
+def companion_line(coeffs):
+    """The abelian algebra Q x acting on Q^n by the companion matrix of
+    the monic t^n + c_(n-1) t^(n-1) + ... + c_0, coeffs = (c_0, ..., c_(n-1))."""
+    n = len(coeffs)
+    alg = LieAlgebra(1, {}, labels=["x"])
+    rows = [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+    return Rep(alg, [Mat(rows)])
 
 
 def so2_line():
@@ -315,6 +350,56 @@ class TestHomAndCommutant:
             for rep1, rep2 in pairs:
                 assert hom_space(rep1, rep2) == dense_hom(rep1, rep2)
 
+        # catalog P = V + V at d = 4: no unit vector spins all of it, so
+        # the spin takes a second seed
+        p4 = catalog_momentum("poincare", 4)
+        gens = repth._generator_mats(p4)
+        assert all(
+            spin(gens, [int(j == i) for j in range(p4.dim)]).dim < p4.dim
+            for i in range(p4.dim)
+        )
+        # s = 0 at d = 1: no generators, so every matrix intertwines
+        p1 = catalog_momentum("poincare", 1)
+        assert p1.algebra.dim == 0 and len(hom_space(p1, p1)) == p1.dim ** 2
+        # abelian s by the companion matrix of t^4 + 1, alone and doubled
+        line = companion_line((1, 0, 0, 0))
+        # so(4): Hom(V, wedge^2 V) is 0, found at full rank
+        _, v4 = so_algebra_and_rep(4)
+        pairs = (
+            (p4, p4), (p1, p1), (line, line), (doubled(line), doubled(line)),
+            (line, doubled(line)), (v4, wedge_square(v4)),
+        )
+        for rep1, rep2 in pairs:
+            assert hom_space(rep1, rep2) == dense_hom(rep1, rep2)
+
+
+# sha256 of json.dumps of the entries of hom_space(P, P), as strings, for
+# dense d = 6 draws (`dense_block`) of the momentum module, recorded with
+# the d1 * d2 equation system that hom_space solved before its spin seeds
+DENSE_COMMUTANT_PINS = {
+    ("static", 2): "0f918a4affdb52bee2077604d4b1d3803c31e66e3cb4c94f5f75bdc630faec08",
+    ("poincare", 0): "89df682101cff5f70d141e61b5b23e5c4e9cea70e008043d9d2918b52cb06ef1",
+}
+
+
+@pytest.mark.parametrize("family, seed", list(DENSE_COMMUTANT_PINS))
+def test_dense_commutant_matches_pin(family, seed, monkeypatch):
+    workloads = bench_workloads()
+    monkeypatch.setattr(workloads, "mixing_block", dense_block)
+    entry = catalog.make(family, 6)
+    alg = entry.algebra
+    roles = workloads.entry_roles(entry)
+    rng = random.Random(f"{seed}:{family}")
+    pairs, _ = workloads.rebase(alg.dim, structure_pairs(alg), roles, rng)
+    p = momentum_module(LieAlgebra(alg.dim, pairs, list(alg.labels)), roles)
+    homs = hom_space(p, p)
+    digest = hashlib.sha256(json.dumps(
+        [[[str(x) for x in row] for row in t.entries] for t in homs]
+    ).encode()).hexdigest()
+    assert digest == DENSE_COMMUTANT_PINS[(family, seed)]
+    # the equations were the generators'; every matrix must commute
+    assert all(t @ m == m @ t for t in homs for m in p.mats)
+
 
 @pytest.fixture(scope="module")
 def generator_modules():
@@ -380,7 +465,7 @@ class TestGeneratorsDecideModuleQuestions:
             True, True, False, True, False, False,
         ]
 
-    def test_one_equation_block_per_generator(self, monkeypatch):
+    def test_only_generator_matrices_are_read(self, monkeypatch):
         alg, v = so_algebra_and_rep(5)
         w = wedge_square(v)
         read = []
@@ -393,8 +478,11 @@ class TestGeneratorsDecideModuleQuestions:
 
         monkeypatch.setattr(Mat, "_integer", property(counted, slot.__set__))
         hom_space(v, w)
-        blocks = [m for m in read if any(m is x for x in v.mats)]
-        assert len(blocks) == len(alg.generators()) == 4
+        gens = alg.generators()
+        assert len(gens) == 4 < alg.dim
+        for rep in (v, w):
+            touched = {i for i, m in enumerate(rep.mats) if any(m is x for x in read)}
+            assert touched and touched <= set(gens)
 
     def test_modules_of_two_algebra_objects_are_refused(self):
         _, v1 = so_algebra_and_rep(3)

@@ -18,9 +18,8 @@ import random
 
 import pytest
 
-from conftest import bench_workloads, structure_pairs
+from conftest import bench_workloads, dense_block, structure_pairs
 from kinsila import catalog, repth
-from kinsila.exactla import Mat, rank
 from kinsila.kinematics import classify
 from kinsila.liecore import LieAlgebra
 
@@ -55,16 +54,6 @@ PINS = {
         (0, 0, 0, 365, -654, -641, -684, -449),
     ), None)]),
 }
-
-
-def dense_block(rng, k):
-    """A k x k invertible integer matrix, off-diagonal entries from
-    {-1, 0, 1} and diagonal entries from {1, 2}, redrawn until invertible."""
-    while True:
-        rows = [[rng.choice((1, 2)) if i == j else rng.choice((-1, 0, 1))
-                 for j in range(k)] for i in range(k)]
-        if rank(Mat(rows)) == k:
-            return rows
 
 
 @pytest.mark.parametrize("family, seed", list(PINS))
