@@ -10,7 +10,7 @@ sums and `apply` accumulate in ints and build the next view directly,
 and the Fraction entries are built lazily, only at the boundary
 (reports, fault payloads, `m[i, j]`).  `Echelon` eliminates on integer
 rows, and a `Subspace` is its integer reduced echelon rows: spans,
-sums, intersections, embeddings, containment and `matrix_of` work on
+sums, embeddings, containment and `matrix_of` work on
 them, and its Fraction `basis` is likewise built lazily, on first read.
 Kernels and ranks feed `Echelon` the integer view of their matrix,
 systems that callers build in integers (`repth.hom_space`,
@@ -278,9 +278,6 @@ class Mat:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_identity(self) -> bool:
-        return self.is_square() and self == Mat.identity(self.rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
@@ -477,7 +474,7 @@ class Subspace:
     its pivot entry), as `Echelon.reduced_rows` returns them, and
     `pivots` their pivot columns.  Two Subspace objects are equal exactly
     when they are the same subspace of the same ambient space, and `==`,
-    `hash`, `dim`, spans, sums, intersections and containment all read
+    `hash`, `dim`, spans, sums and containment all read
     those rows; no tolerance is involved.  `basis`, the reduced echelon
     basis in exact Fractions, is the boundary for reports and callers
     outside the package: it is built on first read and kept.
@@ -629,25 +626,6 @@ class Subspace:
         for row in other.rows:
             ech.add_integer(list(row))
         return ech.subspace()
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of [U^T | -W^T], U and W the two
-        bases over their denominators; the U half of each solution holds
-        coefficients in this basis."""
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient_dim)
-        du, dw = self.dim, other.dim
-        eqs = [[] for _ in range(self.ambient_dim)]
-        for a, row in enumerate(self.basis_mat()._integer[1]):
-            for j, x in row:
-                eqs[j].append((a, x))
-        for b, row in enumerate(other.basis_mat()._integer[1]):
-            for j, x in row:
-                eqs[j].append((du + b, -x))
-        combos = _integer_kernel(du + dw, eqs)
-        return self._image(row[:du] for row in combos.rows)
 
     def __eq__(self, other) -> bool:
         return (

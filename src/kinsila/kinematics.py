@@ -6,20 +6,23 @@ and its radical, measure holonomy of the transvection algebra, split the
 action of the central element into semisimple and nilpotent parts, and
 classify.  Statements that are theorems for validated inputs are still
 re-checked; their failure raises InternalFault, never a validation error.
-The one exception is the bracket condition on the action of s on P: it
-is the Jacobi identity (checked when the LieAlgebra was built) restricted
-to s and P, so once s closes and ad s maps P into P it holds, and it is
-not checked a second time.
+The exceptions are the Jacobi identity, checked when the LieAlgebra was
+built, on s (its s x s block once s closes) and on the action of s on P
+(the bracket condition, once ad s maps P into P): neither is checked a
+second time.
 
 A document assigns its roles to basis vectors, so Z, s and P are
 coordinate subspaces, and the reduced echelon basis of each is its basis
-vectors in index order.  The role-level facts are therefore read straight
-from blocks of the structure-constant table over the sorted role
-indices: s as a Lie algebra from the s x s block (step 2), the brackets
-of Z with s from Z's row (step 3), the action of s on P from the s x P
-block (step 4), the grading from the support of every nonzero structure
-constant (step 10), the action a = ad(Z)|P from the Z x P block, and the
-two-form from the P x P block at Z.
+vectors in index order.  Every stage reads role-level facts straight from
+blocks of the structure-constant table over the sorted role indices: s
+as a Lie algebra from the s x s block (step 2), the brackets of Z with s
+from Z's row (step 3), the action of s on P from the s x P block (step
+4), the grading from the support of every nonzero structure constant
+(step 10), a = ad(Z)|P from the Z x P block, the two-form from the P x P
+block at Z, [P, P] from the P x P rows, the radical's brackets with P
+from the P columns, the ideal test of P + Z from supports, and P's meets
+with the radical and a Levi complement, both sigma-stable, from their
+rows that lie in P.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (
     DecompositionError,
     InternalFault,
+    NonAbelianRadicalError,
     ValidationError,
 )
 from .exactla import (
     _ZERO,
-    _fractions,
     _integer_echelon,
     _integer_mat,
     _sparse,
@@ -48,7 +51,7 @@ from .exactla import (
     sn_decomposition,
     sqrt_rational,
 )
-from .liecore import LieAlgebra
+from .liecore import LieAlgebra, _sign_parts
 from .repth import (
     Rep,
     certify_copy,
@@ -216,22 +219,18 @@ def canonical_involution(algebra: LieAlgebra, p_indices: Sequence[int]) -> Mat:
     (the central line and the rotations, once the roles partition the
     basis).
 
-    Verified (not assumed) to be an involutive automorphism; when the
+    Verified (not assumed) to be an involutive automorphism, by the
+    support of the structure constants (`LieAlgebra._graded`); when the
     input brackets break the grading this raises a validation error with
-    code SIGMA_NOT_AUTOMORPHISM.  A diagonal map with entries +-1 is
-    invertible and its own inverse, and it preserves the bracket exactly
-    when every nonzero structure constant c of [e_i, e_j] at e_m has
-    sign(m) = sign(i) sign(j), which is what is checked.
+    code SIGMA_NOT_AUTOMORPHISM.
     """
     p_set = set(p_indices)
     sign = [-1 if i in p_set else 1 for i in range(algebra.dim)]
-    for i, si in enumerate(algebra._struct):
-        for j, row in si.items():
-            if any(sign[m] != sign[i] * sign[j] for m, _ in row):
-                raise ValidationError(
-                    "SIGMA_NOT_AUTOMORPHISM",
-                    "the grading involution is not an automorphism of the bracket",
-                )
+    if not algebra._graded(sign):
+        raise ValidationError(
+            "SIGMA_NOT_AUTOMORPHISM",
+            "the grading involution is not an automorphism of the bracket",
+        )
     return _integer_mat(algebra.dim, 1, tuple(((i, e),) for i, e in enumerate(sign)))
 
 
@@ -251,6 +250,14 @@ def _ad_block(
                 return None
             acc[k].append((b, c))
     return _integer_mat(len(cols), algebra._den, tuple(map(tuple, acc)))
+
+
+def _coordinate_ideal(algebra: LieAlgebra, indices: Sequence[int]) -> bool:
+    """Whether the basis vectors at `indices` span an ideal: every nonzero
+    [e_i, e_j] with j among them has its support among them."""
+    inside = set(indices)
+    return all(m in inside for si in algebra._struct for j, row in si.items()
+               if j in inside for m, _ in row)
 
 
 def validate(
@@ -299,20 +306,15 @@ def validate(
     p_pos = {i: k for k, i in enumerate(p_idx)}
     struct = algebra._struct
 
-    # 2: s closes under the bracket
-    pairs = {}
+    # 2: s closes under the bracket, so its block is a table that obeys Jacobi
+    s_struct = [{} for _ in s_idx]
     for a, x in enumerate(s_idx):
-        for b in range(a + 1, len(s_idx)):
-            row = struct[x].get(s_idx[b])
-            if row is None:
-                continue
-            if any(m not in s_pos for m, _ in row):
-                fail(2, "the rotation component is not a subalgebra")
-            coords = [0] * len(s_idx)
-            for m, c in row:
-                coords[s_pos[m]] = c
-            pairs[(a, b)] = _fractions(coords, algebra._den)
-    s_algebra = LieAlgebra(len(s_idx), pairs)
+        for y, row in struct[x].items():
+            if y in s_pos:
+                if any(m not in s_pos for m, _ in row):
+                    fail(2, "the rotation component is not a subalgebra")
+                s_struct[a][s_pos[y]] = tuple((s_pos[m], c) for m, c in row)
+    s_algebra = LieAlgebra._from_block(algebra._den, s_struct)
     ok(2)
 
     # 3: the central line commutes with s
@@ -422,9 +424,10 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
         raise InternalFault("central two-form is not antisymmetric",
                             {"omega": omega.entries})
 
-    # invariance under z and s actions on P
+    # invariance under z and the s generators: rho(x), rho(y) give rho([x, y])
     actors = [("z", structure.a_matrix)]
-    actors += [(f"s{k}", m) for k, m in enumerate(structure.p_rep.mats)]
+    actors += [(f"s{k}", structure.p_rep.mats[k])
+               for k in structure.s_algebra.generators()]
     for name, m in actors:
         if not (m.transpose() @ omega + omega @ m).is_zero():
             raise InternalFault(
@@ -452,13 +455,17 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
         case = "module"
 
     # brackets of radical vectors with momenta stay inside the rotations:
-    # no nonzero entry off the indices of s
+    # [r, e_y] = sum_k r_k [e_k, e_y], from the P columns of the table, is 0 off s
     s_set = set(structure.s_space.pivots)
-    outside_s = [m for m in range(alg.dim) if m not in s_set]
-    for r in structure.p_space.embed(rad).rows:
-        for y in structure.p_space.rows:
-            w = alg._integer_bracket(r, y)
-            if any(w[m] for m in outside_s):
+    for r in rad.rows:
+        for y in p_idx:
+            w = [0] * alg.dim
+            for x, a in zip(p_idx, r):
+                if a:
+                    for m, c in struct[x].get(y, ()):
+                        if m not in s_set:
+                            w[m] += a * c
+            if any(w):
                 raise InternalFault(
                     "bracket of a radical vector with momenta leaves the rotations",
                     {"radical_basis": rad.basis},
@@ -472,7 +479,12 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
 def transvection_and_holonomy(structure: KinStructure) -> TransvectionData:
     """[P,P] + P with the dimension of its action modulo the inert part."""
     alg = structure.algebra
-    pp = alg.bracket_span(structure.p_space, structure.p_space)
+    p_idx = structure.p_space.pivots
+    # [P, P]: the span of the P x P rows of the structure constants
+    pp = _integer_echelon(alg.dim, (
+        alg._struct[x][y] for a, x in enumerate(p_idx) for y in p_idx[a + 1:]
+        if y in alg._struct[x]
+    )).subspace()
     transvection = pp.sum_with(structure.p_space)
     # bracketed once per classify: the subalgebra test here, and the space
     # whose solvability the Poincare certificate decides
@@ -679,35 +691,25 @@ def poincare_certificate(
     half = dp // 2
 
     rad_g = alg.solvable_radical()
-    rad_abelian = alg.is_abelian_space(rad_g)
+    # the complement search first tests the radical abelian, once per classify
+    try:
+        levi = alg.levi_complement(sigma=structure.sigma, contain=structure.s_space)
+        rad_abelian = True
+    except NonAbelianRadicalError:
+        levi, rad_abelian = None, False
     items.append((
         "radical-abelian",
         rad_abelian,
         f"solvable radical has dimension {rad_g.dim}",
     ))
-
-    levi = None
-    if rad_abelian:
-        levi = alg.levi_complement(sigma=structure.sigma, contain=structure.s_space)
-        if levi is None:
-            items.append((
-                "sigma-stable-levi-containing-s",
-                False,
-                "no graded complement through the rotations was found by "
-                "this method; this is not a proof of absence",
-            ))
-        else:
-            items.append((
-                "sigma-stable-levi-containing-s",
-                True,
-                f"complement of dimension {levi.dim}",
-            ))
+    if not rad_abelian:
+        note = "skipped: the solvable radical is not abelian"
+    elif levi is None:
+        note = ("no graded complement through the rotations was found by "
+                "this method; this is not a proof of absence")
     else:
-        items.append((
-            "sigma-stable-levi-containing-s",
-            False,
-            "skipped: the solvable radical is not abelian",
-        ))
+        note = f"complement of dimension {levi.dim}"
+    items.append(("sigma-stable-levi-containing-s", levi is not None, note))
 
     if levi is None:
         for name in (
@@ -718,10 +720,8 @@ def poincare_certificate(
         ):
             items.append((name, False, "skipped: no complement available"))
     else:
-        p_rad_amb = structure.p_space.intersect(rad_g)
-        p_levi_amb = structure.p_space.intersect(levi)
-        pr = _to_p_subspace(structure, p_rad_amb)
-        pl = _to_p_subspace(structure, p_levi_amb)
+        p_rad_amb, pr = _p_part(structure, rad_g)
+        p_levi_amb, pl = _p_part(structure, levi)
 
         dims_ok = pr.dim == half and pl.dim == half
         lag_ok = pairing_ok = False
@@ -798,18 +798,21 @@ def poincare_certificate(
     return PoincareData(passed=all(ok for _, ok, _ in items), items=items)
 
 
-def _to_p_subspace(structure: KinStructure, ambient: Subspace) -> Subspace:
-    """`ambient`, inside P, in P coordinates: the coordinates of a vector
-    in P's reduced echelon basis are its entries at P's pivots."""
-    p_space = structure.p_space
-    if not p_space.contains_space(ambient):
+def _p_part(structure: KinStructure, space: Subspace) -> Tuple[Subspace, Subspace]:
+    """P meet `space`, ambient and in P coordinates, for `space` stable
+    under sigma (-1 on P, +1 off it), as `levi_complement` checks: its
+    reduced echelon rows in P (`_sign_parts`), read at P's indices."""
+    p_idx = structure.p_space.pivots
+    p_pos = {i: k for k, i in enumerate(p_idx)}
+    parts = _sign_parts(space, [-1 if i in p_pos else 1 for i in range(space.ambient_dim)])
+    if parts is None:
         raise InternalFault(
             "claimed momentum subspace leaves the momentum space",
-            {"basis": ambient.basis},
+            {"basis": space.basis},
         )
-    return _integer_echelon(p_space.dim, (
-        _sparse([row[p] for p in p_space.pivots]) for row in ambient.rows
-    )).subspace()
+    meet = parts[-1]
+    return meet, Subspace(len(p_idx), tuple(tuple(row[i] for i in p_idx) for row in meet.rows),
+                          tuple(p_pos[p] for p in meet.pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +851,9 @@ def classify(
                 "brackets of momenta survive although the two-form vanishes",
                 {"pp_dim": trans.pp.dim},
             )
-        ideal = structure.p_space.sum_with(structure.z_space)
-        if not algebra.is_ideal(ideal):
+        if not _coordinate_ideal(
+            algebra, structure.p_space.pivots + structure.z_space.pivots
+        ):
             raise InternalFault(
                 "momenta plus center fail to form an ideal in the fully "
                 "degenerate case",

@@ -18,6 +18,7 @@ Fraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -35,7 +36,6 @@ from .exactla import (
     Mat,
     Subspace,
     inverse,
-    kernel,
     q,
     rank,
 )
@@ -73,7 +73,22 @@ class LieAlgebra:
             if row:
                 struct[i][j] = row
                 struct[j][i] = tuple((m, -c) for m, c in row)
-        self.dim = dim
+        self._table(labels, den, struct)
+        bad = self.jacobi_defect()
+        if bad is not None:
+            raise JacobiError(*bad)
+
+    @classmethod
+    def _from_block(cls, den: int, struct: list) -> "LieAlgebra":
+        """The subalgebra whose table is `struct` over `den`, a block of a
+        checked table closed under the bracket: its Jacobi identity is the
+        table's own, and is not checked again."""
+        alg = cls.__new__(cls)
+        alg._table([f"e{i}" for i in range(len(struct))], den, struct)
+        return alg
+
+    def _table(self, labels: list, den: int, struct: list):
+        self.dim = len(struct)
         self.labels = labels
         self._den = den
         self._struct = struct
@@ -81,9 +96,6 @@ class LieAlgebra:
         self._derived: Optional[Subspace] = None
         self._radical: Optional[Subspace] = None
         self._generators: Optional[tuple] = None
-        bad = self.jacobi_defect()
-        if bad is not None:
-            raise JacobiError(*bad)
 
     # -- construction-time validation -----------------------------------
     def jacobi_defect(self):
@@ -347,8 +359,14 @@ class LieAlgebra:
                     return False
         return True
 
-    def is_involution(self, t: Mat) -> bool:
-        return t.is_square() and t.rows == self.dim and (t @ t).is_identity()
+    def _graded(self, sign: Sequence[int]) -> bool:
+        """Whether the diagonal map with entries sign[i] = +-1 preserves the
+        bracket: every [e_i, e_j] has its support where sign is sign[i] sign[j]."""
+        return all(
+            sign[m] == sign[i] * sign[j]
+            for i, si in enumerate(self._struct) for j, row in si.items() if j > i
+            for m, _ in row
+        )
 
     # -- Levi complement --------------------------------------------------
     def levi_complement(
@@ -359,8 +377,9 @@ class LieAlgebra:
         """A subalgebra complementing the solvable radical.
 
         Requires the radical to be abelian (NonAbelianRadicalError
-        otherwise).  The result is stable under `sigma`, an involutive
-        automorphism (default the identity), and contains `contain`, a
+        otherwise).  The result is stable under `sigma`, the diagonal map
+        with entries +-1 of a grading of the bracket (default the identity;
+        ValueError for any other map), and contains `contain`, a
         subalgebra meeting the radical trivially (default zero).  Starting
         from any complement of the radical, the correction making it a
         subalgebra is a linear system in a map from the complement into
@@ -369,20 +388,25 @@ class LieAlgebra:
         unsolvable; the unconstrained system always has a solution, so an
         unconstrained call never returns None.
 
-        The complement vectors spanning `contain` are pinned and the
-        others free; the system has one block of rows per pair u, v,
-        saying that [u', v'] lies in the corrected span.  Only blocks that
-        constrain anything are built: pinned pairs give zero rows, since
-        `contain` is a subalgebra; pinned vectors meet the free ones only
-        through a greedy generating set of `contain` (by Jacobi, the
-        elements whose brackets keep the corrected span in itself form a
-        subalgebra); and ad is built only for the vectors of kept pairs.
-        The cut system has the full one's solutions, and a consistent
-        system's rows [T | w] span every affine equation its solutions
-        satisfy, so both have the same reduced echelon form, from which
-        `_solve` reads the particular solution: the complement is the
-        full system's (de Graaf, Lie Algebras: Theory and Algorithms,
-        2000, section 4.13).
+        The eigenspaces of sigma are coordinate subspaces, so the radical
+        and `contain` are split, and the result checked stable, by the
+        support of their rows (`_sign_parts`).  The complement vectors
+        spanning `contain` are pinned and the others free; the system has
+        one block of rows per pair u, v, saying that [u', v'] lies in the
+        corrected span.  Only blocks that constrain anything are built:
+        pinned pairs give zero rows, since `contain` is a subalgebra;
+        pinned vectors meet the free ones only through a greedy generating
+        set of `contain` (by Jacobi, the elements whose brackets keep the
+        corrected span in itself form a subalgebra); and ad is built only
+        for the vectors of kept pairs.  A free vector's correction has
+        unknowns only in the radical's part of its own sign, which the
+        full system's rows on sigma force the others to leave at zero.
+        The cut system has the full one's solutions, those unknowns aside,
+        and a consistent system's rows [T | w] span every affine equation
+        its solutions satisfy, so both have the same reduced echelon form
+        there, from which `_solve` reads the particular solution: the
+        complement is the full system's (de Graaf, Lie Algebras: Theory
+        and Algorithms, 2000, section 4.13).
         """
         n = self.dim
         rad = self.solvable_radical()
@@ -399,36 +423,33 @@ class LieAlgebra:
         # the two spaces meet in zero exactly when their dimensions add
         if contain.sum_with(rad).dim != contain.dim + rad.dim:
             return None
-        ident = Mat.identity(n)
-        if sigma is None:
-            sigma = ident
-        elif not self.is_involution(sigma) or not self.is_automorphism(sigma):
-            raise ValueError("sigma is not an involutive automorphism")
+        sign = [1] * n if sigma is None else [
+            dict(row).get(i) for i, row in enumerate(sigma._integer[1])]
+        diagonal = _integer_mat(n, 1, tuple(((i, e),) for i, e in enumerate(sign)))
+        if (len(sign) != n or not set(sign) <= {1, -1} or sigma not in (None, diagonal)
+                or not self._graded(sign)):
+            raise ValueError("sigma is not a +-1 diagonal automorphism")
         if rad.is_full():
             return Subspace.zero(n) if contain.is_zero() else None
 
-        gplus = kernel(sigma - ident)
-        gminus = kernel(sigma + ident)
-        radp = rad.intersect(gplus)
-        radm = rad.intersect(gminus)
-        if radp.dim + radm.dim != rad.dim:
+        rad_parts = _sign_parts(rad, sign)
+        if rad_parts is None:
             raise InternalFault(
                 "radical not split by an involutive automorphism",
-                {"rad_dim": rad.dim, "plus": radp.dim, "minus": radm.dim},
+                {"rad_dim": rad.dim},
             )
-        cp = contain.intersect(gplus)
-        cm = contain.intersect(gminus)
-        if cp.dim + cm.dim != contain.dim:
+        contain_parts = _sign_parts(contain, sign)
+        if contain_parts is None:
             raise ValueError("contain is not spanned by sigma eigenvectors")
-        # complement basis as integer rows, with eigenvalue tags and pinned flags
+        # complement basis as integer rows, with signs and pinned flags
         wdata = []
-        for part, radpart, eps in ((cp, radp, 1), (cm, radm, -1)):
-            for c in part.rows:
-                wdata.append((c, eps, True))
+        for eps in (1, -1):
+            part = contain_parts[eps]
+            wdata += [(c, eps, True) for c in part.rows]
             cur = part.echelon()
-            for r in radpart.rows:
+            for r in rad_parts[eps].rows:
                 cur.add_integer(list(r))
-            side = gplus if eps == 1 else gminus
+            side = Subspace.coordinate(n, [i for i in range(n) if sign[i] == eps])
             for v in side.rows:
                 if cur.add_integer(list(v)) is not None:
                     wdata.append((v, eps, False))
@@ -442,15 +463,19 @@ class LieAlgebra:
             )
         wvecs = [w for (w, _, _) in wdata]
         heads = [row[p] for row, p in zip(rad.rows, rad.pivots)]
-        free = [a for a, (_, _, pin) in enumerate(wdata) if not pin]
-        offset = {a: idx * d for idx, a in enumerate(free)}
-        width = len(free) * d
+        # each free vector's unknowns: the radical rows of its sign, with columns
+        column = itertools.count()
+        unknown = {a: {r: next(column) for r, p in enumerate(rad.pivots) if sign[p] == eps}
+                   for a, (_, eps, pin) in enumerate(wdata) if not pin}
+        width = next(column)
+        at_row = [[(e, own[r]) for e, own in unknown.items() if r in own]
+                  for r in range(d)]
 
         # the kept pairs (s, t) of `ends`, the generators of contain and
-        # then the free vectors, each with the offset of its unknown (None
-        # when pinned): every pair whose second vector is free
+        # then the free vectors, each with its unknowns (None when
+        # pinned): every pair whose second vector is free
         ends = [(contain.rows[i], None) for i in gens]
-        ends += [(wvecs[a], offset[a]) for a in free]
+        ends += [(wvecs[a], own) for a, own in unknown.items()]
         pairs = [
             (s, t) for t in range(len(gens), len(ends)) for s in range(t)
         ]
@@ -489,28 +514,16 @@ class LieAlgebra:
             for r in range(d):
                 row = [0] * (width + 1)
                 for j, x in urows[r]:
-                    row[ov + j] += fu * x
+                    if j in ov:
+                        row[ov[j]] += fu * x
                 if ou is not None:
                     for j, x in vrows[r]:
-                        row[ou + j] -= fv * x
-                for e in free:
-                    row[offset[e] + r] -= fc * cvec[e]
+                        if j in ou:
+                            row[ou[j]] -= fv * x
+                for e, col in at_row[r]:
+                    row[col] -= fc * cvec[e]
                 row[width] = -fc * rvec[r]
                 rows.append(_sparse(row))
-        if free:
-            smat = rad.matrix_of(sigma)
-            if smat is None:
-                raise InternalFault("radical not stable under sigma")
-            sden, srows = smat._integer
-            for a in free:
-                eps = wdata[a][1]
-                oa = offset[a]
-                for t in range(d):
-                    row = [0] * (width + 1)
-                    for s, x in srows[t]:
-                        row[oa + s] += x
-                    row[oa + t] -= eps * sden
-                    rows.append(_sparse(row))
 
         res = _solve(width, rows)
         if res is None:
@@ -523,12 +536,12 @@ class LieAlgebra:
 
         corrected = Echelon(n)
         for a, w in enumerate(wvecs):
-            if a in offset:
-                # w + sum_s x_s R_s / h_s, times the lcm of the denominators
-                coeffs = [c / h for c, h in zip(x[offset[a]:offset[a] + d], heads)]
-                lcm = math.lcm(*[c.denominator for c in coeffs])
+            if a in unknown:
+                # w + sum_r x_r R_r / h_r, times the lcm of the denominators
+                coeffs = [(x[col] / heads[r], rad.rows[r]) for r, col in unknown[a].items()]
+                lcm = math.lcm(*[c.denominator for c, _ in coeffs])
                 w = [lcm * y for y in w]
-                for c, r in zip(coeffs, rad.rows):
+                for c, r in coeffs:
                     f = c.numerator * (lcm // c.denominator)
                     for j, y in enumerate(r):
                         w[j] += f * y
@@ -547,7 +560,7 @@ class LieAlgebra:
             fault("complement plus radical is not everything")
         if not self.is_subalgebra(levi):
             fault("corrected complement is not closed")
-        if levi.matrix_of(sigma) is None:
+        if _sign_parts(levi, sign) is None:
             fault("complement is not sigma-stable")
         if not levi.contains_space(contain):
             fault("complement lost the required subalgebra")
@@ -555,3 +568,18 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim})"
+
+
+def _sign_parts(space: Subspace, sign: Sequence[int]) -> Optional[Dict[int, Subspace]]:
+    """The parts of `space` in the eigenspaces of the diagonal map with
+    entries sign[i] = +-1, keyed by sign, or None when the map moves it.
+    The eigenspaces are coordinate subspaces, so `space` is preserved
+    exactly when each of its reduced echelon rows lies in one of them."""
+    parts: Dict[int, list] = {1: [], -1: []}
+    for row, p, cols in zip(space.rows, space.pivots, space._support):
+        eps = sign[p]
+        if any(sign[j] != eps for j in cols):
+            return None
+        parts[eps].append((row, p))
+    return {eps: Subspace(space.ambient_dim, tuple(r for r, _ in rp), tuple(p for _, p in rp))
+            for eps, rp in parts.items()}

@@ -72,6 +72,8 @@ class Rep:
         # evidence that the module is simple, once is_simple or
         # certify_copy has proved it
         self.simplicity: Optional[Simplicity] = None
+        # the action on the invariant subspace is_simple returned, once found
+        self.witness: Optional[Rep] = None
         if check:
             self._validate()
 
@@ -436,13 +438,17 @@ def _factor_over_q(p: Poly) -> List[Tuple[Poly, int]]:
 
 
 def _certify_reducible(rep: Rep, space: Subspace):
+    """(False, space), `space` checked proper and invariant; the action on
+    it that the check computes is kept as `rep.witness`."""
     if space.is_zero() or space.is_full():
         raise InternalFault("reducibility certificate is not proper", {})
-    if any(space.matrix_of(m) is None for m in rep.mats):
+    mats = [space.matrix_of(m) for m in rep.mats]
+    if None in mats:
         raise InternalFault(
             "reducibility certificate is not invariant",
             {"basis": space.basis},
         )
+    rep.witness = Rep(rep.algebra, mats, check=False, dim=space.dim)
     return False, space
 
 
@@ -814,11 +820,13 @@ def simple_decomposition(rep: Rep) -> Decomposition:
     weyl = _semisimple(rep.algebra)
     parts = Decomposition()
     searched: List[Rep] = []
-    pending = [Subspace.full(d)]
+    # each piece with the action on it, when known, in its echelon basis
+    pending = [(Subspace.full(d), rep)]
     while pending:
-        piece = pending.pop()
+        piece, sub = pending.pop()
         whole = piece.is_full()
-        sub = rep if whole else rep_on_subspace(rep, piece)
+        if sub is None:
+            sub = rep_on_subspace(rep, piece)
         if not any(certify_copy(v, sub) is not None for v in searched):
             if weyl and not whole and _scalar_commutant(sub):
                 sub.simplicity = Simplicity("commutant")
@@ -826,7 +834,9 @@ def simple_decomposition(rep: Rep) -> Decomposition:
                 simple, wit = is_simple(sub)
                 if not simple:
                     comp = _spun_complement(sub, wit)
-                    pending += [piece.embed(half) for half in (comp, wit)]
+                    # the whole module's witness embeds as itself
+                    pending += [(piece.embed(comp), None),
+                                (piece.embed(wit), sub.witness if whole else None)]
                     continue
             searched.append(sub)
         parts.append(piece)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from kinsila import catalog, repth
 from kinsila.documents import entry_to_document
-from kinsila.exactla import Mat, Subspace, inverse, rank, unit_vec
+from kinsila.exactla import Mat, Subspace, inverse, kernel, rank, unit_vec
 from kinsila.liecore import LieAlgebra
 from kinsila.repth import Rep
 
@@ -72,6 +72,18 @@ def generated_subalgebra(alg, indices):
         if grown == space:
             return space
         space = grown
+
+
+def intersection(u, w):
+    """u meet w from the kernel of [U^T | -W^T], U and W the two Fraction
+    bases: the U half of each solution holds coefficients in u's basis."""
+    n = u.ambient_dim
+    cols = list(u.basis) + [[-x for x in b] for b in w.basis]
+    combos = kernel(Mat([[c[i] for c in cols] for i in range(n)], cols=len(cols)))
+    return Subspace.span(n, [
+        [sum(c[a] * b[i] for a, b in enumerate(u.basis)) for i in range(n)]
+        for c in combos.basis
+    ])
 
 
 def ad_matrix(alg, x):
@@ -203,6 +215,37 @@ def static_with_central_action(action, d=4):
                 doc["brackets"].append({"x": "H", "y": x, "result": result})
     doc["name"] = f"static-d{d}-central-action"
     return doc
+
+
+def sl2_on_sym_pair(n):
+    """(algebra, roles): Z central, s = sl(2) with basis h, e, f and
+    [h, e] = 2e, [h, f] = -2f, [e, f] = h, and P = Sym^n + Sym^n, each
+    copy in the weight basis v_k = x^(n-k) y^k (k = 0..n) with e = x d/dy
+    and f = y d/dx: [h, v_k] = (n - 2k) v_k, [e, v_k] = k v_(k-1) and
+    [f, v_k] = (n - k) v_(k+1).  [P, P] = 0, so the Jacobi identity is that
+    of the two modules and the grading holds."""
+    dim = 4 + 2 * (n + 1)
+    pairs = {}
+
+    def put(i, j, terms):
+        v = [0] * dim
+        for m, c in terms:
+            v[m] += c
+        pairs[(i, j)] = v
+
+    put(1, 2, [(2, 2)])
+    put(1, 3, [(3, -2)])
+    put(2, 3, [(1, 1)])
+    for base in (4, 5 + n):
+        for k in range(n + 1):
+            if n - 2 * k:
+                put(1, base + k, [(base + k, n - 2 * k)])
+            if k:
+                put(2, base + k, [(base + k - 1, k)])
+            if k < n:
+                put(3, base + k, [(base + k + 1, n - k)])
+    labels = ["Z", "h", "e", "f"] + [f"{c}{k}" for c in "vw" for k in range(n + 1)]
+    return LieAlgebra(dim, pairs, labels), ((0,), (1, 2, 3), tuple(range(4, dim)))
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import doubled, so_algebra_and_rep
+from conftest import doubled, intersection, so_algebra_and_rep
 
 from kinsila import catalog
 from kinsila.cli import main
@@ -217,8 +217,8 @@ def test_criterion_06_poincare_certificate():
     for b in levi.basis:
         assert levi.contains(st.sigma.apply(b))
 
-    p_rad = st.p_space.intersect(rad)
-    p_levi = st.p_space.intersect(levi)
+    p_rad = intersection(st.p_space, rad)
+    p_levi = intersection(st.p_space, levi)
     assert p_rad.dim == 4 and p_levi.dim == 4
     expected_p_rad = Subspace.span(
         n, [unit_vec(n, lab.index(f"P{i}")) for i in range(1, 5)]

@@ -26,7 +26,6 @@ from kinsila.exactla import (
     _solve,
     _sparse,
     inverse,
-    kernel,
     unit_vec,
 )
 from kinsila.kinematics import canonical_involution
@@ -87,18 +86,30 @@ def test_rebased_poincare_levi_rows_match_pin(k):
 def all_pairs_levi(alg, sigma, contain):
     """The complement from the full correction system: one block of rows
     for every pair of complement vectors, pinned or free, and ad of each
-    of them; the complement basis and the solve are the ones
-    `levi_complement` uses."""
+    of them, with every free vector's correction taken in the whole
+    radical and asked to be an eigenvector of sigma of the vector's sign;
+    the complement basis and the solve are the ones `levi_complement`
+    uses.  sigma is diagonal, so its eigenspaces are coordinate subspaces
+    and a sigma-stable space splits by the support of its rows."""
     n = alg.dim
     rad = alg.solvable_radical()
-    ident = Mat.identity(n)
-    gplus, gminus = kernel(sigma - ident), kernel(sigma + ident)
+    sign = [sigma[i, i] for i in range(n)]
+
+    def part(space, eps):
+        """space meet the eps eigenspace of sigma: the rows of a
+        sigma-stable space whose pivot has sign eps, each of which lies
+        in that eigenspace."""
+        rows = [(r, p) for r, p in zip(space.rows, space.pivots) if sign[p] == eps]
+        assert all(sign[j] == eps for r, _ in rows for j, x in enumerate(r) if x)
+        return Subspace(n, tuple(r for r, _ in rows), tuple(p for _, p in rows))
+
     wdata = []
-    for eps, side in ((1, gplus), (-1, gminus)):
-        part = contain.intersect(side)
-        wdata += [(c, eps, True) for c in part.rows]
-        cur = part.echelon()
-        for r in rad.intersect(side).rows:
+    for eps in (1, -1):
+        side = Subspace.coordinate(n, [i for i in range(n) if sign[i] == eps])
+        part_c = part(contain, eps)
+        wdata += [(c, eps, True) for c in part_c.rows]
+        cur = part_c.echelon()
+        for r in part(rad, eps).rows:
             cur.add_integer(list(r))
         for v in side.rows:
             if cur.add_integer(list(v)) is not None:

@@ -11,6 +11,7 @@ from conftest import (
     count_calls,
     dense_block,
     doubled,
+    intersection,
     restricted,
     so_algebra_and_rep,
     structure_pairs,
@@ -849,7 +850,7 @@ class TestSubmoduleIntersections:
         for _ in range(50):
             a = spin(p.mats, tuple(rng.randint(-3, 3) for _ in range(6)))
             b = spin(p.mats, tuple(rng.randint(-3, 3) for _ in range(6)))
-            meet = a.intersect(b)
+            meet = intersection(a, b)
             join = a.sum_with(b)
             for m in p.mats:
                 for base in meet.basis:

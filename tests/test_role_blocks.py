@@ -18,8 +18,19 @@ the block reads; there the actions on P are compared.
 The four failures that these reads decide keep their code and their
 items when the role lists are unsorted.
 
+The stages after `validate` read the table too, on the same inputs:
+[P, P] is the span of the P x P rows (`transvection_and_holonomy`), the
+ideal test of P + Z is a scan of supports (`_coordinate_ideal`), and P
+meets the radical and the Levi complement in their rows that lie in P
+(`_p_part`), which is compared with an intersection from a kernel.
+`levi_complement` takes sigma as the +-1 grading and refuses any other
+map.
+
 The guard makes `LieAlgebra._integer_ad` and `LieAlgebra.is_automorphism`
 raise and counts `Subspace.span` calls: `validate` reaches none of them.
+The second guard lets `classify` run to a Poincare certificate with
+`LieAlgebra.is_automorphism` and `LieAlgebra.jacobi_defect` raising once
+the input is built.
 """
 
 import random
@@ -27,11 +38,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import ad_matrix, bench_workloads, restricted, structure_pairs
+from conftest import ad_matrix, bench_workloads, intersection, restricted, structure_pairs
 from kinsila import catalog
 from kinsila.errors import ValidationError
 from kinsila.exactla import Mat, Subspace, unit_vec
-from kinsila.kinematics import _ad_block, omega_and_radical, validate
+from kinsila.kinematics import (
+    _ad_block,
+    _coordinate_ideal,
+    _p_part,
+    canonical_involution,
+    classify,
+    omega_and_radical,
+    transvection_and_holonomy,
+    validate,
+)
 from kinsila.liecore import LieAlgebra
 
 REBASED_SEEDS = (5, 11, 23)
@@ -125,7 +145,7 @@ def assert_structure_matches(alg, roles):
     assert st.a_matrix == p_space.matrix_of(ad_matrix(alg, unit_vec(n, z)))
     omega = Mat([[alg.bracket(x, y)[z] for y in p_space.basis] for x in p_space.basis])
     assert omega_and_radical(st).omega == omega
-    assert alg.is_involution(st.sigma) and alg.is_automorphism(st.sigma)
+    assert st.sigma @ st.sigma == Mat.identity(n) and alg.is_automorphism(st.sigma)
     assert [st.sigma[i, i] for i in range(n)] == [-1 if i in p else 1 for i in range(n)]
 
 
@@ -231,3 +251,103 @@ def test_the_guard_is_watched(span_calls):
             call()
     Subspace.span(2, [(1, 0)])
     assert span_calls[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the classify stages
+
+def assert_stage_reads_match(alg, roles):
+    st = validate(alg, *roles)
+    p, z, s = st.p_space, st.z_space, st.s_space
+    assert transvection_and_holonomy(st).pp == alg.bracket_span(p, p)
+    for space in (p.sum_with(z), p, z, s.sum_with(z)):
+        assert _coordinate_ideal(alg, space.pivots) == alg.is_ideal(space)
+    rad = alg.solvable_radical()
+    meets = [rad]
+    if alg.is_abelian_space(rad):
+        levi = alg.levi_complement(st.sigma, s)
+        meets += [levi] if levi is not None else []
+    for space in meets:
+        ambient, in_p = _p_part(st, space)
+        assert ambient == intersection(p, space)
+        assert p.embed(in_p) == ambient
+    return len(meets)
+
+
+# the d = 3 entries fail the wedge condition inside validate
+VALID = [i for i in INPUTS if i[2] != 3]
+
+
+@pytest.mark.parametrize("name,family,d,seed", VALID, ids=[i[0] for i in VALID])
+def test_stage_reads_equal_the_generic_route(name, family, d, seed):
+    for alg, roles in variants(*make_input(family, d, seed), name):
+        assert_stage_reads_match(alg, roles)
+
+
+def test_stage_reads_meet_both_ideal_verdicts_and_a_complement():
+    """The inputs above give the ideal scan both verdicts on P + Z, and
+    give the P part of a Levi complement something to read."""
+    verdicts, complements = set(), 0
+    for _, family, d, seed in VALID:
+        alg, roles = make_input(family, d, seed)
+        st = validate(alg, *roles)
+        verdicts.add(_coordinate_ideal(alg, st.p_space.pivots + st.z_space.pivots))
+        complements += assert_stage_reads_match(alg, roles) == 2
+    assert verdicts == {True, False} and complements > 0
+
+
+def test_levi_complement_takes_sigma_as_the_grading():
+    alg, (z, s, p) = catalog_input("poincare", 4)
+    contain = Subspace.coordinate(alg.dim, s)
+    sigma = canonical_involution(alg, p)
+    assert alg.levi_complement(sigma, contain) is not None
+    n = alg.dim
+    # not diagonal: sigma with one off-diagonal entry added
+    bent = Mat([[sigma[i, j] + (i == p[0] and j == p[1]) for j in range(n)]
+                for i in range(n)])
+    # diagonal with entries +-1, but +1 on one momentum: [B, P] = H breaks it
+    flipped = Mat([[(1 if i == p[0] else sigma[i, i]) if i == j else 0
+                    for j in range(n)] for i in range(n)])
+    for bad in (bent, flipped, sigma.scale(2)):
+        with pytest.raises(ValueError, match="diagonal automorphism"):
+            alg.levi_complement(bad, contain)
+    # an involutive automorphism of sl(2) that is not diagonal
+    sl2 = small_algebra(3, {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)})
+    chevalley = Mat([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert sl2.is_automorphism(chevalley)
+    with pytest.raises(ValueError, match="diagonal automorphism"):
+        sl2.levi_complement(chevalley)
+
+
+# ---------------------------------------------------------------------------
+# the guard: no automorphism test and no second Jacobi pass inside classify
+
+def forbid_automorphism_and_jacobi(monkeypatch):
+    def raiser(name):
+        def fail(*args):
+            raise AssertionError(f"LieAlgebra.{name} called by classify")
+        return fail
+
+    for name in ("is_automorphism", "jacobi_defect"):
+        monkeypatch.setattr(LieAlgebra, name, raiser(name))
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_classify_proves_sigma_and_s_without_automorphism_or_jacobi(seed, monkeypatch):
+    algebra, roles = make_input("poincare", 4, seed)
+    forbid_automorphism_and_jacobi(monkeypatch)
+    result = classify(algebra, *roles)
+    assert result.label == "poincare-type"
+    assert all(ok for _, ok, _ in result.poincare_items)
+
+
+def test_the_classify_guard_is_watched(monkeypatch):
+    algebra = small_algebra(2, {(0, 1): (0, 1)})
+    forbid_automorphism_and_jacobi(monkeypatch)
+    for call in (
+        lambda: algebra.is_automorphism(Mat.identity(2)),
+        algebra.jacobi_defect,
+        lambda: small_algebra(2, {}),
+    ):
+        with pytest.raises(AssertionError):
+            call()
