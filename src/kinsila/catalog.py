@@ -1,10 +1,11 @@
 """Catalog of classical kinematical Lie algebras.
 
 No structure constant in this file is written down by hand.  Each family
-is realized by explicit integer matrices; commutators are computed in
-integers, their coordinates in the generator span are solved for, and the
-expansion is re-verified entry by entry before it becomes a structure
-constant, a Fraction only when it is handed to `LieAlgebra`.
+is realized by explicit integer matrices; commutators are sparse integer
+products, their coordinates in the generator span are read off their
+entries at the pivots, and the expansion is re-verified entry by entry
+before it becomes a structure constant, a Fraction only when it is handed
+to `LieAlgebra`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InternalFault
 from .exactla import (
-    _flat, _fractions, _integer_echelon, _integer_mat, _sparse, Mat, inverse,
+    _dense, _fractions, _integer_echelon, _integer_mat, _sparse, Mat, inverse,
 )
 from .liecore import LieAlgebra
 
@@ -78,6 +79,14 @@ def _empty(n: int) -> List[List[int]]:
 def _mat(rows: List[List[int]]) -> Mat:
     """The square Mat with these int rows."""
     return _integer_mat(len(rows), 1, tuple(map(_sparse, rows)))
+
+
+def _summed(terms) -> dict:
+    """{position: sum} of (position, value) terms, without the zero sums."""
+    acc: Dict[int, int] = {}
+    for p, x in terms:
+        acc[p] = acc.get(p, 0) + x
+    return {p: x for p, x in acc.items() if x}
 
 
 def _pair_labels(d: int) -> List[str]:
@@ -176,9 +185,13 @@ def make(family: str, d: int) -> CatalogEntry:
             "realization has the wrong number of generators",
             {"family": family, "d": d, "got": g},
         )
-    # the matrices and their commutators are integral: a flat is the entries
-    flat = [_flat(m) for m in mats]
-    span = _integer_echelon(n * n, map(_sparse, flat))
+    # the matrices and their commutators are integral and sparse: entries
+    # lists (r, k, x) for each nonzero entry x at row r, column k, and a
+    # flat is the {r * n + k: x} dict of the same entries
+    views = [m._integer[1] for m in mats]
+    entries = [[(r, k, x) for r, row in enumerate(v) for k, x in row] for v in views]
+    flat = [{r * n + k: x for r, k, x in e} for e in entries]
+    span = _integer_echelon(n * n, (f.items() for f in flat))
     if len(span.rows) != g:
         raise InternalFault(
             "realization generators are linearly dependent",
@@ -188,29 +201,35 @@ def make(family: str, d: int) -> CatalogEntry:
     # minor, whose inverse T / den reads coordinates off those entries
     piv = span.pivots
     small_inv = inverse(
-        _integer_mat(g, 1, tuple(_sparse([w[p] for w in flat]) for p in piv))
+        _integer_mat(g, 1, tuple(_sparse([f.get(p, 0) for f in flat]) for p in piv))
     )
     den = small_inv._integer[0]
-    generators = _integer_mat(g, 1, tuple(map(_sparse, zip(*flat))))
-
-    def coords_of(m: Mat, where) -> tuple:
-        fv = _flat(m)
-        # the coordinates are T w / den, for w the entries at the pivots
-        c = small_inv._integer_apply([fv[p] for p in piv])
-        if generators._integer_apply(c) != [den * x for x in fv]:
-            raise InternalFault(
-                "commutator is not in the generator span",
-                {"family": family, "d": d, "pair": where},
-            )
-        return _fractions(c, den)
+    t_cols = dict(zip(piv, small_inv.transpose()._integer[1]))  # by pivot position
 
     pairs: Dict[Tuple[int, int], tuple] = {}
     for i in range(g):
         for j in range(i + 1, g):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if comm.is_zero():
+            # the flat of [X_i, X_j] = X_i X_j - X_j X_i
+            comm = _summed(
+                (r * n + c, sign * x * y)
+                for sign, a, b in ((1, i, j), (-1, j, i))
+                for r, k, x in entries[a] for c, y in views[b][k]
+            )
+            if not comm:
                 continue
-            pairs[(i, j)] = coords_of(comm, (i, j))
+            # the coordinates are T w / den, for w the entries at the pivots
+            coords = _summed(
+                (k, a * x) for p, x in comm.items() for k, a in t_cols.get(p, ())
+            )
+            rebuilt = _summed(
+                (p, a * x) for k, a in coords.items() for p, x in flat[k].items()
+            )
+            if rebuilt != {p: den * x for p, x in comm.items()}:
+                raise InternalFault(
+                    "commutator is not in the generator span",
+                    {"family": family, "d": d, "pair": (i, j)},
+                )
+            pairs[(i, j)] = _fractions(_dense(coords.items(), g), den)
 
     s_labels = _pair_labels(d)
     b_labels = [f"B{i}" for i in range(1, d + 1)]

@@ -9,7 +9,6 @@ question could not be settled.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -118,6 +117,7 @@ def _format_table(rows) -> str:
 
 
 def _cmd_batch(args) -> int:
+    import csv  # here, its only user, so that other commands skip the import
     families = args.families or list(catalog.FAMILIES)
     dims = args.dims or [4, 5]
     if args.out_dir:

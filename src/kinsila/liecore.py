@@ -241,14 +241,16 @@ class LieAlgebra:
         return self._derived
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        """[a, b], bracketing the integer echelon rows of a and b in
-        integers and reducing each result into one `Echelon`."""
+        """[a, b]: the echelon rows of a and b bracketed in integers into
+        one `Echelon`, until it holds all of g."""
         span = Echelon(self.dim)
         xs, ys = a.echelon().rows, b.echelon().rows
         # [u, v] = -[v, u] and [u, u] = 0, so [a, a] needs each unordered pair once
         same = a == b
         for i, u in enumerate(xs):
             for v in ys[i + 1:] if same else ys:
+                if len(span.rows) == self.dim:
+                    return span.subspace()
                 span.add_integer(self._integer_bracket(u, v))
         return span.subspace()
 

@@ -201,6 +201,23 @@ def test_structure_constants_are_pinned(family):
     assert got == DOCUMENTS[family]
 
 
+def test_catalog_builds_without_matrix_products(monkeypatch):
+    # commutators are sparse integer products of the realization's rows:
+    # no Mat product or difference is taken on the way to the algebra
+    def refuse(*_args):
+        raise AssertionError("catalog.make took a Mat product or difference")
+
+    monkeypatch.setattr(Mat, "__matmul__", refuse)
+    monkeypatch.setattr(Mat, "__sub__", refuse)
+    catalog.make.cache_clear()
+    try:
+        for family in catalog.FAMILIES:
+            for d in range(1, 7):
+                assert catalog.make(family, d).algebra.dim == catalog.dim_formula(d)
+    finally:
+        catalog.make.cache_clear()
+
+
 @pytest.fixture
 def realization(monkeypatch):
     """Replace the realization's generator matrices through an edit

@@ -144,6 +144,22 @@ class TestPredicates:
             every = [g.bracket(u, v) for u in a.basis for v in a.basis]
             assert g.bracket_span(a, a) == Subspace.span(5, every)
 
+    def test_bracket_span_stops_once_full(self, monkeypatch):
+        # poincare is perfect: [g, g] is all of g long before the last pair
+        g = catalog.make("poincare", 6).algebra
+        calls = []
+        bracket = LieAlgebra._integer_bracket
+
+        def counted(self, xs, ys):
+            calls.append(None)
+            return bracket(self, xs, ys)
+
+        monkeypatch.setattr(LieAlgebra, "_integer_bracket", counted)
+        full = Subspace.full(g.dim)
+        assert g.bracket_span(full, full) == g.derived_subalgebra()
+        assert g.derived_subalgebra().is_full()
+        assert 0 < len(calls) < g.dim * (g.dim - 1) // 2
+
     def test_solvability(self):
         g = sl2_on_plane()
         assert g.is_solvable_space(g.solvable_radical())
