@@ -38,11 +38,11 @@ class RepError(KinsilaError):
 
 
 class SimplicityUndecided(KinsilaError):
-    """The deterministic irreducibility schedule produced no certificate.
-
-    Raised instead of guessing.  Does not occur for the catalog or for any
-    module whose enveloping algebra contains a singular element of nullity
-    one, is the full matrix algebra, or is commutative.
+    """No candidate element of a semisimple module's commutant E decided
+    its simplicity; raised instead of guessing.  It cannot occur when E is
+    the scalars or a quaternion algebra, nor when a candidate (E's basis,
+    then pairwise sums and differences) has a reducible minimal
+    polynomial or, in a commutative E, an irreducible one of degree dim E.
     """
 
 

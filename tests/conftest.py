@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from kinsila import catalog, repth
@@ -270,6 +271,34 @@ def dense_block(rng, k):
                  for j in range(k)] for i in range(k)]
         if rank(Mat(rows)) == k:
             return rows
+
+
+def dense_rebase(alg, roles, rng):
+    """(pairs, lam) as `bench/workloads.rebase` returns them with
+    `dense_block` as its mixing block: the same draws from rng and the
+    same structure constants, bracketed in integers through the algebra's
+    table instead of in Fractions, which takes about 0.8 s a draw at
+    d = 6."""
+    (z,), s_idx, p_idx = roles
+    lam = rng.choice((2, 3)) * rng.choice((1, -1))
+    n = alg.dim
+    # column c holds the new basis vector c in the old basis
+    m = [[0] * n for _ in range(n)]
+    m[z][z] = lam
+    for idx in (s_idx, p_idx):
+        block = dense_block(rng, len(idx))
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                m[i][j] = block[a][b]
+    back = inverse(Mat(m)).scale(Fraction(1, alg._den))
+    cols = list(zip(*m))
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            new = back.apply(alg._integer_bracket(cols[i], cols[j]))
+            if any(new):
+                pairs[(i, j)] = new
+    return pairs, lam
 
 
 def structure_pairs(alg):

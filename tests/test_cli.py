@@ -316,20 +316,26 @@ def quaternion_document(copies):
     }
 
 
-# no element of the envelope H is singular, so no probe of the simplicity
-# schedule closes, and both documents exit 3 until P is split through its
-# commutant
-@pytest.mark.xfail(strict=True, reason="simplicity of P = H is undecided (exit 3)")
+# End_s(H) is the division algebra H, whose conic x0^2 = -x1^2 - x2^2 has
+# no rational point, so P = H is simple and not two copies
 def test_cli_quaternion_module_exit_1(tmp_path, capsys):
     path = write_doc(tmp_path, quaternion_document(1))
     assert main(["classify", path]) == 1
     assert "P_NOT_TWO_COPIES" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(strict=True, reason="simplicity of P = H ⊕ H is undecided (exit 3)")
-def test_cli_two_quaternion_modules_are_decided(tmp_path):
+# End_s(H + H) = M_2(H) has zero divisors, so P splits into two copies of
+# H; the two-form vanishes and the central action is zero
+def test_cli_two_quaternion_modules_are_decided(tmp_path, capsys):
     path = write_doc(tmp_path, quaternion_document(2))
-    assert main(["classify", path]) in (0, 1)
+    assert main(["classify", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "flat-rad-equals-P"
+
+
+def test_cli_three_quaternion_modules_exit_1(tmp_path, capsys):
+    path = write_doc(tmp_path, quaternion_document(3))
+    assert main(["classify", path]) == 1
+    assert "P_NOT_TWO_COPIES" in capsys.readouterr().err
 
 
 def test_cli_mixed_central_action_exit_0(tmp_path, capsys):

@@ -280,6 +280,27 @@ def test_classify_brackets_the_transvection_algebra_once(monkeypatch):
     assert sum(a == t and b == t for a, b in calls) == 1
 
 
+def test_kahler_split_brackets_each_graded_pair_once(monkeypatch):
+    # [g+, g+] and [g-, g-] are the eigenspaces-abelian check; the grading
+    # re-check brackets only the other four pairs of degrees
+    e = catalog.make("de_sitter", 4)
+    z, s, p = entry_roles(e)
+    st = validate(e.algebra, z, s, p)
+    zdata = z_action_split(st)
+    sym = omega_and_radical(st)
+    calls = []
+    original = LieAlgebra.bracket_span
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", counted)
+    split = kinematics.kahler_split(st, zdata, sym)
+    assert split.certificates["checks"]["eigenspaces-abelian"]
+    assert len(calls) == len(set(calls)) == 6
+
+
 def test_poincare_pieces_are_certified_once(monkeypatch):
     # the central action maps the complement piece onto the radical piece
     # as s-modules, so only the complement piece is compared with V
@@ -542,7 +563,7 @@ def test_one_enveloping_algebra_per_classify(monkeypatch, family):
 
 
 def test_catalog_summands_need_no_envelope_and_no_solve(monkeypatch):
-    # P runs the schedule once, whose first probe splits it; the first
+    # P runs is_simple once, whose first kernel spin splits it; the first
     # summand is simple by its commutant, the other is a copy of it, and a
     # unit-vector spin is the complement
     calls = {

@@ -2,6 +2,7 @@ import hashlib
 import json
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,12 +10,11 @@ from conftest import (
     ad_matrix,
     bench_workloads,
     count_calls,
-    dense_block,
+    dense_rebase,
     doubled,
     intersection,
     restricted,
     so_algebra_and_rep,
-    structure_pairs,
     unimodular_conjugate,
 )
 from kinsila import catalog, repth
@@ -68,6 +68,18 @@ def companion_line(coeffs):
     alg = LieAlgebra(1, {}, labels=["x"])
     rows = [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
     return Rep(alg, [Mat(rows)])
+
+
+def quaternion_module():
+    """s = span(i, j, k) in H = (-1, -1)_Q with the commutator bracket,
+    acting on H by left multiplication in the basis 1, i, j, k."""
+    alg = LieAlgebra(3, {(0, 1): (0, 0, 2), (1, 2): (2, 0, 0), (0, 2): (0, -2, 0)},
+                     labels=["i", "j", "k"])
+    return Rep(alg, [
+        Mat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+        Mat([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]),
+        Mat([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
+    ])
 
 
 def so2_line():
@@ -166,6 +178,22 @@ class TestSimplicity:
             else:
                 assert made == reference_made
 
+    @pytest.mark.parametrize("coeffs, verdict", [
+        # Q[t]/(f) is simple exactly when f is irreducible; t^4 + 1 is
+        # irreducible over Q but factors modulo every prime
+        ((1, 0), "field"), ((1, 0, 0, 0), "field"), ((2, 0, 0, 0), "field"),
+        # (t^2 + 2)(t^2 + 3), (t^2 + 1)(t^4 - t^2 + 1), and (t^2 + 1)^2,
+        # the last not semisimple
+        ((6, 0, 5, 0), {2}), ((1, 0, 0, 0, 0, 0), {2, 4}), ((1, 0, 2, 0), {2}),
+    ])
+    def test_companion_modules_are_decided(self, coeffs, verdict):
+        rep = companion_line(coeffs)
+        ok, wit = is_simple(rep)
+        if ok:
+            assert rep.simplicity.kind == verdict and check_simplicity(rep)
+        else:
+            assert wit.dim in verdict
+
     def test_doubled_module_reducible(self):
         _, v = so_algebra_and_rep(3)
         ok, wit = is_simple(doubled(v))
@@ -185,29 +213,25 @@ class TestSimplicity:
         ok, _ = is_simple(Rep(alg, [Mat.zeros(1, 1)]))
         assert ok
 
-    def test_transpose_side_spin_gives_the_witness(self, monkeypatch):
-        # b(2) = span(E11, E12, E22) on Q^2 by its own matrices: E11 has
-        # nullity 1 and its kernel vector e2 spins to everything, but on
-        # the transpose side e2 spins only to span(e2), whose orthogonal
-        # complement span(e1) is the invariant line
+    def test_upper_triangular_plane_gives_the_line_witness(self):
+        # b(2) = span(E11, E12, E22) on Q^2 by its own matrices: the
+        # kernel vector e2 of E11 spins to everything, and span(e1) is the
+        # invariant line
         alg = LieAlgebra(3, {(0, 1): (0, 1, 0), (1, 2): (0, 1, 0)},
                          labels=["E11", "E12", "E22"])
         rep = Rep(alg, [Mat([[1, 0], [0, 0]]), Mat([[0, 1], [0, 0]]),
                         Mat([[0, 0], [0, 1]])])
-        complements = []
-        integer_kernel = repth._integer_kernel
+        assert is_simple(rep) == (False, Subspace.span(2, [(1, 0)]))
 
-        def spy(width, rows):
-            rows = list(rows)
-            complements.append((width, rows))
-            return integer_kernel(width, rows)
-
-        monkeypatch.setattr(repth, "_integer_kernel", spy)
-        ok, wit = is_simple(rep)
-        assert not ok
-        assert wit == Subspace.span(2, [(1, 0)])
-        # the witness is the complement of the transpose-side closure span(e2)
-        assert complements == [(2, [((1, 1),)])]
+    def test_radical_of_the_trace_form_gives_the_witness(self, monkeypatch):
+        # Q x acting by a Jordan block: no matrix is singular, so no kernel
+        # spins; the envelope span(1, N) has radical span(N), and N Q^2 is
+        # the invariant line
+        calls = count_calls(monkeypatch, "enveloping_basis")
+        alg = LieAlgebra(1, {}, labels=["x"])
+        rep = Rep(alg, [Mat([[1, 1], [0, 1]])])
+        assert is_simple(rep) == (False, Subspace.span(2, [(1, 0)]))
+        assert calls == [2]
 
 
 class TestProbeWorkIsNotRepeated:
@@ -237,7 +261,7 @@ class TestProbeWorkIsNotRepeated:
     ):
         products = [0]
         before_probe = []
-        matmul, probe = Mat.__matmul__, repth._norton_probe
+        matmul, probe = Mat.__matmul__, repth._kernel_probe
 
         def counted_matmul(a, b):
             products[0] += 1
@@ -248,7 +272,7 @@ class TestProbeWorkIsNotRepeated:
             return probe(*args)
 
         monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
-        monkeypatch.setattr(repth, "_norton_probe", watched_probe)
+        monkeypatch.setattr(repth, "_kernel_probe", watched_probe)
         for d in (3, 4, 5):
             _, v = so_algebra_and_rep(d)
             rep = doubled(v)
@@ -280,15 +304,35 @@ class TestProbeWorkIsNotRepeated:
             return reps
 
         shared = outcomes(modules())
-        original = repth._norton_probe
+        original = repth._kernel_probe
         monkeypatch.setattr(
-            repth, "_norton_probe",
-            lambda rep, a, transposes, spun: original(rep, a, transposes, set()),
+            repth, "_kernel_probe", lambda rep, a, spun: original(rep, a, set())
         )
         assert outcomes(modules()) == shared
         assert [ok for ok, _, _ in shared] == [True] * 3 + [False, True] + (
             [True] * 6 + [False] * 2 + [True] * 2
         )
+
+
+class TestConicPoint:
+    # (a, b)_Q splits exactly when x^2 = a y^2 + b z^2 has a nonzero
+    # rational point; the Hilbert symbol of each pair is -1 at some place
+    # for the first four and +1 everywhere for the rest
+    @pytest.mark.parametrize("a, b", [(-1, -1), (2, 3), (21, 14), (-3, 6)])
+    def test_division_algebras_have_no_point(self, a, b):
+        assert repth._conic_point(a, b) is None
+
+    @pytest.mark.parametrize("a, b", [
+        (6, 10), (3, 6), (15, 10), (0, 5), (7, 0),
+        # a split pair from a dense d = 4 poincare draw (seed 7), on which
+        # sympy found no point when handed the conic over a common
+        # denominator
+        (Fraction(-30007133, 10090668), Fraction(71231134, 840889)),
+    ])
+    def test_split_algebras_have_a_checked_point(self, a, b):
+        x, y, z = repth._conic_point(a, b)
+        assert (x, y, z) != (0, 0, 0)
+        assert x * x == a * y * y + b * z * z
 
 
 class TestHomAndCommutant:
@@ -384,14 +428,12 @@ DENSE_COMMUTANT_PINS = {
 
 
 @pytest.mark.parametrize("family, seed", list(DENSE_COMMUTANT_PINS))
-def test_dense_commutant_matches_pin(family, seed, monkeypatch):
+def test_dense_commutant_matches_pin(family, seed):
     workloads = bench_workloads()
-    monkeypatch.setattr(workloads, "mixing_block", dense_block)
     entry = catalog.make(family, 6)
     alg = entry.algebra
     roles = workloads.entry_roles(entry)
-    rng = random.Random(f"{seed}:{family}")
-    pairs, _ = workloads.rebase(alg.dim, structure_pairs(alg), roles, rng)
+    pairs, _ = dense_rebase(alg, roles, random.Random(f"{seed}:{family}"))
     p = momentum_module(LieAlgebra(alg.dim, pairs, list(alg.labels)), roles)
     homs = hom_space(p, p)
     digest = hashlib.sha256(json.dumps(
@@ -719,7 +761,7 @@ class TestCertifiedSimplicity:
             name: count_calls(monkeypatch, name)
             for name in ("is_simple", "enveloping_basis")
         }
-        # the whole module runs the schedule, which splits it; the first
+        # the whole module runs is_simple, which splits it; the first
         # piece is simple by its commutant, the second is a copy of it
         for d in (3, 4):
             for seen in calls.values():
@@ -739,8 +781,8 @@ class TestCertifiedSimplicity:
         _, rot = so2_line()
         line = Rep(LieAlgebra(1, {}, labels=["J"]), [Mat([[0]])])
         cases = [(rot, "field"), (line, "dimension-one")]
-        cases += [(so_algebra_and_rep(d)[1], kind)
-                  for d, kind in ((3, "nullity-one"), (4, "burnside"))]
+        cases += [(so_algebra_and_rep(d)[1], "commutant") for d in (3, 4)]
+        cases += [(quaternion_module(), "quaternion")]
         for rep, kind in cases:
             assert is_simple(rep) == (True, None)
             assert rep.simplicity.kind == kind
@@ -749,8 +791,14 @@ class TestCertifiedSimplicity:
     def test_altered_evidence_fails_the_recheck(self):
         _, v = so_algebra_and_rep(4)
         is_simple(v)
-        v.simplicity = Simplicity("burnside", v.simplicity.mats[:-1])
+        # a generator's matrix does not commute with the action
+        v.simplicity = Simplicity("field", (v.mats[0],))
         assert not check_simplicity(v)
+        h = quaternion_module()
+        is_simple(h)
+        i, _ = h.simplicity.mats
+        h.simplicity = Simplicity("quaternion", (i, i))
+        assert not check_simplicity(h)
         v.simplicity = None
         assert not check_simplicity(v)
 
@@ -795,7 +843,7 @@ class TestWeylHypothesis:
         with pytest.raises(DecompositionError):
             simple_decomposition(m)
         # the double splits into two copies of m; the first copy still
-        # runs the schedule, which finds its invariant line, and that line
+        # runs is_simple, which finds its invariant line, and that line
         # has no complement
         calls = count_calls(monkeypatch, "is_simple")
         with pytest.raises(DecompositionError):
