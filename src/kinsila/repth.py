@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, InternalFault, RepError, SimplicityUndecided
 from .exactla import (
     _flat,
+    _integer_echelon,
     _integer_kernel,
     _integer_mat,
     _null_space,
@@ -366,34 +367,21 @@ def nondegenerate_invariant_form(rep: Rep) -> Optional[Mat]:
 
 def enveloping_basis(rep: Rep) -> List[Mat]:
     """Basis of the unital algebra generated by the representing matrices:
-    the identity, the matrices, then products of the elements found so
-    far, until no product is new or the basis spans all of End(V)."""
+    the span of the words in the Lie generators' matrices, since rho([x, y])
+    is a word in rho(x) and rho(y).  It is spun from the identity under left
+    multiplication by those matrices, until no product is new or the basis
+    spans all of End(V)."""
     d = rep.dim
+    gens = _generator_mats(rep)
     found = Echelon(d * d)
     elements: List[Mat] = []
-
-    def try_add(m: Mat) -> bool:
-        if found.add_integer(_flat(m)) is None:
-            return False
-        elements.append(m)
-        return True
-
-    try_add(Mat.identity(d))
-    for m in rep.mats:
-        try_add(m)
-    frontier = list(elements)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(elements):
-                for x, y in ((a, b), (b, a)):
-                    if len(elements) == d * d:
-                        # all of End(V): no further product can be new
-                        return elements
-                    p = x @ y
-                    if try_add(p):
-                        fresh.append(p)
-        frontier = fresh
+    # the products are read off the list as it grows, each element in turn
+    for p in chain([Mat.identity(d)], (g @ e for e in elements for g in gens)):
+        if found.add_integer(_flat(p)) is not None:
+            elements.append(p)
+            if len(elements) == d * d:
+                # all of End(V): no further product can be new
+                break
     return elements
 
 
@@ -556,12 +544,13 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     `rep.simplicity` (see `Simplicity`), which `check_simplicity`
     re-verifies.
 
-    1. Kernel spins: the kernel vectors of the generators' matrices, of
-       their products in pairs and of every basis matrix are spun once
-       each (`_kernel_probe`); the first proper spin is the witness.
+    1. Kernel spins: the kernel vectors of each nonzero basis matrix, in
+       index order, are spun once each (`_kernel_probe`); the first
+       proper spin is the witness, so it depends only on the matrices.
     2. Semisimplicity: by Weyl's theorem when the algebra is semisimple.
-       Otherwise a scalar enveloping algebra leaves a line invariant, and
-       a nonzero radical J of its trace form gives the witness J V.
+       Otherwise the enveloping algebra is spun from the identity
+       (`enveloping_basis`): a scalar one leaves a line invariant, and a
+       nonzero radical J of its trace form gives the witness J V.
     3. The commutant E = End_s(V) of a semisimple V is a product of
        matrix algebras over division algebras, one per isotypic part, so
        V is simple exactly when E is a division algebra.  dim E = 1 is
@@ -577,16 +566,12 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
         raise ValueError("simplicity of the zero module is not defined")
     if d == 1:
         return _proved(rep, "dimension-one")
-    gens = [m for m in _generator_mats(rep) if not m.is_zero()]
     spun: set = set()
-    seen = set()
-    for a in chain(gens, (x @ y for x, y in permutations(gens, 2)), rep.mats):
-        if a.is_zero() or a in seen:
-            continue
-        seen.add(a)
-        closure = _kernel_probe(rep, a, spun)
-        if closure is not None:
-            return _certify_reducible(rep, closure)
+    for a in rep.mats:
+        if not a.is_zero():
+            closure = _kernel_probe(rep, a, spun)
+            if closure is not None:
+                return _certify_reducible(rep, closure)
 
     if not _semisimple(rep.algebra):
         env = enveloping_basis(rep)
@@ -620,11 +605,6 @@ def _semisimple(algebra: LieAlgebra) -> bool:
     """The algebra is nonzero with a nondegenerate Killing form: Cartan's
     criterion for semisimplicity, the hypothesis of Weyl's theorem."""
     return 0 < algebra.dim == rank(algebra.killing_form())
-
-
-def _scalar_commutant(rep: Rep) -> bool:
-    """End_s(V) is the scalars: one intertwiner from the module to itself."""
-    return len(hom_space(rep, rep)) == 1
 
 
 def _is_isomorphism(source: Rep, target: Rep, t: Mat) -> bool:
@@ -798,23 +778,36 @@ class Decomposition(list):
         self.modules: List[Rep] = []
 
 
+def _transported_copy(simples: Sequence[Rep], module: Rep) -> Optional[Subspace]:
+    """The image in `module` of a nonzero intertwiner h from the first
+    smaller simple module that has one, or None: invariant, proper, and a
+    copy of that simple module, as h is injective by Schur's lemma."""
+    for v in simples:
+        homs = hom_space(v, module) if v.dim < module.dim else []
+        if homs:
+            # h's columns are the rows of its transpose
+            return _integer_echelon(module.dim, homs[0].transpose()._integer[1]).subspace()
+    return None
+
+
 def simple_decomposition(rep: Rep) -> Decomposition:
     """Split the module into simple invariant summands.
 
-    Pieces are taken depth first, the invariant subspace found by
-    is_simple before its complement.  A piece that `certify_copy` can
-    reach from a summand already certified is simple by an invertible
+    Pieces are taken depth first.  A piece that `certify_copy` can reach
+    from a summand already certified is simple by an invertible
     intertwiner, so each isomorphism type of summand is certified once.
-    When the algebra is semisimple, a piece cut off by a split is then
-    certified by its commutant, with no search (the "commutant" kind of
-    `Simplicity`); the module as a whole, and every piece otherwise, runs
-    is_simple, whose kernel spins usually split a reducible module for
-    less than its commutant costs.  A reducible piece is split along the
-    invariant subspace is_simple found and the complement
-    `_spun_complement` gives.  Raises DecompositionError when the module
-    is not semisimple and SimplicityUndecided when irreducibility of a
-    piece cannot be certified.  The returned subspaces are verified
-    independent and spanning.
+    Otherwise a certified summand of smaller dimension with a nonzero
+    intertwiner into the piece gives, as its image, a copy to split along
+    (`_transported_copy`).  Failing that, when the algebra is semisimple,
+    a piece cut off by a split is certified by a scalar commutant (the
+    "commutant" kind of `Simplicity`); the module as a whole, and every
+    piece otherwise, runs is_simple.  A reducible piece is split along the
+    invariant subspace found and the complement `_spun_complement` gives,
+    the smaller of the two taken first, the invariant subspace when their
+    dimensions agree.  Raises DecompositionError when the module is not
+    semisimple and SimplicityUndecided when irreducibility of a piece
+    cannot be certified.  The returned subspaces are verified independent
+    and spanning.
     """
     d = rep.dim
     weyl = _semisimple(rep.algebra)
@@ -828,16 +821,20 @@ def simple_decomposition(rep: Rep) -> Decomposition:
         if sub is None:
             sub = rep_on_subspace(rep, piece)
         if not any(certify_copy(v, sub) is not None for v in searched):
-            if weyl and not whole and _scalar_commutant(sub):
-                sub.simplicity = Simplicity("commutant")
-            else:
-                simple, wit = is_simple(sub)
-                if not simple:
-                    comp = _spun_complement(sub, wit)
-                    # the whole module's witness embeds as itself
-                    pending += [(piece.embed(comp), None),
-                                (piece.embed(wit), sub.witness if whole else None)]
-                    continue
+            wit = _transported_copy(searched, sub)
+            if wit is None:
+                if weyl and not whole and len(hom_space(sub, sub)) == 1:
+                    sub.simplicity = Simplicity("commutant")
+                else:
+                    simple, wit = is_simple(sub)
+            if wit is not None:
+                comp = _spun_complement(sub, wit)
+                # the whole module's witness embeds as itself; the stack
+                # pops the last piece first, and the sort is stable
+                split = [(piece.embed(comp), None),
+                         (piece.embed(wit), sub.witness if whole else None)]
+                pending += sorted(split, key=lambda p: -p[0].dim)
+                continue
             searched.append(sub)
         parts.append(piece)
         parts.modules.append(sub)

@@ -3,17 +3,21 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import heisenberg_document, static_with_central_action
-from kinsila import catalog
+from conftest import (
+    dense_rebase, heisenberg_document, so_algebra_and_rep, static_with_central_action,
+)
+from kinsila import catalog, repth
 from kinsila.cli import main
-from kinsila.documents import entry_to_document, parse_document, parse_text
+from kinsila.documents import entry_to_document, parse_document, parse_text, to_document
 from kinsila.errors import DocumentError, InternalFault, SimplicityUndecided
 from kinsila.kinematics import classify
+from kinsila.liecore import LieAlgebra
 
 
 def good_doc():
@@ -334,6 +338,53 @@ def test_cli_two_quaternion_modules_are_decided(tmp_path, capsys):
 
 def test_cli_three_quaternion_modules_exit_1(tmp_path, capsys):
     path = write_doc(tmp_path, quaternion_document(3))
+    assert main(["classify", path]) == 1
+    assert "P_NOT_TWO_COPIES" in capsys.readouterr().err
+
+
+def three_copy_document(seed):
+    """s = so(4) in the J_ab basis acting on P = Q^4 + Q^4 + Q^4 (P index
+    6 + 4c + a for copy c), Z central and last, every bracket outside
+    s x s and s x P zero; then the dense change of basis seeded by seed.
+    P is three copies of an absolutely simple module, so not two."""
+    so4, v = so_algebra_and_rep(4)
+    pairs = {}
+    for i in range(6):
+        for j in range(i + 1, 6):
+            pairs[(i, j)] = list(so4.structure_constant(i, j)) + [0] * 13
+        for c in range(3):
+            for a in range(4):
+                image = [v.mats[i][b, a] for b in range(4)]
+                pairs[(i, 6 + 4 * c + a)] = [0] * (6 + 4 * c) + image + [0] * (9 - 4 * c)
+    roles = ((18,), tuple(range(6)), tuple(range(6, 18)))
+    rebased, _ = dense_rebase(LieAlgebra(19, pairs), roles, random.Random(seed))
+    labels = [f"J{i}" for i in range(6)]
+    labels += [f"P{c}_{a}" for c in range(3) for a in range(4)] + ["Z"]
+    return to_document(f"so4-three-copies-{seed}", LieAlgebra(19, rebased, labels), *roles)
+
+
+# is_simple(P) splits off V or V + V.  Each further piece bigger than V
+# is split along the image of an intertwiner out of V, which Schur's
+# lemma makes a copy of V; no conic is solved on V + V, whose
+# coefficients have numerators and denominators of 125-190 bits here
+@pytest.mark.parametrize("seed", [0, 2])
+def test_cli_three_copies_split_along_an_intertwiner(seed, tmp_path, capsys, monkeypatch):
+    conics = []
+    original = repth._conic_point
+    monkeypatch.setattr(repth, "_conic_point", lambda *ab: conics.append(ab) or original(*ab))
+    path = write_doc(tmp_path, three_copy_document(seed))
+    assert main(["classify", path]) == 1
+    assert "P_NOT_TWO_COPIES" in capsys.readouterr().err
+    assert conics == []
+
+
+# End_s(P) = M_3(Q) has dimension 9, and no candidate element's minimal
+# polynomial factors, so is_simple(P) raises SimplicityUndecided (exit 3).
+# 9 is not 4 dim D for a division algebra D, so E is not M_2(D), which
+# would already prove P not two copies
+@pytest.mark.xfail(strict=True, reason="SimplicityUndecided on a 9-dimensional commutant")
+def test_cli_three_copies_with_an_undecided_commutant_exit_1(tmp_path, capsys):
+    path = write_doc(tmp_path, three_copy_document(1))
     assert main(["classify", path]) == 1
     assert "P_NOT_TWO_COPIES" in capsys.readouterr().err
 
