@@ -19,7 +19,8 @@ as a Lie algebra from the s x s block (step 2), the brackets of Z with s
 from Z's row (step 3), the action of s on P from the s x P block (step
 4), the grading from the support of every nonzero structure constant
 (step 10), a = ad(Z)|P from the Z x P block, the two-form from the P x P
-block at Z, [P, P] from the P x P rows, the radical's brackets with P
+block at Z, [P, P] from the P x P rows, [T, T] and the centralizer of P
+in [P, P] from a and the action of s on P, the radical's brackets with P
 from the P columns, the ideal test of P + Z from supports, and P's meets
 with the radical and a Levi complement, both sigma-stable, from their
 rows that lie in P.
@@ -27,6 +28,7 @@ rows that lie in P.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,13 +37,17 @@ from .errors import (
     DecompositionError,
     InternalFault,
     NonAbelianRadicalError,
+    SimplicityUndecided,
     ValidationError,
 )
 from .exactla import (
     _ZERO,
+    _flat,
     _integer_echelon,
+    _integer_kernel,
     _integer_mat,
     _sparse,
+    Echelon,
     Mat,
     Subspace,
     is_nilpotent,
@@ -337,6 +343,14 @@ def validate(
         parts = simple_decomposition(p_rep)
     except DecompositionError as exc:
         fail(5, f"the momentum module does not split: {exc}")
+    except SimplicityUndecided:
+        # V + V for a simple V has the commutant M_2(End_s V), of dimension
+        # 4 dim End_s V; any other dimension proves P is not two copies
+        commutant = len(hom_space(p_rep, p_rep))
+        if commutant % 4:
+            fail(5, f"the momentum module has a commutant of dimension "
+                    f"{commutant}, which two copies of a simple module never have")
+        raise
     if len(parts) != 2 or parts[0].dim != parts[1].dim:
         fail(
             5,
@@ -477,21 +491,59 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
 # transvection algebra and holonomy
 
 def transvection_and_holonomy(structure: KinStructure) -> TransvectionData:
-    """[P,P] + P with the dimension of its action modulo the inert part."""
+    """[P, P] + P with the dimension of its action modulo the inert part.
+
+    Step 10 of `validate` grades g, so [P, P] lies in h = Z + s, and for u
+    = u_Z z + sum_k u_k s_k there ad u restricted to P is u_Z a + sum_k
+    u_k rho(s_k), read from the matrices validation built; a row of [P, P]
+    with a component in P raises InternalFault.  No ambient bracket is
+    taken:
+      - [T, T] for T = [P, P] + P is [P, P] + the span of the (ad u)P,
+        since [[P, P], [P, P]] lies in [P, P] by the Jacobi identity and
+        [h, P] in P, and the two parts meet in zero;
+      - the centralizer of P in [P, P] is the kernel of u -> ad u|P.
+    """
     alg = structure.algebra
     p_idx = structure.p_space.pivots
+    dp = len(p_idx)
     # [P, P]: the span of the P x P rows of the structure constants
     pp = _integer_echelon(alg.dim, (
         alg._struct[x][y] for a, x in enumerate(p_idx) for y in p_idx[a + 1:]
         if y in alg._struct[x]
     )).subspace()
+    # ad of each basis vector of h on P, flattened row by row over one
+    # denominator; the coordinates of u are integers, so ad u|P = sum u_i M_i
+    acting = dict(zip(structure.s_space.pivots, structure.p_rep.mats))
+    acting[structure.z_space.pivots[0]] = structure.a_matrix
+    den = math.lcm(*[m._integer[0] for m in acting.values()])
+    flats = {i: [(j, x * (den // m._integer[0])) for j, x in enumerate(_flat(m)) if x]
+             for i, m in acting.items()}
+    ads = []
+    for u in pp.rows:
+        w = [0] * (dp * dp)
+        for i, c in enumerate(u):
+            if c:
+                f = flats.get(i)
+                if f is None:
+                    raise InternalFault("a bracket of momenta has a component in P",
+                                        {"row": u})
+                for j, x in f:
+                    w[j] += c * x
+        ads.append(w)
+    # the columns of each ad u|P are the (ad u) e_p, in P coordinates
+    moved = Echelon(dp)
+    for w in ads:
+        for col in range(dp):
+            moved.add_integer(w[col::dp])
     transvection = pp.sum_with(structure.p_space)
-    # bracketed once per classify: the subalgebra test here, and the space
-    # whose solvability the Poincare certificate decides
-    derived = alg.bracket_span(transvection, transvection)
+    derived = pp.sum_with(structure.p_space.embed(moved.subspace()))
+    # [T, T], kept for the Poincare certificate, lies in T exactly when T
+    # is a subalgebra
     if not transvection.contains_space(derived):
         raise InternalFault("transvection span is not a subalgebra", {})
-    cent = alg.centralizer(structure.p_space, within=pp)
+    cent = pp.embed(_integer_kernel(len(ads), (
+        _sparse([w[j] for w in ads]) for j in range(dp * dp)
+    )))
     hol = pp.dim - cent.dim
     return TransvectionData(
         pp=pp,

@@ -11,7 +11,7 @@ inside the package is `_integer_bracket`, which brackets integer
 vectors such as a `Subspace`'s echelon rows, or a read of the table
 itself (see `kinematics`); `bracket` is the Fraction boundary over it,
 for callers outside, and builds an exact Fraction once per nonzero entry
-of what it returns.  ad x, the Killing form, centralizers and Levi
+of what it returns.  ad x, the Killing form, radicals and Levi
 complements are built from that table and from integer rows without any
 Fraction.
 """
@@ -24,7 +24,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
-    _dense,
     _fractions,
     _integer_echelon,
     _integer_kernel,
@@ -253,21 +252,6 @@ class LieAlgebra:
                     return span.subspace()
                 span.add_integer(self._integer_bracket(u, v))
         return span.subspace()
-
-    def centralizer(self, of: Subspace, within: Optional[Subspace] = None) -> Subspace:
-        """{x in `within` : [x, v] = 0 for all v in `of`}, solved in
-        integers for the coefficients in the basis of `within`."""
-        if within is None:
-            within = Subspace.full(self.dim)
-        if within.is_zero() or of.is_zero():
-            return within
-        gens = [_dense(row, self.dim) for row in within.basis_mat()._integer[1]]
-        rows = []
-        for v in of.rows:
-            block = [self._integer_bracket(g, v) for g in gens]
-            for m in range(self.dim):
-                rows.append(_sparse([b[m] for b in block]))
-        return within.embed(_integer_kernel(len(gens), rows))
 
     # -- predicates on subspaces -----------------------------------------
     def is_subalgebra(self, space: Subspace) -> bool:

@@ -44,6 +44,9 @@ class Rep:
 
     The defining condition rho([e_i, e_j]) = rho(e_i) rho(e_j) -
     rho(e_j) rho(e_i) is checked on all basis pairs at construction.
+    `mats` is a tuple that nothing reassigns, so what is computed from it
+    alone is kept on the module once built: the standard basis that every
+    `hom_space` out of it solves over, and the enveloping algebra.
     """
 
     def __init__(
@@ -76,6 +79,10 @@ class Rep:
         self.simplicity: Optional[Simplicity] = None
         # the action on the invariant subspace is_simple returned, once found
         self.witness: Optional[Rep] = None
+        # the spin basis that every hom_space out of the module solves
+        # over, and the enveloping algebra's basis, each once it is built
+        self.standard_basis: Optional[_StandardBasis] = None
+        self.envelope: Optional[Tuple[Mat, ...]] = None
         if check:
             self._validate()
 
@@ -210,16 +217,68 @@ def spin(mats: Sequence[Mat], w: Sequence[int]) -> Subspace:
     return found.subspace()
 
 
+class _StandardBasis:
+    """The half of `hom_space` that depends only on its source module V.
+
+    Unit vectors of V are spun under the Lie generators
+    (`LieAlgebra.generators`) until they span it (`_spin_tree`); each
+    vector b_k the spin keeps is a seed or b_k = den * rho(g) b_p for an
+    earlier b_p.  Kept are
+      - `tree`: (parent, g) of each b_k, parent None for a seed, and
+        `seeds`, the indices of the seeds;
+      - `scales`: f_k with b_k = f_k (product of the rho(g) along the tree)
+        applied to its seed, f_k the product of the denominators on the way;
+      - `binv`: B^-1 for B the matrix whose columns are the b_k;
+      - `relations`: (k, g, f, c) for every pair (b_k, g) that is not a
+        tree edge, with c = beta B^-1 G b_k as sparse (j, c_j) pairs, G =
+        den rho(g), beta the denominator of B^-1 and f = beta den: c / f
+        are the coordinates of rho(g) b_k in the b_j.
+    All of it is a function of the module's matrices, which no one
+    reassigns, so it is built once per `Rep`, the first time an
+    intertwiner out of it is solved, and kept as `Rep.standard_basis`.
+    """
+
+    __slots__ = ("tree", "seeds", "scales", "binv", "relations")
+
+    def __init__(self, rep: Rep):
+        d = rep.dim
+        mats = _generator_mats(rep)
+        found = Echelon(d)
+        tree: list = []
+        for j in range(d):
+            if len(found.rows) == d:
+                break
+            _spin_tree(mats, found, [int(c == j) for c in range(d)], tree)
+        self.tree = [(parent, i) for _, parent, i in tree]
+        self.seeds = [k for k, (parent, _) in enumerate(self.tree) if parent is None]
+        self.scales: List[int] = []
+        for parent, i in self.tree:
+            f = 1 if parent is None else mats[i]._integer[0] * self.scales[parent]
+            self.scales.append(f)
+        # B has the b_k as its columns
+        spun = _integer_mat(d, 1, tuple(_sparse(b) for b, _, _ in tree))
+        self.binv = binv = inverse(spun.transpose())
+        beta = binv._integer[0]
+        edges = set(self.tree)
+        self.relations = [
+            (k, i, beta * m._integer[0], _sparse(binv._integer_apply(m._integer_apply(b))))
+            for k, (b, _, _) in enumerate(tree)
+            for i, m in enumerate(mats)
+            if (k, i) not in edges
+        ]
+
+
 def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
     """Basis of the intertwiners T with T rho1(x) = rho2(x) T for all x.
 
     Solved by the standard-basis method (Lux & Szőke, Computing
     homomorphism spaces between modules over finite dimensional algebras,
-    Exp. Math. 12 (2003)).  Unit vectors of rep1 are spun under the Lie
-    generators (`LieAlgebra.generators`) until they span it, and each
-    vector b_k the spin keeps is a seed or the image g b_p of an earlier
-    one.  The unknowns t are T's values on the seeds: d2 per seed, where
-    the entries of T are d1 * d2.
+    Exp. Math. 12 (2003)).  What depends on rep1 alone, its spin basis
+    b_k under the Lie generators, B^-1 and the coordinates c below, is
+    its standard basis (`_StandardBasis`), built on rep1's first call and
+    kept on it; each call solves only the part that depends on rep2.  The
+    unknowns t are T's values on the seeds: d2 per seed, where the
+    entries of T are d1 * d2.
       - T is fixed by its values on the seeds: T b_k = rho2(g) T b_p, so
         T b_k = X_k t with X_k the product along the spin tree in rep2,
         and T = [X_k t] B^-1 for B the matrix of the b_k.
@@ -238,71 +297,54 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
     """
     if rep1.algebra is not rep2.algebra:
         raise ValueError("intertwiners need representations of the same algebra")
+    basis = rep1.standard_basis
+    if basis is None:
+        basis = rep1.standard_basis = _StandardBasis(rep1)
     d1, d2 = rep1.dim, rep2.dim
-    gens = rep1.algebra.generators()
-    mats1 = [rep1.mats[i] for i in gens]
-    mats2 = [rep2.mats[i] for i in gens]
-    found = Echelon(d1)
-    tree: list = []
-    for j in range(d1):
-        if len(found.rows) == d1:
-            break
-        _spin_tree(mats1, found, [int(c == j) for c in range(d1)], tree)
-    seeds = [k for k, (_, parent, _) in enumerate(tree) if parent is None]
+    mats2 = _generator_mats(rep2)
+    seeds = basis.seeds
     width = d2 * len(seeds)
     # T b_k = f_k X_k t: a seed's own d2 unknowns, or, along a tree edge,
     # b_k = den1 rho1(g) b_p, so T b_k = den1 rho2(g) T b_p
     xs: List[Mat] = []
-    fs: List[int] = []
-    for k, (_, parent, i) in enumerate(tree):
+    for k, (parent, i) in enumerate(basis.tree):
         if parent is None:
             first = d2 * seeds.index(k)
             xs.append(_integer_mat(width, 1, tuple(((first + r, 1),) for r in range(d2))))
-            fs.append(1)
         else:
             xs.append(mats2[i] @ xs[parent])
-            fs.append(mats1[i]._integer[0] * fs[parent])
     # over one denominator: T b_k = Z_k t / lcm, Z_k as sparse integer rows
     lcm = math.lcm(*[x._integer[0] for x in xs])
     zs = []
-    for x, f in zip(xs, fs):
+    for x, f in zip(xs, basis.scales):
         den, rows = x._integer
         f *= lcm // den
         zs.append([[(a, f * z) for a, z in row] for row in rows])
-    binv = inverse(_integer_mat(d1, 1, tuple(_sparse(b) for b, _, _ in tree)).transpose())
-    tree_edges = {(parent, i) for _, parent, i in tree}
     eqs = Echelon(width)
-    for k, (b, _, _) in enumerate(tree):
-        for i, (m1, m2) in enumerate(zip(mats1, mats2)):
-            if (k, i) in tree_edges:
-                continue
-            # with G = den rho(g) and beta the denominator of B^-1,
-            # c = beta B^-1 G1 b_k is beta den1 times the coordinates of
-            # rho1(g) b_k in the b_j, so beta den1 G2 Z_k = den2 sum_j c_j Z_j
-            c = binv._integer_apply(m1._integer_apply(b))
-            f = binv._integer[0] * m1._integer[0]
-            den2, g2_rows = m2._integer
-            terms = [(den2 * cj, zs[j]) for j, cj in enumerate(c) if cj]
-            zk = zs[k]
-            for r, g2_row in enumerate(g2_rows):
-                w = [0] * width
-                for m, x in g2_row:
-                    x *= f
-                    for a, z in zk[m]:
-                        w[a] += x * z
-                for cj, zj in terms:
-                    for a, z in zj[r]:
-                        w[a] -= cj * z
-                if any(w):
-                    eqs.add_integer(w)
-            if len(eqs.rows) == width:
-                return []
+    for k, i, f, c in basis.relations:
+        # beta den1 G2 Z_k = den2 sum_j c_j Z_j, as `_StandardBasis` says
+        den2, g2_rows = mats2[i]._integer
+        terms = [(den2 * cj, zs[j]) for j, cj in c]
+        zk = zs[k]
+        for r, g2_row in enumerate(g2_rows):
+            w = [0] * width
+            for m, x in g2_row:
+                x *= f
+                for a, z in zk[m]:
+                    w[a] += x * z
+            for cj, zj in terms:
+                for a, z in zj[r]:
+                    w[a] -= cj * z
+            if any(w):
+                eqs.add_integer(w)
+        if len(eqs.rows) == width:
+            return []
     homs = Echelon(d1 * d2)
     for t in _null_space(*eqs.reduced_rows(), width).rows:
         # T = [Z_j t] B^-1 up to a positive scalar
         images = [[sum(z * t[a] for a, z in row) for row in zj] for zj in zs]
         tb = _integer_mat(len(zs), 1, tuple(map(_sparse, zip(*images))))
-        homs.add_integer(_flat(tb @ binv))
+        homs.add_integer(_flat(tb @ basis.binv))
     homs = homs.subspace()
     return [_unflat(row, row[p], d2, d1) for row, p in zip(homs.rows, homs.pivots)]
 
@@ -365,12 +407,15 @@ def nondegenerate_invariant_form(rep: Rep) -> Optional[Mat]:
 # ---------------------------------------------------------------------------
 # enveloping algebra and simplicity
 
-def enveloping_basis(rep: Rep) -> List[Mat]:
+def enveloping_basis(rep: Rep) -> Tuple[Mat, ...]:
     """Basis of the unital algebra generated by the representing matrices:
     the span of the words in the Lie generators' matrices, since rho([x, y])
     is a word in rho(x) and rho(y).  It is spun from the identity under left
     multiplication by those matrices, until no product is new or the basis
-    spans all of End(V)."""
+    spans all of End(V).  The spin depends only on the module's matrices,
+    so it runs once per `Rep`; the basis is kept as `Rep.envelope`."""
+    if rep.envelope is not None:
+        return rep.envelope
     d = rep.dim
     gens = _generator_mats(rep)
     found = Echelon(d * d)
@@ -382,7 +427,8 @@ def enveloping_basis(rep: Rep) -> List[Mat]:
             if len(elements) == d * d:
                 # all of End(V): no further product can be new
                 break
-    return elements
+    rep.envelope = tuple(elements)
+    return rep.envelope
 
 
 def _factor_over_q(p: Poly) -> List[Tuple[Poly, int]]:
@@ -621,8 +667,11 @@ def check_simplicity(rep: Rep) -> bool:
     """Re-verify the evidence recorded in `rep.simplicity`: the recorded
     elements commute with the action, the module is semisimple, E has the
     dimension its kind needs, and the polynomial or conic that makes E a
-    division algebra is solved again.  False when no evidence is recorded
-    or the check fails."""
+    division algebra is solved again.  The module's standard basis and
+    envelope are reused, not spun again: they are functions of its
+    matrices alone, while the equations for E and the trace form's radical
+    are solved on every call.  False when no evidence is recorded or the
+    check fails."""
     cert = rep.simplicity
     if cert is None:
         return False

@@ -379,10 +379,9 @@ def test_cli_three_copies_split_along_an_intertwiner(seed, tmp_path, capsys, mon
 
 
 # End_s(P) = M_3(Q) has dimension 9, and no candidate element's minimal
-# polynomial factors, so is_simple(P) raises SimplicityUndecided (exit 3).
-# 9 is not 4 dim D for a division algebra D, so E is not M_2(D), which
-# would already prove P not two copies
-@pytest.mark.xfail(strict=True, reason="SimplicityUndecided on a 9-dimensional commutant")
+# polynomial factors, so is_simple(P) raises SimplicityUndecided.  9 is
+# not 4 dim D for a division algebra D, so E is not M_2(D), which proves
+# P not two copies
 def test_cli_three_copies_with_an_undecided_commutant_exit_1(tmp_path, capsys):
     path = write_doc(tmp_path, three_copy_document(1))
     assert main(["classify", path]) == 1

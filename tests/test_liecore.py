@@ -115,13 +115,6 @@ class TestDerivedObjects:
             5, [unit_vec(5, 3), unit_vec(5, 4)]
         )
 
-    def test_centralizer(self):
-        h = heisenberg()
-        assert h.centralizer(Subspace.full(3)) == Subspace.span(3, [(0, 0, 1)])
-        g = sl2_on_plane()
-        rad = g.solvable_radical()
-        assert g.centralizer(rad, within=rad) == rad
-
 
 class TestPredicates:
     def test_ideal_and_subalgebra(self):
