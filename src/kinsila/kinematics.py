@@ -21,9 +21,11 @@ from Z's row (step 3), the action of s on P from the s x P block (step
 (step 10), a = ad(Z)|P from the Z x P block, the two-form from the P x P
 block at Z, [P, P] from the P x P rows, [T, T] and the centralizer of P
 in [P, P] from a and the action of s on P, the radical's brackets with P
-from the P columns, the ideal test of P + Z from supports, and P's meets
-with the radical and a Levi complement, both sigma-stable, from their
-rows that lie in P.
+from the P columns, the ideal test of P + Z from supports, P's meet with
+the radical from the radical's rows that lie in P, and the sigma-stable
+Levi factor through s as s plus an invariant complement of that meet in
+P on which the two-form vanishes, from one solve over Hom_s
+(`_levi_factor`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (
     DecompositionError,
     InternalFault,
-    NonAbelianRadicalError,
     SimplicityUndecided,
     ValidationError,
 )
@@ -46,6 +47,7 @@ from .exactla import (
     _integer_echelon,
     _integer_kernel,
     _integer_mat,
+    _solve,
     _sparse,
     Echelon,
     Mat,
@@ -60,6 +62,7 @@ from .exactla import (
 from .liecore import LieAlgebra, _sign_parts
 from .repth import (
     Rep,
+    _combination,
     certify_copy,
     check_simplicity,
     hom_space,
@@ -139,6 +142,7 @@ class KahlerData:
 class PoincareData:
     passed: bool
     items: List[Tuple[str, bool, str]]
+    levi: Optional[Subspace] = None   # the sigma-stable Levi factor through s, ambient
 
 
 @dataclass
@@ -499,8 +503,10 @@ def transvection_and_holonomy(structure: KinStructure) -> TransvectionData:
     with a component in P raises InternalFault.  No ambient bracket is
     taken:
       - [T, T] for T = [P, P] + P is [P, P] + the span of the (ad u)P,
-        since [[P, P], [P, P]] lies in [P, P] by the Jacobi identity and
-        [h, P] in P, and the two parts meet in zero;
+        since [[P, P], [P, P]] lies in [P, P] by the Jacobi identity,
+        checked when the algebra was built, and [h, P] in P, and the two
+        parts meet in zero; so [T, T] lies in T by construction, and T is
+        a subalgebra with no further check;
       - the centralizer of P in [P, P] is the kernel of u -> ad u|P.
     """
     alg = structure.algebra
@@ -537,10 +543,6 @@ def transvection_and_holonomy(structure: KinStructure) -> TransvectionData:
             moved.add_integer(w[col::dp])
     transvection = pp.sum_with(structure.p_space)
     derived = pp.sum_with(structure.p_space.embed(moved.subspace()))
-    # [T, T], kept for the Poincare certificate, lies in T exactly when T
-    # is a subalgebra
-    if not transvection.contains_space(derived):
-        raise InternalFault("transvection span is not a subalgebra", {})
     cent = pp.embed(_integer_kernel(len(ads), (
         _sparse([w[j] for w in ads]) for j in range(dp * dp)
     )))
@@ -611,18 +613,13 @@ def _lagrangian_pair(
     The form is taken on the integer rows of the two subspaces: scaling
     a vector changes neither a zero nor a rank."""
 
-    def form(x, y):
-        return sum(c * d for c, d in zip(omega._integer_apply(x), y))
+    def gram(left, right):
+        # omega is applied once per row of `left`
+        return [_sparse([sum(c * d for c, d in zip(wx, y)) for y in right.rows])
+                for wx in map(omega._integer_apply, left.rows)]
 
-    lagrangian = all(
-        not form(x, y)
-        for space in (first, second)
-        for x in space.rows
-        for y in space.rows
-    )
-    pairing = _integer_mat(second.dim, 1, tuple(
-        _sparse([form(x, y) for y in second.rows]) for x in first.rows
-    ))
+    lagrangian = not any(any(gram(space, space)) for space in (first, second))
+    pairing = _integer_mat(second.dim, 1, tuple(gram(first, second)))
     return lagrangian, rank(pairing) == omega.rows // 2
 
 
@@ -721,6 +718,80 @@ def kahler_split(
 # ---------------------------------------------------------------------------
 # nilpotent branch
 
+def _levi_factor(
+    structure: KinStructure, omega: Mat, rad: Subspace
+) -> Tuple[Optional[Subspace], Subspace, Optional[Subspace], Optional[Rep]]:
+    """(l, pr, L, the action on pr) for an abelian radical R and a
+    nondegenerate two-form: l is the sigma-stable Levi factor through s,
+    or None when none exists; pr = P meet R and L = P meet l, both in P
+    coordinates; the action on pr is None unless l is found.
+
+    The grading splits the ideal R as R_h + pr, R_h = R meet h for
+    h = Z + s (`_p_part`), with [P, pr] in R_h.  R = 0 gives l = g.
+    R_h = 0 would put pr in the radical of omega, hence R = 0
+    (InternalFault otherwise).  A graded l through s meets h in a
+    complement of R_h holding s, and dim h = dim s + 1, so l exists only
+    when R_h is a line outside s, and is then s + L for an s-invariant
+    complement L of pr: a subalgebra exactly when omega vanishes on L,
+    since [s, s] lies in s (`validate` step 2) and [L, L] in h with Z
+    coordinate omega.  pr is an s-submodule of V + V on which omega
+    vanishes ([R, R] = 0), so it is 0, which leaves L = P where omega is
+    nondegenerate, or a copy of V.  Then a summand L0 of
+    `structure.parts` meeting pr in zero is one such complement, every
+    other is the graph of some phi in Hom_s(L0, pr), and as
+    omega(phi x, phi y) = 0 the condition omega(x + phi x, y + phi y) = 0
+    on pairs of L0's basis is linear in phi: one solve, whose failure
+    proves that no l exists.  That L meets pr in zero, is invariant under
+    the generators' matrices and has omega = 0 on it is re-checked; a
+    failure raises InternalFault.
+    """
+    n, dp = structure.algebra.dim, structure.p_space.dim
+    meet, pr = _p_part(structure, rad)
+    if rad.is_zero():
+        return Subspace.full(n), pr, Subspace.full(dp), None
+    if meet == rad:
+        raise InternalFault("the radical meets h in zero but not P", {"radical_basis": rad.basis})
+    # R's rows off P span R_h, which lies in s exactly when they vanish at Z
+    zi = structure.z_space.pivots[0]
+    if rad.dim - meet.dim != 1 or not any(row[zi] for row in rad.rows) or pr.is_zero():
+        return None, pr, None, None
+    pr_rep = rep_on_subspace(structure.p_rep, pr)
+    for base, base_rep in zip(structure.parts, structure.parts.modules):
+        if base.dim + pr.dim == dp and base.sum_with(pr).is_full():
+            break
+    else:
+        raise InternalFault("no summand of P complements its meet with the radical",
+                            {"pr_dim": pr.dim})
+    homs = hom_space(base_rep, pr_rep)
+    k = base.dim
+    b, c = base.basis_mat(), pr.basis_mat()
+    w = b @ omega
+    # one row per pair i < j: sum_h x_h (M_h - M_h^T)_ij = -omega(b_i, b_j),
+    # for M_h = (omega(b_i, c_r)) h and c_r the basis of pr
+    w_pr = w @ c.transpose()
+    blocks = [m - m.transpose() for m in (w_pr @ h for h in homs)] + [-(w @ b.transpose())]
+    den = math.lcm(*[m._integer[0] for m in blocks])
+    flats = [[x * (den // m._integer[0]) for x in _flat(m)] for m in blocks]
+    found = _solve(len(homs), (
+        _sparse([f[i * k + j] for f in flats]) for i in range(k) for j in range(i + 1, k)
+    ))
+    if found is None:
+        return None, pr, None, None
+    # the rows of the graph: b_i + phi b_i = b_i + sum_r phi_ri c_r
+    graph = (b + _combination(found.particular, homs).transpose() @ c) if homs else b
+    pl = _integer_echelon(dp, graph._integer[1]).subspace()
+    if (
+        pl.dim != k
+        or not pl.sum_with(pr).is_full()
+        or any(pl.matrix_of(structure.p_rep.mats[g]) is None
+               for g in structure.s_algebra.generators())
+        or not (graph @ omega @ graph.transpose()).is_zero()
+    ):
+        raise InternalFault("the graph found is not a Lagrangian invariant complement",
+                            {"basis": pl.basis})
+    return structure.s_space.sum_with(structure.p_space.embed(pl)), pr, pl, pr_rep
+
+
 def poincare_certificate(
     structure: KinStructure,
     sym: SymplecticData,
@@ -729,8 +800,8 @@ def poincare_certificate(
 ) -> PoincareData:
     """Itemized certificate for the nilpotent, nondegenerate case.
 
-    A failed search for the graded complement is reported as not found by
-    this method, never as a proof of absence.
+    The graded complement through s is the Levi factor `_levi_factor`
+    finds; when it finds none, none exists.
     """
     if zdata.kind != "nilpotent":
         raise ValueError("certificate asked outside the nilpotent case")
@@ -742,12 +813,10 @@ def poincare_certificate(
     half = dp // 2
 
     rad_g = alg.solvable_radical()
-    # the complement search first tests the radical abelian, once per classify
-    try:
-        levi = alg.levi_complement(sigma=structure.sigma, contain=structure.s_space)
-        rad_abelian = True
-    except NonAbelianRadicalError:
-        levi, rad_abelian = None, False
+    rad_abelian = alg.is_abelian_space(rad_g)
+    levi = None
+    if rad_abelian:
+        levi, pr, pl, pr_rep = _levi_factor(structure, sym.omega, rad_g)
     items.append((
         "radical-abelian",
         rad_abelian,
@@ -771,9 +840,6 @@ def poincare_certificate(
         ):
             items.append((name, False, "skipped: no complement available"))
     else:
-        p_rad_amb, pr = _p_part(structure, rad_g)
-        p_levi_amb, pl = _p_part(structure, levi)
-
         dims_ok = pr.dim == half and pl.dim == half
         lag_ok = pairing_ok = False
         if dims_ok:
@@ -792,18 +858,20 @@ def poincare_certificate(
             full = len(_integer_echelon(dp, map(_sparse, images)).rows) == half
             target = pr.echelon()
             inside = not any(any(target._reduce(w)) for w in images)
+            # a map commuting with rho(x) and rho(y) commutes with rho([x, y])
             intertwines = all(
-                (a @ m) == (m @ a) for m in structure.p_rep.mats
+                (a @ m) == (m @ a) for m in map(structure.p_rep.mats.__getitem__,
+                                                structure.s_algebra.generators())
             )
             amap_ok = inside and full and intertwines
         # with amap_ok, a restricted to pl is an exactly checked
-        # s-isomorphism onto pr: pl is certified once, and pr, a copy of pl
-        # along a, is a copy of V exactly when pl is
+        # s-isomorphism onto pr: pr, whose module the search built, is
+        # certified once, and pl, a copy of pr along a, is a copy of V
+        # exactly when pr is
         iso_ok = dims_ok and pr.dim > 0 and all(
-            certify_copy(
-                structure.v_rep, rep_on_subspace(structure.p_rep, piece)
-            ) is not None
-            for piece in ((pl,) if amap_ok else (pr, pl))
+            certify_copy(structure.v_rep, piece) is not None
+            for piece in ((pr_rep,) if amap_ok else
+                          (pr_rep, rep_on_subspace(structure.p_rep, pl)))
         )
         items.append((
             "pieces-isomorphic-to-v",
@@ -813,7 +881,7 @@ def poincare_certificate(
 
         bracket_ok = False
         if dims_ok:
-            span = alg.bracket_span(p_rad_amb, p_levi_amb)
+            span = alg.bracket_span(structure.p_space.embed(pr), structure.p_space.embed(pl))
             bracket_ok = span == structure.z_space
         items.append((
             "bracket-of-pieces-is-z",
@@ -846,13 +914,14 @@ def poincare_certificate(
         f"holonomy dimension {trans.holonomy_dim}",
     ))
 
-    return PoincareData(passed=all(ok for _, ok, _ in items), items=items)
+    return PoincareData(passed=all(ok for _, ok, _ in items), items=items, levi=levi)
 
 
 def _p_part(structure: KinStructure, space: Subspace) -> Tuple[Subspace, Subspace]:
     """P meet `space`, ambient and in P coordinates, for `space` stable
-    under sigma (-1 on P, +1 off it), as `levi_complement` checks: its
-    reduced echelon rows in P (`_sign_parts`), read at P's indices."""
+    under sigma (-1 on P, +1 off it): its reduced echelon rows in P
+    (`_sign_parts`), read at P's indices; InternalFault when sigma moves
+    `space`."""
     p_idx = structure.p_space.pivots
     p_pos = {i: k for k, i in enumerate(p_idx)}
     parts = _sign_parts(space, [-1 if i in p_pos else 1 for i in range(space.ambient_dim)])

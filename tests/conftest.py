@@ -139,17 +139,18 @@ def doubled(rep):
     return Rep(rep.algebra, mats)
 
 
-def count_calls(monkeypatch, name):
-    """Patch `repth.<name>` to record the dimension of each module it is
-    called on; returns the list of those dimensions."""
+def count_calls(monkeypatch, name, owner=repth):
+    """Patch `owner.<name>` (a function of `repth` by default, or a method
+    of a class such as `LieAlgebra`) to record the dimension of the module
+    or algebra it is called on; returns the list of those dimensions."""
     calls = []
-    original = getattr(repth, name)
+    original = getattr(owner, name)
 
-    def counted(rep, *args):
+    def counted(rep, *args, **kwargs):
         calls.append(rep.dim)
-        return original(rep, *args)
+        return original(rep, *args, **kwargs)
 
-    monkeypatch.setattr(repth, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -216,6 +217,21 @@ def static_with_central_action(action, d=4):
                 doc["brackets"].append({"x": "H", "y": x, "result": result})
     doc["name"] = f"static-d{d}-central-action"
     return doc
+
+
+def euclidean_twin(d):
+    """(algebra, roles): catalog poincare at dimension d with [B_i, B_j]
+    and [B_i, H] negated, its roles those of the catalog entry.  The
+    rotations and boosts then span so(d + 1) instead of so(1, d), acting
+    on the translations P_i and H."""
+    entry = catalog.make("poincare", d)
+    alg = entry.algebra
+    kind = [label[0] for label in alg.labels]
+    pairs = {
+        (i, j): tuple(-x for x in v) if {kind[i], kind[j]} in ({"B"}, {"B", "H"}) else v
+        for (i, j), v in structure_pairs(alg).items()
+    }
+    return LieAlgebra(alg.dim, pairs, list(alg.labels)), entry.roles()
 
 
 def sl2_on_sym_pair(n):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import count_calls, heisenberg_document, heisenberg_like
+from conftest import count_calls, euclidean_twin, heisenberg_document, heisenberg_like
 from kinsila import catalog, kinematics
 from kinsila.documents import parse_document
 from kinsila.errors import InternalFault, ValidationError
@@ -511,6 +511,17 @@ def test_poincare_certificate_items():
     ])
     assert rad == expected
     assert e.algebra.is_abelian_space(rad)
+
+
+@pytest.mark.parametrize("d", (2, 4))
+def test_the_euclidean_twin_is_poincare_type(d):
+    # negating [B_i, B_j] and [B_i, H] keeps a Lie algebra whose every
+    # Poincare item holds; the report does not yet tell it from poincare,
+    # whose Killing form on the Levi factor's momenta has another inertia
+    algebra, roles = euclidean_twin(d)
+    r = classify(algebra, *roles)
+    assert r.label == "poincare-type"
+    assert [ok for _, ok, _ in r.poincare_items] == [True] * 8
 
 
 def test_tiny_poincare_is_honestly_unclassified():

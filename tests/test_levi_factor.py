@@ -1,0 +1,118 @@
+"""The Poincare certificate's Levi factor against `LieAlgebra.levi_complement`.
+
+`poincare_certificate` finds the sigma-stable Levi factor through s as
+s + L, for L an s-invariant complement of P meet rad g in P on which the
+two-form vanishes, by one solve over Hom_s (`kinematics._levi_factor`).
+The generic correction system of `levi_complement` is the oracle: the two
+find a factor on the same inputs (every input here with an abelian
+radical), of the same dimension, and the factor found is checked here
+with the generic subspace routines.
+
+At d >= 3 the summand V is absolutely simple, its invariant bilinear
+forms are symmetric, so the two-form vanishes on every summand of P and
+the graph map found is zero.  At d = 2, End_s(V) = Q(i), and the dense
+draws need a nonzero one.
+"""
+
+import random
+
+import pytest
+
+from conftest import (
+    bench_workloads, count_calls, dense_rebase, euclidean_twin, intersection,
+)
+from kinsila import catalog
+from kinsila.errors import NonAbelianRadicalError, ValidationError
+from kinsila.kinematics import (
+    classify,
+    omega_and_radical,
+    poincare_certificate,
+    transvection_and_holonomy,
+    validate,
+    z_action_split,
+)
+from kinsila.liecore import LieAlgebra
+
+
+def catalog_poincare(d):
+    entry = catalog.make("poincare", d)
+    return entry.algebra, entry.roles()
+
+
+def rebased_poincare(seed, k):
+    """The poincare draw `poincare_d4#k` of the `rebased` workload at this
+    seed."""
+    workload = bench_workloads().Rebased()
+    (op,) = workload.setup([f"poincare_d4#{k}"], seed)
+    return workload.prepare(op)
+
+
+def dense(alg, roles, seed):
+    pairs, _ = dense_rebase(alg, roles, random.Random(f"{seed}:poincare"))
+    return LieAlgebra(alg.dim, pairs, list(alg.labels)), roles
+
+
+INPUTS = (
+    [(f"catalog_d{d}", lambda d=d: catalog_poincare(d)) for d in range(1, 7)]
+    + [(f"rebased_s{seed}#{k}", lambda seed=seed, k=k: rebased_poincare(seed, k))
+       for seed in range(10) for k in range(4)]
+    + [(f"dense_d{d}_s{seed}", lambda d=d, seed=seed: dense(*catalog_poincare(d), seed))
+       for d in (2, 4) for seed in (0, 1, 7)]
+    + [(f"twin_d{d}", lambda d=d: euclidean_twin(d)) for d in (2, 4)]
+    + [(f"dense_twin_d2_s{seed}", lambda seed=seed: dense(*euclidean_twin(2), seed))
+       for seed in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in INPUTS], ids=[name for name, _ in INPUTS])
+def test_the_levi_factor_agrees_with_the_generic_search(build):
+    alg, roles = build()
+    try:
+        st = validate(alg, *roles)
+    except ValidationError as exc:
+        # poincare at d = 3: so(3) on Q^3 is its own exterior square
+        assert exc.code == "WEDGE_CONDITION_FAILS"
+        return
+    sym = omega_and_radical(st)
+    levi = poincare_certificate(
+        st, sym, z_action_split(st), transvection_and_holonomy(st)
+    ).levi
+    rad = alg.solvable_radical()
+    if not alg.is_abelian_space(rad):
+        # poincare at d = 1
+        assert levi is None
+        with pytest.raises(NonAbelianRadicalError):
+            alg.levi_complement(sigma=st.sigma, contain=st.s_space)
+        return
+    oracle = alg.levi_complement(sigma=st.sigma, contain=st.s_space)
+    # every input here with an abelian radical has such a factor
+    assert oracle is not None and levi is not None and levi.dim == oracle.dim
+    # a sigma-stable subalgebra through s complementing the radical
+    assert alg.is_subalgebra(levi)
+    assert levi.contains_space(st.s_space)
+    assert all(levi.contains(st.sigma.apply(b)) for b in levi.basis)
+    assert levi.dim + rad.dim == alg.dim and levi.sum_with(rad).is_full()
+    # s + L, L Lagrangian for the two-form and s-invariant
+    lp = intersection(st.p_space, levi)
+    assert levi == st.s_space.sum_with(lp)
+    zi = st.z_space.pivots[0]
+    assert 2 * lp.dim == st.p_space.dim
+    assert all(alg.bracket(x, y)[zi] == 0 for x in lp.basis for y in lp.basis)
+    assert lp.contains_space(alg.bracket_span(st.s_space, lp))
+
+
+def test_classify_never_runs_the_generic_search(monkeypatch):
+    calls = count_calls(monkeypatch, "levi_complement", LieAlgebra)
+    labels = []
+    for d in range(1, 7):
+        for family in catalog.FAMILIES:
+            e = catalog.make(family, d)
+            try:
+                labels.append(classify(e.algebra, *e.roles()).label)
+            except ValidationError:
+                pass
+    for d in (2, 4):
+        alg, roles = euclidean_twin(d)
+        labels.append(classify(alg, *roles).label)
+    assert labels.count("poincare-type") == 6
+    assert calls == []
