@@ -13,9 +13,10 @@ rows, and a `Subspace` is its integer reduced echelon rows: spans,
 sums, embeddings, containment and `matrix_of` work on
 them, and its Fraction `basis` is likewise built lazily, on first read.
 Kernels and ranks feed `Echelon` the integer view of their matrix,
-systems that callers build in integers (`repth.hom_space`,
-`LieAlgebra.bracket_span`) reach it without any Fraction, and null
-spaces, inverses and solutions are read off its integer reduced rows.
+systems built in integers (`repth.hom_space`, `LieAlgebra.bracket_span`,
+the entrywise equations of `solve_combination`) reach it without any
+Fraction, and null spaces, inverses and solutions are read off its
+integer reduced rows.
 Nothing here rounds, samples, or depends on floating point.
 """
 
@@ -35,6 +36,7 @@ __all__ = [
     "kernel",
     "rank",
     "solve",
+    "solve_combination",
     "SolveResult",
     "inverse",
     "Poly",
@@ -724,6 +726,24 @@ def _solve(n: int, rows: Iterable[Sequence]) -> Optional[SolveResult]:
         if row[n]:
             x[p] = Fraction(row[n], row[p])
     return SolveResult(tuple(x), _null_space(reduced, pivots, n))
+
+
+def solve_combination(mats: Sequence[Mat], target: Optional[Mat] = None) -> Optional[SolveResult]:
+    """Solve sum c_i mats[i] = target for c, target zero when None.
+
+    Returns None when no combination reaches target, otherwise one
+    particular c with the kernel {c : sum c_i mats[i] = 0}.  Each entry
+    gives one equation, written over one common denominator of all the
+    matrices, so the system reaches `_solve` in integers.
+    """
+    given = list(mats) if target is None else [*mats, target]
+    if len({(m.rows, m.cols) for m in given}) > 1:
+        raise ValueError("shape mismatch")
+    den = math.lcm(*[m._integer[0] for m in given])
+    flats = [[x * (den // m._integer[0]) for x in _flat(m)] for m in given]
+    # the target's entry, when there is one, lands in column len(mats);
+    # an entry where every matrix is zero gives no equation
+    return _solve(len(mats), filter(None, map(_sparse, zip(*flats))))
 
 
 def inverse(m: Mat) -> Mat:

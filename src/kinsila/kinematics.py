@@ -9,7 +9,18 @@ re-checked; their failure raises InternalFault, never a validation error.
 The exceptions are the Jacobi identity, checked when the LieAlgebra was
 built, on s (its s x s block once s closes) and on the action of s on P
 (the bracket condition, once ad s maps P into P): neither is checked a
-second time.
+second time.  Nor are these, each established before it is used:
+  - the two-form is antisymmetric: every `LieAlgebra` constructor fills
+    its table antisymmetrically;
+  - the radical of the two-form brackets P into s: step 10 puts [P, P]
+    in Z + s, and its Z coordinate is the two-form;
+  - a radical of half of P is a copy of V: an s-submodule, the form being
+    invariant, of V + V (step 5) of the dimension of V;
+  - the grading in `kahler_split`: [g0, g0] in g0 is steps 2 and 3,
+    [g0, g+-] in g+- its stable-under-fixed-part check, and [g+, g-] in
+    g0 the step-10 grading; only [g+, g+] and [g-, g-] are bracketed;
+  - a = ad(Z)|P commutes with the action of s, by Jacobi and step 3;
+  - a semisimple central action has a nonzero square (`z_action_split`).
 
 A document assigns its roles to basis vectors, so Z, s and P are
 coordinate subspaces, and the reduced echelon basis of each is its basis
@@ -20,12 +31,11 @@ from Z's row (step 3), the action of s on P from the s x P block (step
 4), the grading from the support of every nonzero structure constant
 (step 10), a = ad(Z)|P from the Z x P block, the two-form from the P x P
 block at Z, [P, P] from the P x P rows, [T, T] and the centralizer of P
-in [P, P] from a and the action of s on P, the radical's brackets with P
-from the P columns, the ideal test of P + Z from supports, P's meet with
-the radical from the radical's rows that lie in P, and the sigma-stable
-Levi factor through s as s plus an invariant complement of that meet in
-P on which the two-form vanishes, from one solve over Hom_s
-(`_levi_factor`).
+in [P, P] from a and the action of s on P, the ideal test of P + Z from
+supports, P's meet with the radical from the radical's rows that lie in
+P, and the sigma-stable Levi factor through s as s plus an invariant
+complement of that meet in P on which the two-form vanishes, from one
+solve over Hom_s (`_levi_factor`).
 """
 
 from __future__ import annotations
@@ -47,7 +57,6 @@ from .exactla import (
     _integer_echelon,
     _integer_kernel,
     _integer_mat,
-    _solve,
     _sparse,
     Echelon,
     Mat,
@@ -57,12 +66,15 @@ from .exactla import (
     kernel,
     rank,
     sn_decomposition,
+    solve_combination,
     sqrt_rational,
 )
 from .liecore import LieAlgebra, _sign_parts
 from .repth import (
     Rep,
+    Simplicity,
     _combination,
+    _is_isomorphism,
     certify_copy,
     check_simplicity,
     hom_space,
@@ -438,9 +450,6 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
                for m, c in struct[x].get(y, ()) if m == zi])
         for x in p_idx
     ))
-    if omega.transpose() != -omega:
-        raise InternalFault("central two-form is not antisymmetric",
-                            {"omega": omega.entries})
 
     # invariance under z and the s generators: rho(x), rho(y) give rho([x, y])
     actors = [("z", structure.a_matrix)]
@@ -464,30 +473,7 @@ def omega_and_radical(structure: KinStructure) -> SymplecticData:
                 "two-form radical breaks the trichotomy",
                 {"radical_dim": rad.dim, "p_dim": dp},
             )
-        rad_rep = rep_on_subspace(structure.p_rep, rad)
-        if certify_copy(structure.v_rep, rad_rep) is None:
-            raise InternalFault(
-                "two-form radical is not a copy of the simple summand",
-                {"radical_dim": rad.dim},
-            )
         case = "module"
-
-    # brackets of radical vectors with momenta stay inside the rotations:
-    # [r, e_y] = sum_k r_k [e_k, e_y], from the P columns of the table, is 0 off s
-    s_set = set(structure.s_space.pivots)
-    for r in rad.rows:
-        for y in p_idx:
-            w = [0] * alg.dim
-            for x, a in zip(p_idx, r):
-                if a:
-                    for m, c in struct[x].get(y, ()):
-                        if m not in s_set:
-                            w[m] += a * c
-            if any(w):
-                raise InternalFault(
-                    "bracket of a radical vector with momenta leaves the rotations",
-                    {"radical_basis": rad.basis},
-                )
     return SymplecticData(omega=omega, radical=rad, radical_case=case)
 
 
@@ -610,17 +596,11 @@ def _lagrangian_pair(
     """Whether omega vanishes on each of the two subspaces of P, and
     whether it pairs them with rank half of dim P.
 
-    The form is taken on the integer rows of the two subspaces: scaling
-    a vector changes neither a zero nor a rank."""
+    The Gram matrices are products of the bases' matrices with omega."""
 
-    def gram(left, right):
-        # omega is applied once per row of `left`
-        return [_sparse([sum(c * d for c, d in zip(wx, y)) for y in right.rows])
-                for wx in map(omega._integer_apply, left.rows)]
-
-    lagrangian = not any(any(gram(space, space)) for space in (first, second))
-    pairing = _integer_mat(second.dim, 1, tuple(gram(first, second)))
-    return lagrangian, rank(pairing) == omega.rows // 2
+    m1, m2 = first.basis_mat(), second.basis_mat()
+    lagrangian = all((m @ omega @ m.transpose()).is_zero() for m in (m1, m2))
+    return lagrangian, rank(m1 @ omega @ m2.transpose()) == omega.rows // 2
 
 
 def kahler_split(
@@ -645,8 +625,6 @@ def kahler_split(
             "square of the semisimple central action is not scalar",
             {"a_squared": zdata.square.entries},
         )
-    if mu == 0:
-        raise InternalFault("semisimple action with zero square is not zero", {})
     certificates: Dict[str, object] = {"a_squared_scalar": mu}
     notes: List[str] = [
         "the scalar square rescales by lambda^2 when the marked central "
@@ -690,21 +668,11 @@ def kahler_split(
             "eigenspace certificates failed for a semisimple positive square",
             {"checks": checks},
         )
+    # the other degrees of the grading are facts already checked:
+    # [g0, g0] in g0 is validate steps 2 and 3, [g0, g+-] in g+- is
+    # stable-under-fixed-part, and [g+, g-] in g0 is the step-10 grading
     g_zero = structure.z_space.sum_with(structure.s_space)
     grading = {"-1": g_minus, "0": g_zero, "1": g_plus}
-    # re-verify the three-step grading on the recorded subspaces; the
-    # degrees (1, 1) and (-1, -1) are the eigenspaces-abelian check
-    targets = {
-        ("1", "-1"): g_zero, ("0", "1"): g_plus, ("0", "-1"): g_minus,
-        ("0", "0"): g_zero,
-    }
-    for (i, j), target in targets.items():
-        got = structure.algebra.bracket_span(grading[i], grading[j])
-        if not target.contains_space(got):
-            raise InternalFault(
-                "grading subspaces fail the bracket inclusion",
-                {"degrees": (i, j)},
-            )
     certificates.update({
         "eigenvalue": root,
         "l_basis": lpos,
@@ -724,7 +692,8 @@ def _levi_factor(
     """(l, pr, L, the action on pr) for an abelian radical R and a
     nondegenerate two-form: l is the sigma-stable Levi factor through s,
     or None when none exists; pr = P meet R and L = P meet l, both in P
-    coordinates; the action on pr is None unless l is found.
+    coordinates; the action on pr is None unless l is found, and then
+    carries pr's certificate as a copy of L0 below.
 
     The grading splits the ideal R as R_h + pr, R_h = R meet h for
     h = Z + s (`_p_part`), with [P, pr] in R_h.  R = 0 gives l = g.
@@ -740,10 +709,13 @@ def _levi_factor(
     `structure.parts` meeting pr in zero is one such complement, every
     other is the graph of some phi in Hom_s(L0, pr), and as
     omega(phi x, phi y) = 0 the condition omega(x + phi x, y + phi y) = 0
-    on pairs of L0's basis is linear in phi: one solve, whose failure
-    proves that no l exists.  That L meets pr in zero, is invariant under
-    the generators' matrices and has omega = 0 on it is re-checked; a
-    failure raises InternalFault.
+    on pairs of L0's basis is linear in phi: one solve of the whole
+    antisymmetric matrix equation (`solve_combination`), whose failure
+    proves that no l exists.  pr has L0's dimension, so by Schur's lemma
+    the first element of the same Hom_s(L0, pr), checked invertible as
+    `certify_copy` checks it, certifies pr as a copy of L0.  That L meets
+    pr in zero, is invariant under the generators' matrices and has
+    omega = 0 on it is re-checked; a failure raises InternalFault.
     """
     n, dp = structure.algebra.dim, structure.p_space.dim
     meet, pr = _p_part(structure, rad)
@@ -763,25 +735,25 @@ def _levi_factor(
         raise InternalFault("no summand of P complements its meet with the radical",
                             {"pr_dim": pr.dim})
     homs = hom_space(base_rep, pr_rep)
-    k = base.dim
+    if homs:
+        if not _is_isomorphism(base_rep, pr_rep, homs[0]):
+            raise InternalFault("a nonzero intertwiner out of a simple module is not "
+                                "invertible", {"intertwiner": homs[0].entries})
+        pr_rep.simplicity = Simplicity("intertwiner", (homs[0],), source=base_rep)
     b, c = base.basis_mat(), pr.basis_mat()
     w = b @ omega
-    # one row per pair i < j: sum_h x_h (M_h - M_h^T)_ij = -omega(b_i, b_j),
-    # for M_h = (omega(b_i, c_r)) h and c_r the basis of pr
+    # sum_h x_h (M_h - M_h^T) = -(omega(b_i, b_j)) for M_h = (omega(b_i, c_r)) h,
+    # c_r the basis of pr
     w_pr = w @ c.transpose()
-    blocks = [m - m.transpose() for m in (w_pr @ h for h in homs)] + [-(w @ b.transpose())]
-    den = math.lcm(*[m._integer[0] for m in blocks])
-    flats = [[x * (den // m._integer[0]) for x in _flat(m)] for m in blocks]
-    found = _solve(len(homs), (
-        _sparse([f[i * k + j] for f in flats]) for i in range(k) for j in range(i + 1, k)
-    ))
+    found = solve_combination([m - m.transpose() for m in (w_pr @ h for h in homs)],
+                              -(w @ b.transpose()))
     if found is None:
         return None, pr, None, None
     # the rows of the graph: b_i + phi b_i = b_i + sum_r phi_ri c_r
     graph = (b + _combination(found.particular, homs).transpose() @ c) if homs else b
     pl = _integer_echelon(dp, graph._integer[1]).subspace()
     if (
-        pl.dim != k
+        pl.dim != base.dim
         or not pl.sum_with(pr).is_full()
         or any(pl.matrix_of(structure.p_rep.mats[g]) is None
                for g in structure.s_algebra.generators())
@@ -810,7 +782,6 @@ def poincare_certificate(
     alg = structure.algebra
     items: List[Tuple[str, bool, str]] = []
     dp = structure.p_space.dim
-    half = dp // 2
 
     rad_g = alg.solvable_radical()
     rad_abelian = alg.is_abelian_space(rad_g)
@@ -840,10 +811,10 @@ def poincare_certificate(
         ):
             items.append((name, False, "skipped: no complement available"))
     else:
-        dims_ok = pr.dim == half and pl.dim == half
-        lag_ok = pairing_ok = False
-        if dims_ok:
-            lag_ok, pairing_ok = _lagrangian_pair(sym.omega, pr, pl)
+        # the dimensions fail only for R = 0, where pr = 0, pl = P and
+        # every item below is false
+        dims_ok = pr.dim == pl.dim == dp // 2
+        lag_ok, pairing_ok = _lagrangian_pair(sym.omega, pr, pl)
         items.append((
             "p-splits-lagrangian-dual",
             dims_ok and lag_ok and pairing_ok,
@@ -851,27 +822,17 @@ def poincare_certificate(
             f"complement in dim {pl.dim}",
         ))
 
-        amap_ok = False
-        if dims_ok:
-            a = zdata.a_matrix
-            images = [a._integer_apply(b) for b in pl.rows]
-            full = len(_integer_echelon(dp, map(_sparse, images)).rows) == half
-            target = pr.echelon()
-            inside = not any(any(target._reduce(w)) for w in images)
-            # a map commuting with rho(x) and rho(y) commutes with rho([x, y])
-            intertwines = all(
-                (a @ m) == (m @ a) for m in map(structure.p_rep.mats.__getitem__,
-                                                structure.s_algebra.generators())
-            )
-            amap_ok = inside and full and intertwines
-        # with amap_ok, a restricted to pl is an exactly checked
-        # s-isomorphism onto pr: pr, whose module the search built, is
-        # certified once, and pl, a copy of pr along a, is a copy of V
-        # exactly when pr is
-        iso_ok = dims_ok and pr.dim > 0 and all(
-            certify_copy(structure.v_rep, piece) is not None
-            for piece in ((pr_rep,) if amap_ok else
-                          (pr_rep, rep_on_subspace(structure.p_rep, pl)))
+        # the rows of pl a^T are the images a b of pl's basis; a commutes
+        # with the rotations as ad Z does, [Z, s] = 0 being validate step 3
+        image = pl.basis_mat() @ zdata.a_matrix.transpose()
+        amap_ok = _integer_echelon(dp, image._integer[1]).subspace() == pr
+        # `_levi_factor` certified pr as a copy of the summand it solved
+        # from, V or V's certified copy; with amap_ok, a restricted to pl is
+        # an exactly checked s-isomorphism onto pr, so pl, a copy of pr
+        # along a, is a copy of V exactly when pr is
+        iso_ok = dims_ok and pr_rep.simplicity is not None and (
+            amap_ok or certify_copy(structure.v_rep, rep_on_subspace(structure.p_rep, pl))
+            is not None
         )
         items.append((
             "pieces-isomorphic-to-v",
@@ -879,13 +840,10 @@ def poincare_certificate(
             "each piece is simple and admits an intertwiner from the summand",
         ))
 
-        bracket_ok = False
-        if dims_ok:
-            span = alg.bracket_span(structure.p_space.embed(pr), structure.p_space.embed(pl))
-            bracket_ok = span == structure.z_space
+        span = alg.bracket_span(structure.p_space.embed(pr), structure.p_space.embed(pl))
         items.append((
             "bracket-of-pieces-is-z",
-            bracket_ok,
+            span == structure.z_space,
             "bracket of the two pieces spans exactly the central line",
         ))
 

@@ -23,7 +23,6 @@ from .exactla import (
     _integer_kernel,
     _integer_mat,
     _null_space,
-    _solve,
     _sparse,
     _unflat,
     Echelon,
@@ -35,6 +34,7 @@ from .exactla import (
     matrix_poly,
     min_poly,
     rank,
+    solve_combination,
 )
 from .liecore import LieAlgebra
 
@@ -358,16 +358,14 @@ def invariant_symmetric_forms(rep: Rep) -> List[Mat]:
     """
     d = rep.dim
     dual = Rep(rep.algebra, [-m.transpose() for m in rep.mats], check=False, dim=d)
-    # each H_i times its denominator, flattened: scaling H_i leaves the
-    # span of the symmetric combinations as it is
-    flats = [_flat(h) for h in hom_space(rep, dual)]
+    homs = hom_space(rep, dual)
     # sum c_i H_i is symmetric exactly when sum c_i (H_i - H_i^T) = 0
-    skew = [
-        _sparse([h[r * d + c] - h[c * d + r] for h in flats])
-        for r in range(d) for c in range(r + 1, d)
-    ]
+    symmetric = solve_combination([h - h.transpose() for h in homs]).kernel
+    # the H_i flattened over one denominator, combined in integers
+    den = math.lcm(*[h._integer[0] for h in homs])
+    flats = [[x * (den // h._integer[0]) for x in _flat(h)] for h in homs]
     forms = Echelon(d * d)
-    for c in _integer_kernel(len(flats), skew).rows:
+    for c in symmetric.rows:
         w = [0] * (d * d)
         for ci, h in zip(c, flats):
             if ci:
@@ -763,18 +761,7 @@ def invariant_complement(rep: Rep, space: Subspace) -> Subspace:
     sub = rep_on_subspace(rep, space)
     homs = hom_space(rep, sub)
     wcols = space.basis_mat().transpose()
-    # column i of the system is h_i|_W flattened, over one denominator
-    restricted = [h @ wcols for h in homs]
-    den = math.lcm(*[r._integer[0] for r in restricted])
-    flats = [[x * (den // r._integer[0]) for x in _flat(r)] for r in restricted]
-    eqs = []
-    for j in range(k * k):
-        eq = [(i, f[j]) for i, f in enumerate(flats) if f[j]]
-        if j % (k + 1) == 0:
-            # a diagonal entry: the right-hand side den id_W is den there
-            eq.append((len(homs), den))
-        eqs.append(eq)
-    found = _solve(len(homs), eqs)
+    found = solve_combination([h @ wcols for h in homs], Mat.identity(k))
     # the failed solve is the proof that W has no invariant complement
     if found is None:
         raise DecompositionError(
@@ -855,8 +842,10 @@ def simple_decomposition(rep: Rep) -> Decomposition:
     the smaller of the two taken first, the invariant subspace when their
     dimensions agree.  Raises DecompositionError when the module is not
     semisimple and SimplicityUndecided when irreducibility of a piece
-    cannot be certified.  The returned subspaces are verified independent
-    and spanning.
+    cannot be certified.  The returned subspaces are independent and span
+    the module with no further check: each split is a piece W plus a
+    complement that `_spun_complement` or `invariant_complement` checked
+    to fill the piece with W, and `embed` is injective.
     """
     d = rep.dim
     weyl = _semisimple(rep.algebra)
@@ -887,16 +876,6 @@ def simple_decomposition(rep: Rep) -> Decomposition:
             searched.append(sub)
         parts.append(piece)
         parts.modules.append(sub)
-    total = Subspace.zero(d)
-    count = 0
-    for p in parts:
-        count += p.dim
-        total = total.sum_with(p)
-    if count != d or not total.is_full():
-        raise InternalFault(
-            "summands fail to stack up to the whole module",
-            {"dims": [p.dim for p in parts]},
-        )
     return parts
 
 

@@ -471,9 +471,9 @@ FAULTS = {
         ["internal fault: no certificate found for a module of dimension 8"],
     ),
     "internal": (
-        InternalFault("summands fail to stack up", {"dims": [4, 3]}),
-        ["internal fault: summands fail to stack up",
-         "certificate: {'dims': [4, 3]}"],
+        InternalFault("two-form radical breaks the trichotomy", {"radical_dim": 3}),
+        ["internal fault: two-form radical breaks the trichotomy",
+         "certificate: {'radical_dim': 3}"],
     ),
 }
 

@@ -817,6 +817,78 @@ class TestSemisimpleNilpotentSplit:
         assert polynomial_in(m, Mat([[0, 0], [1, 0]])) is None
 
 
+def combination_by_hand(mats, target, rows, cols):
+    """`solve` on sum c_i mats[i] = target written out entry by entry: one
+    equation per entry, one column per matrix."""
+    system = Mat([[m[r, c] for m in mats] for r in range(rows) for c in range(cols)],
+                 cols=len(mats))
+    return solve(system, [target[r, c] for r in range(rows) for c in range(cols)])
+
+
+class TestSolveCombination:
+    def test_matches_solve_on_the_system_written_out_seeded(self):
+        rng = random.Random(3301)
+
+        def entry():
+            return rng.choice((0, 0, rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 6))))
+
+        def rand_mat(rows, cols):
+            return Mat([[entry() for _ in range(cols)] for _ in range(rows)])
+
+        kinds = set()
+        for _ in range(150):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            mats = [rand_mat(rows, cols) for _ in range(rng.randint(0, 5))]
+            if len(mats) >= 2 and rng.random() < 0.4:
+                # a dependent matrix, so the kernel is nonzero
+                mats.append(mats[0].scale(entry()) + mats[1].scale(entry()))
+            pick = rng.random()
+            if pick < 0.3 or not mats:
+                target = rand_mat(rows, cols)
+            elif pick < 0.6:
+                target = Mat.zeros(rows, cols)
+                for m in mats:
+                    target = target + m.scale(entry())
+            else:
+                target = None
+            zero = Mat.zeros(rows, cols)
+            want = combination_by_hand(mats, zero if target is None else target, rows, cols)
+            got = exactla.solve_combination(mats, target)
+            assert got == want
+            if got is None:
+                kinds.add("inconsistent")
+            else:
+                assert all(type(x) is F for x in got.particular)
+                kinds.add("kernel" if got.kernel.dim else "unique")
+        assert kinds == {"inconsistent", "kernel", "unique"}
+
+    def test_empty_list(self):
+        got = exactla.solve_combination([])
+        assert got.particular == () and got.kernel == Subspace.zero(0)
+        assert exactla.solve_combination([], Mat.zeros(2, 3)) == got
+        assert exactla.solve_combination([], Mat([[0, F(1, 2)]])) is None
+
+    def test_zero_target_gives_the_kernel(self):
+        a, b = Mat([[1, 2], [0, 1]]), Mat([[0, 1], [1, 0]])
+        mats = [a, b, a.scale(F(-3, 2)) + b.scale(4)]
+        got = exactla.solve_combination(mats)
+        assert got == exactla.solve_combination(mats, Mat.zeros(2, 2))
+        assert got.particular == (0, 0, 0)
+        assert got.kernel == Subspace.span(3, [(F(-3, 2), 4, -1)])
+        assert got == combination_by_hand(mats, Mat.zeros(2, 2), 2, 2)
+
+    def test_inconsistent_target(self):
+        mats = [Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, F(1, 3)]])]
+        assert exactla.solve_combination(mats, Mat([[0, 1], [0, 0]])) is None
+        assert exactla.solve_combination(mats, Mat([[2, 0], [0, 1]])).particular == (2, 3)
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError):
+            exactla.solve_combination([Mat.zeros(2, 2)], Mat.zeros(2, 3))
+        with pytest.raises(ValueError):
+            exactla.solve_combination([Mat.zeros(1, 2), Mat.zeros(2, 1)])
+
+
 class TestSqrtRational:
     def test_perfect_square(self):
         assert sqrt_rational(F(9, 4)) == F(3, 2)

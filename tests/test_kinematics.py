@@ -280,9 +280,10 @@ def test_classify_never_brackets_the_transvection_algebra(monkeypatch):
     assert not any(a == t and b == t for a, b in calls)
 
 
-def test_kahler_split_brackets_each_graded_pair_once(monkeypatch):
-    # [g+, g+] and [g-, g-] are the eigenspaces-abelian check; the grading
-    # re-check brackets only the other four pairs of degrees
+def test_kahler_split_brackets_only_the_eigenspaces(monkeypatch):
+    # [g+, g+] and [g-, g-] are the eigenspaces-abelian check; the other
+    # degrees of the grading are facts validate and the split check
+    # already, so no other pair is bracketed
     e = catalog.make("de_sitter", 4)
     z, s, p = entry_roles(e)
     st = validate(e.algebra, z, s, p)
@@ -298,25 +299,37 @@ def test_kahler_split_brackets_each_graded_pair_once(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "bracket_span", counted)
     split = kinematics.kahler_split(st, zdata, sym)
     assert split.certificates["checks"]["eigenspaces-abelian"]
-    assert len(calls) == len(set(calls)) == 6
+    assert len(calls) == len(set(calls)) == 2
+    assert all(a == b for a, b in calls)
 
 
 def test_poincare_pieces_are_certified_once(monkeypatch):
-    # the central action maps the complement piece onto the radical piece
-    # as s-modules, so only the complement piece is compared with V
-    calls = []
-    original = kinematics.certify_copy
+    # the Levi factor's search solves Hom_s(V, pr) once and certifies the
+    # radical piece pr by its first element; the central action maps the
+    # complement piece onto pr as s-modules, so no piece is compared with V
+    # again
+    copies, solved = [], []
+    original_copy, original_hom = kinematics.certify_copy, kinematics.hom_space
 
-    def counted(simple, module):
-        calls.append(module.dim)
-        return original(simple, module)
+    def counted_copy(simple, module):
+        copies.append(module.dim)
+        return original_copy(simple, module)
 
-    monkeypatch.setattr(kinematics, "certify_copy", counted)
+    def counted_hom(rep1, rep2):
+        solved.append((rep1, rep2))
+        return original_hom(rep1, rep2)
+
+    monkeypatch.setattr(kinematics, "certify_copy", counted_copy)
+    monkeypatch.setattr(kinematics, "hom_space", counted_hom)
     result, _ = classify_entry("poincare", 5)
     items = {name: ok for name, ok, _ in result.poincare_items}
     assert items["pieces-isomorphic-to-v"]
     assert items["z-action-maps-one-piece-onto-the-other"]
-    assert calls == [5]
+    assert copies == []
+    into_pieces = [(rep1, rep2) for rep1, rep2 in solved if rep2.dim == 5]
+    assert len(into_pieces) == 1
+    v, pr = into_pieces[0]
+    assert pr.simplicity.kind == "intertwiner" and pr.simplicity.source is v
 
 
 def test_transvection_carroll_is_flat_with_nonzero_brackets():

@@ -23,7 +23,9 @@ from conftest import (
 )
 from kinsila import catalog
 from kinsila.errors import NonAbelianRadicalError, ValidationError
+from kinsila.exactla import Subspace
 from kinsila.kinematics import (
+    _levi_factor,
     classify,
     omega_and_radical,
     poincare_certificate,
@@ -116,3 +118,26 @@ def test_classify_never_runs_the_generic_search(monkeypatch):
         labels.append(classify(alg, *roles).label)
     assert labels.count("poincare-type") == 6
     assert calls == []
+
+
+@pytest.mark.parametrize("names", [
+    # R = Z: pr = 0
+    ("H",),
+    # one s vector and the P_i: R_h lies in s
+    ("J1_2", "P1", "P2", "P3", "P4"),
+    # Z and one s vector: R_h is a plane
+    ("J1_2", "H"),
+], ids=["z", "s-line-and-momenta", "z-and-s-line"])
+def test_no_levi_factor_unless_the_radical_meets_h_in_a_line_outside_s(names):
+    # a graded l through s meets h = Z + s in a complement of R_h holding s,
+    # and dim h = dim s + 1, so l needs R_h to be a line outside s and pr
+    # to be nonzero; _levi_factor takes R as given, so coordinate radicals
+    # drive each absence branch on the catalog poincare structure at d = 4
+    alg, roles = catalog_poincare(4)
+    st = validate(alg, *roles)
+    indices = [alg.labels.index(name) for name in names]
+    rad = Subspace.coordinate(alg.dim, indices)
+    levi, pr, pl, pr_rep = _levi_factor(st, omega_and_radical(st).omega, rad)
+    assert (levi, pl, pr_rep) == (None, None, None)
+    p_idx = st.p_space.pivots
+    assert pr == Subspace.coordinate(len(p_idx), [p_idx.index(i) for i in indices if i in p_idx])

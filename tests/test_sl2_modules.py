@@ -6,11 +6,11 @@ Sym^n (x) Sym^n = Sym^2n + Sym^(2n-2) + ... + Sym^0, whose summand
 Sym^(2n-2k) lies in the exterior square for odd k and in the symmetric
 square for even k.
   - An invariant symmetric form on Sym^n is a copy of Sym^0 (k = n) in the
-    symmetric square, so there is one exactly when n is even: n = 1 fails
-    with NO_INVARIANT_FORM.
+    symmetric square, so there is one exactly when n is even: n = 1, 3, 5
+    and 7 fail with NO_INVARIANT_FORM.
   - Sym^n itself is the summand k = n/2, inside the exterior square when
-    n/2 is odd: n = 2 fails with WEDGE_CONDITION_FAILS, and n = 4 and 8
-    pass.
+    n/2 is odd: n = 2 and 6 fail with WEDGE_CONDITION_FAILS, and n = 4
+    and 8 pass.
   - With [P, P] = 0 the two-form vanishes, and P + Z is an ideal, so a
     valid input is `flat-rad-equals-P`.  A role-preserving change of
     basis keeps all of this, and so the report.
@@ -26,7 +26,10 @@ from kinsila.kinematics import classify
 from kinsila.liecore import LieAlgebra
 
 
-@pytest.mark.parametrize("n,code", [(1, "NO_INVARIANT_FORM"), (2, "WEDGE_CONDITION_FAILS")])
+@pytest.mark.parametrize("n,code", [
+    (1, "NO_INVARIANT_FORM"), (2, "WEDGE_CONDITION_FAILS"), (3, "NO_INVARIANT_FORM"),
+    (5, "NO_INVARIANT_FORM"), (6, "WEDGE_CONDITION_FAILS"), (7, "NO_INVARIANT_FORM"),
+])
 def test_small_modules_fail_their_check(n, code):
     algebra, roles = sl2_on_sym_pair(n)
     with pytest.raises(ValidationError) as err:

@@ -84,14 +84,15 @@ def test_a_kept_standard_basis_gives_the_same_intertwiners(monkeypatch):
 
 
 @pytest.mark.parametrize("workload, calls, builds", [
-    ("Catalog", 126, 24), ("Rebased", 168, 34),
+    ("Catalog", 123, 24), ("Rebased", 164, 34),
 ])
 def test_one_standard_basis_per_source_module(monkeypatch, workload, calls, builds):
     # one pass of the benchmark workload at seed 11: each operation solves
     # out of its summands alone, and spins each once.  Every poincare
-    # operation also solves Hom_s(L0, P meet rad g) for its Levi factor,
-    # out of V unless V meets the radical, as on 2 of the 4 rebased
-    # poincare draws, which then spin the other summand
+    # operation also solves Hom_s(L0, P meet rad g) once, for its Levi
+    # factor and for the certificate of P meet rad g, out of V unless V
+    # meets the radical, as on 2 of the 4 rebased poincare draws, which
+    # then spin the other summand
     solved = record_hom_spaces(monkeypatch)
     built = count_builds(monkeypatch)
     w = getattr(bench_workloads(), workload)()
