@@ -4,8 +4,9 @@ No structure constant in this file is written down by hand.  Each family
 is realized by explicit integer matrices; commutators are sparse integer
 products, their coordinates in the generator span are read off their
 entries at the pivots, and the expansion is re-verified entry by entry
-before it becomes a structure constant, a Fraction only when it is handed
-to `LieAlgebra`.
+before it becomes a structure constant.  The constants stay integers over
+one denominator, the form in which `LieAlgebra` holds its table, and no
+Fraction is built (`LieAlgebra._from_integers`, which checks Jacobi).
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .errors import InternalFault
-from .exactla import (
-    _dense, _fractions, _integer_echelon, _integer_mat, _sparse, Mat, inverse,
-)
+from .exactla import _integer_echelon, _integer_mat, _sparse, Mat, inverse
 from .liecore import LieAlgebra
 
 FAMILIES = (
@@ -229,13 +228,13 @@ def make(family: str, d: int) -> CatalogEntry:
                     "commutator is not in the generator span",
                     {"family": family, "d": d, "pair": (i, j)},
                 )
-            pairs[(i, j)] = _fractions(_dense(coords.items(), g), den)
+            pairs[(i, j)] = tuple(sorted(coords.items()))
 
     s_labels = _pair_labels(d)
     b_labels = [f"B{i}" for i in range(1, d + 1)]
     p_labels = [f"P{i}" for i in range(1, d + 1)]
     labels = s_labels + b_labels + p_labels + ["H"]
-    algebra = LieAlgebra(g, pairs, labels)
+    algebra = LieAlgebra._from_integers(labels, den, pairs)
     return CatalogEntry(
         family, d, algebra,
         z_label="H",

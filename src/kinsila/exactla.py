@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -489,7 +490,7 @@ class Subspace:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_support", tuple(
-            tuple([j for j in range(p + 1, ambient_dim) if row[j]])
+            tuple(compress(range(p + 1, ambient_dim), row[p + 1:]))
             for row, p in zip(rows, pivots)
         ))
 
@@ -519,7 +520,8 @@ class Subspace:
         """The span of the basis vectors at `indices`: their unit rows,
         in index order, are already its reduced echelon rows."""
         pivots = tuple(sorted(indices))
-        rows = tuple(tuple(int(j == i) for j in range(ambient_dim)) for i in pivots)
+        zeros = (0,) * ambient_dim
+        rows = tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in pivots)
         return Subspace(ambient_dim, rows, pivots)
 
     @property
@@ -570,10 +572,22 @@ class Subspace:
     def embed(self, sub: "Subspace") -> "Subspace":
         """`sub`, a subspace of the coordinate space of this basis, as a
         subspace of the ambient space: the span of the vectors whose
-        coefficients are sub's rows, combined in integers."""
+        coefficients are sub's rows, combined in integers.  When this is
+        a coordinate subspace (its rows are unit vectors), sub's rows
+        with each entry moved to its basis vector's index are already
+        reduced, and are taken as they are."""
         if sub.ambient_dim != self.dim:
             raise ValueError("need one coordinate per basis vector")
-        return self._image(sub.rows)
+        if any(self._support):
+            return self._image(sub.rows)
+        n, at = self.ambient_dim, self.pivots
+        rows = []
+        for row in sub.rows:
+            w = [0] * n
+            for i, x in zip(at, row):
+                w[i] = x
+            rows.append(tuple(w))
+        return Subspace(n, tuple(rows), tuple(at[p] for p in sub.pivots))
 
     def _image(self, coord_rows: Iterable[Sequence]) -> "Subspace":
         """The span of the vectors with these integer coefficients in
@@ -629,6 +643,23 @@ class Subspace:
             ech.add_integer(list(row))
         return ech.subspace()
 
+    def direct_sum(self, other: "Subspace") -> "Subspace":
+        """The sum with a subspace whose rows vanish at every index where
+        a row of this one does not (ValueError otherwise), as for the
+        parts of a space in the two eigenspaces of a +-1 diagonal map.
+        Each row of either is then zero at the other's pivots, so the
+        union of the two reduced echelon bases, sorted by pivot, is the
+        sum's: no elimination is run."""
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        used = set(self.pivots).union(*self._support)
+        if any(p in used or used.intersection(cols)
+               for p, cols in zip(other.pivots, other._support)):
+            raise ValueError("the two subspaces share a coordinate")
+        merged = sorted(zip(self.pivots + other.pivots, self.rows + other.rows))
+        return Subspace(self.ambient_dim, tuple(r for _, r in merged),
+                        tuple(p for p, _ in merged))
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -669,9 +700,12 @@ def _null_space(rows, pivots, cols: int) -> Subspace:
 
 def _integer_echelon(width: int, rows: Iterable[Sequence]) -> Echelon:
     """An Echelon holding integer rows, each given as the (column, entry)
-    pairs of its nonzero entries, as in a `Mat`'s integer view."""
+    pairs of its nonzero entries, as in a `Mat`'s integer view; once it
+    is full, no further row is read."""
     ech = Echelon(width)
     for row in rows:
+        if len(ech.rows) == width:
+            break
         ech.add_integer(_dense(row, width))
     return ech
 

@@ -20,7 +20,23 @@ second time.  Nor are these, each established before it is used:
     [g0, g+-] in g+- its stable-under-fixed-part check, and [g+, g-] in
     g0 the step-10 grading; only [g+, g+] and [g-, g-] are bracketed;
   - a = ad(Z)|P commutes with the action of s, by Jacobi and step 3;
-  - a semisimple central action has a nonzero square (`z_action_split`).
+  - a semisimple central action has a nonzero square (`z_action_split`);
+  - faithfulness on V (step 7): it is asked of P, whose matrices are
+    read off the table, as ker rho_P = ker rho_V meet ker rho_W and W is
+    a copy of V (step 5), so ker rho_W = ker rho_V.
+Invariance and intertwining are asked of the Lie generators of s only:
+a subspace or map compatible with rho(x) and rho(y) is compatible with
+rho([x, y]).
+
+sigma, -1 on P and +1 on h = Z + s, is an automorphism (step 10), so
+every subspace built from brackets is graded by it.  The Killing form
+has K(h, P) = 0, as K(sigma x, sigma y) = K(x, y), and [g, g] and rad g
+are each an h part plus a P part, so the Poincare certificate's radical
+is computed on the two blocks apart (`LieAlgebra.solvable_radical` with
+sigma's signs).  Two subspaces whose rows live on disjoint sets of
+indices, such as h's and P's, are added by putting their rows together
+(`Subspace.direct_sum`): T = [P, P] + P, [T, T] = [P, P] + (ad u)P, the
+Levi factor s + L, and g0 = Z + s in `kahler_split`.
 
 A document assigns its roles to basis vectors, so Z, s and P are
 coordinate subspaces, and the reduced echelon basis of each is its basis
@@ -74,6 +90,7 @@ from .repth import (
     Rep,
     Simplicity,
     _combination,
+    _generator_mats,
     _is_isomorphism,
     certify_copy,
     check_simplicity,
@@ -385,8 +402,8 @@ def validate(
         fail(6, "a decomposition summand failed its own simplicity certificate")
     ok(6)
 
-    # 7: the action on the summand is faithful
-    if not is_faithful(v_rep):
+    # 7: the action on the summand is faithful, asked of P (module docstring)
+    if not is_faithful(p_rep):
         fail(7, "the rotation subalgebra does not act faithfully on the summand")
     ok(7)
 
@@ -526,9 +543,10 @@ def transvection_and_holonomy(structure: KinStructure) -> TransvectionData:
     moved = Echelon(dp)
     for w in ads:
         for col in range(dp):
-            moved.add_integer(w[col::dp])
-    transvection = pp.sum_with(structure.p_space)
-    derived = pp.sum_with(structure.p_space.embed(moved.subspace()))
+            if len(moved.rows) < dp:
+                moved.add_integer(w[col::dp])
+    transvection = pp.direct_sum(structure.p_space)
+    derived = pp.direct_sum(structure.p_space.embed(moved.subspace()))
     cent = pp.embed(_integer_kernel(len(ads), (
         _sparse([w[j] for w in ads]) for j in range(dp * dp)
     )))
@@ -652,7 +670,7 @@ def kahler_split(
     checks["half-dimensions"] = lpos.dim == dp // 2 and lneg.dim == dp // 2
     checks["stable-under-fixed-part"] = all(
         space.matrix_of(m) is not None
-        for m in list(structure.p_rep.mats) + [a]
+        for m in _generator_mats(structure.p_rep) + [a]
         for space in (lpos, lneg)
     )
     g_plus = structure.p_space.embed(lpos)
@@ -671,7 +689,7 @@ def kahler_split(
     # the other degrees of the grading are facts already checked:
     # [g0, g0] in g0 is validate steps 2 and 3, [g0, g+-] in g+- is
     # stable-under-fixed-part, and [g+, g-] in g0 is the step-10 grading
-    g_zero = structure.z_space.sum_with(structure.s_space)
+    g_zero = structure.z_space.direct_sum(structure.s_space)
     grading = {"-1": g_minus, "0": g_zero, "1": g_plus}
     certificates.update({
         "eigenvalue": root,
@@ -709,13 +727,20 @@ def _levi_factor(
     `structure.parts` meeting pr in zero is one such complement, every
     other is the graph of some phi in Hom_s(L0, pr), and as
     omega(phi x, phi y) = 0 the condition omega(x + phi x, y + phi y) = 0
-    on pairs of L0's basis is linear in phi: one solve of the whole
-    antisymmetric matrix equation (`solve_combination`), whose failure
-    proves that no l exists.  pr has L0's dimension, so by Schur's lemma
-    the first element of the same Hom_s(L0, pr), checked invertible as
-    `certify_copy` checks it, certifies pr as a copy of L0.  That L meets
-    pr in zero, is invariant under the generators' matrices and has
-    omega = 0 on it is re-checked; a failure raises InternalFault.
+    on pairs of L0's basis is linear in phi: omega|L0 + beta - beta^T = 0
+    for beta(x, y) = omega(x, phi y), one solve of the whole antisymmetric
+    matrix equation (`solve_combination`).  It always has a solution:
+    pr is isotropic of half the dimension of P, so Lagrangian, and omega
+    is nondegenerate and s-invariant (`omega_and_radical`), so c ->
+    omega(-, c)|L0 is an s-isomorphism of pr onto the dual of L0, and
+    phi -> beta identifies Hom_s(L0, pr) with the s-invariant bilinear
+    forms on L0, among which beta = -omega|L0 / 2 solves.  A failed solve
+    is a failed theorem and raises InternalFault; so once R_h is a line
+    outside s and pr is nonzero, l exists.  pr has L0's dimension, so by
+    Schur's lemma the first element of the same Hom_s(L0, pr), checked
+    invertible as `certify_copy` checks it, certifies pr as a copy of L0.
+    That L meets pr in zero, is invariant under the generators' matrices
+    and has omega = 0 on it is re-checked; a failure raises InternalFault.
     """
     n, dp = structure.algebra.dim, structure.p_space.dim
     meet, pr = _p_part(structure, rad)
@@ -748,7 +773,8 @@ def _levi_factor(
     found = solve_combination([m - m.transpose() for m in (w_pr @ h for h in homs)],
                               -(w @ b.transpose()))
     if found is None:
-        return None, pr, None, None
+        raise InternalFault("no Lagrangian invariant complement solves although "
+                            "-omega/2 on the summand gives one", {"pr_dim": pr.dim})
     # the rows of the graph: b_i + phi b_i = b_i + sum_r phi_ri c_r
     graph = (b + _combination(found.particular, homs).transpose() @ c) if homs else b
     pl = _integer_echelon(dp, graph._integer[1]).subspace()
@@ -761,7 +787,7 @@ def _levi_factor(
     ):
         raise InternalFault("the graph found is not a Lagrangian invariant complement",
                             {"basis": pl.basis})
-    return structure.s_space.sum_with(structure.p_space.embed(pl)), pr, pl, pr_rep
+    return structure.s_space.direct_sum(structure.p_space.embed(pl)), pr, pl, pr_rep
 
 
 def poincare_certificate(
@@ -773,7 +799,11 @@ def poincare_certificate(
     """Itemized certificate for the nilpotent, nondegenerate case.
 
     The graded complement through s is the Levi factor `_levi_factor`
-    finds; when it finds none, none exists.
+    finds.  There is none when the radical R is not abelian (none is
+    searched), or when R meets h = Z + s in other than a line outside s,
+    or R misses P: a graded l through s meets h in a complement of R meet
+    h holding s, so then none exists.  Otherwise `_levi_factor`'s one
+    solve always succeeds.
     """
     if zdata.kind != "nilpotent":
         raise ValueError("certificate asked outside the nilpotent case")
@@ -783,7 +813,7 @@ def poincare_certificate(
     items: List[Tuple[str, bool, str]] = []
     dp = structure.p_space.dim
 
-    rad_g = alg.solvable_radical()
+    rad_g = alg.solvable_radical(_sigma_signs(structure), _generating_rows(structure))
     rad_abelian = alg.is_abelian_space(rad_g)
     levi = None
     if rad_abelian:
@@ -882,7 +912,7 @@ def _p_part(structure: KinStructure, space: Subspace) -> Tuple[Subspace, Subspac
     `space`."""
     p_idx = structure.p_space.pivots
     p_pos = {i: k for k, i in enumerate(p_idx)}
-    parts = _sign_parts(space, [-1 if i in p_pos else 1 for i in range(space.ambient_dim)])
+    parts = _sign_parts(space, _sigma_signs(structure))
     if parts is None:
         raise InternalFault(
             "claimed momentum subspace leaves the momentum space",
@@ -891,6 +921,28 @@ def _p_part(structure: KinStructure, space: Subspace) -> Tuple[Subspace, Subspac
     meet = parts[-1]
     return meet, Subspace(len(p_idx), tuple(tuple(row[i] for i in p_idx) for row in meet.rows),
                           tuple(p_pos[p] for p in meet.pivots))
+
+
+def _sigma_signs(structure: KinStructure) -> List[int]:
+    """The diagonal entries of sigma: -1 on P, +1 off it."""
+    p = set(structure.p_space.pivots)
+    return [-1 if i in p else 1 for i in range(structure.algebra.dim)]
+
+
+def _generating_rows(structure: KinStructure) -> List[List[int]]:
+    """Integer rows that generate g under brackets: the Lie generators of
+    s, Z, and one vector of each simple summand of P, whose spin under
+    the generators of s, a sum of brackets with them, is that summand."""
+    n = structure.algebra.dim
+    s_idx, p_idx = structure.s_space.pivots, structure.p_space.pivots
+    rows = [[int(j == i) for j in range(n)] for i in
+            [s_idx[k] for k in structure.s_algebra.generators()] + [structure.z_space.pivots[0]]]
+    for part in structure.parts:
+        w = [0] * n
+        for i, x in zip(p_idx, part.rows[0]):
+            w[i] = x
+        rows.append(w)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
+    _dense,
     _fractions,
-    _integer_echelon,
     _integer_kernel,
     _integer_mat,
     _integer_row,
@@ -67,12 +67,31 @@ class LieAlgebra:
             values[(i, j)] = vv
         # the integer view of the matrix whose rows are the brackets
         den, rows = Mat(list(values.values()), cols=dim)._integer
-        struct = [{} for _ in range(dim)]
-        for (i, j), row in zip(values, rows):
+        self._integer_table(labels, den, dict(zip(values, rows)))
+
+    @classmethod
+    def _from_integers(cls, labels: list, den: int, pairs: Dict[Tuple[int, int], tuple]
+                       ) -> "LieAlgebra":
+        """The algebra with [e_i, e_j] = sum of c e_m / den over the sparse
+        integer pairs (m, c) of pairs[(i, j)], i < j, in column order, for
+        a builder that holds its constants as integers (`catalog.make`);
+        the Jacobi identity is checked as in the constructor."""
+        alg = cls.__new__(cls)
+        alg._integer_table(labels, den, pairs)
+        return alg
+
+    def _integer_table(self, labels: list, den: int, pairs: Dict[Tuple[int, int], tuple]):
+        """Fill the table antisymmetrically from the rows at i < j over den,
+        reduced to the least common denominator, and check Jacobi."""
+        g = math.gcd(den, *[c for row in pairs.values() for _, c in row])
+        struct = [{} for _ in labels]
+        for (i, j), row in pairs.items():
             if row:
+                if g != 1:
+                    row = tuple([(m, c // g) for m, c in row])
                 struct[i][j] = row
-                struct[j][i] = tuple((m, -c) for m, c in row)
-        self._table(labels, den, struct)
+                struct[j][i] = tuple([(m, -c) for m, c in row])
+        self._table(labels, den // g, struct)
         bad = self.jacobi_defect()
         if bad is not None:
             raise JacobiError(*bad)
@@ -92,7 +111,7 @@ class LieAlgebra:
         self._den = den
         self._struct = struct
         self._killing: Optional[Mat] = None
-        self._derived: Optional[Subspace] = None
+        self._semisimple: Optional[bool] = None
         self._radical: Optional[Subspace] = None
         self._generators: Optional[tuple] = None
 
@@ -213,31 +232,58 @@ class LieAlgebra:
     # -- derived objects ---------------------------------------------------
     def killing_form(self) -> Mat:
         """Gram matrix of (x, y) -> trace(ad x ad y) in the defining basis,
-        summed in integers over D^2."""
+        summed in integers over D^2 from the transposed table: for u_mk
+        the vector whose i-th entry is the coefficient of e_k in [e_i,
+        e_m], K = sum over the pairs (m, k) of u_mk u_km^T."""
         if self._killing is None:
             n = self.dim
-            # ad[i][m][k]: the coefficient of e_k in [e_i, e_m], times D
-            ad = [{m: dict(row) for m, row in si.items()} for si in self._struct]
+            u: Dict[Tuple[int, int], list] = {}
+            for i, si in enumerate(self._struct):
+                for m, row in si.items():
+                    for k, c in row:
+                        u.setdefault((m, k), []).append((i, c))
             rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    s = 0
-                    for k, row in self._struct[j].items():
-                        for m, a in row:
-                            im = ad[i].get(m)
-                            if im is not None:
-                                s += a * im.get(k, 0)
-                    rows[i][j] = s
-                    rows[j][i] = s
+            for (m, k), col in u.items():
+                other = u.get((k, m))
+                if other is not None:
+                    for i, a in col:
+                        r = rows[i]
+                        for j, b in other:
+                            r[j] += a * b
             self._killing = _integer_mat(n, self._den ** 2, tuple(map(_sparse, rows)))
         return self._killing
 
+    def is_semisimple(self) -> bool:
+        """The algebra is nonzero with a nondegenerate Killing form: Cartan's
+        criterion for semisimplicity, the hypothesis of Weyl's theorem.
+        Decided once and kept, as the Killing form is."""
+        if self._semisimple is None:
+            self._semisimple = 0 < self.dim == rank(self.killing_form())
+        return self._semisimple
+
+    def _derived_parts(self, sign: Sequence[int]) -> Dict[int, Tuple[list, Echelon]]:
+        """For each eigenvalue eps of the diagonal map with entries sign[i]
+        = +-1, a grading of the bracket: the sorted indices where sign is
+        eps, and [g, g]'s part there as an `Echelon` in their coordinates.
+        The bracket of two basis vectors lies in the eigenspace of the
+        product of their signs, so [g, g] is the sum of the parts; each
+        echelon takes no row once it is full."""
+        blocks = {}
+        for eps in (1, -1):
+            idx = [i for i, e in enumerate(sign) if e == eps]
+            blocks[eps] = (idx, {i: k for k, i in enumerate(idx)}, Echelon(len(idx)))
+        for i, si in enumerate(self._struct):
+            for j, row in si.items():
+                if j > i:
+                    _, pos, ech = blocks[sign[i] * sign[j]]
+                    if len(ech.rows) < ech.width:
+                        ech.add_integer(_dense([(pos[m], c) for m, c in row], ech.width))
+        return {eps: (idx, ech) for eps, (idx, _, ech) in blocks.items()}
+
     def derived_subalgebra(self) -> Subspace:
-        if self._derived is None:
-            self._derived = _integer_echelon(self.dim, (
-                row for i, si in enumerate(self._struct) for j, row in si.items() if j > i
-            )).subspace()
-        return self._derived
+        """[g, g]: the span of the brackets of the basis pairs."""
+        _, derived = self._derived_parts([1] * self.dim)[1]
+        return derived.subspace()
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
         """[a, b]: the echelon rows of a and b bracketed in integers into
@@ -257,10 +303,17 @@ class LieAlgebra:
     def is_subalgebra(self, space: Subspace) -> bool:
         return space.contains_space(self.bracket_span(space, space))
 
-    def is_ideal(self, space: Subspace) -> bool:
-        return space.contains_space(
-            self.bracket_span(Subspace.full(self.dim), space)
-        )
+    def is_ideal(self, space: Subspace, generators: Optional[Sequence[Sequence[int]]] = None
+                 ) -> bool:
+        """[x, space] lies in space for every x of `generators`, integer
+        rows that generate g under brackets (default the basis), so for
+        every x in g: by the Jacobi identity the x that satisfy it form a
+        subalgebra.  Each bracket is reduced against space's rows."""
+        if generators is None:
+            generators = Subspace.full(self.dim).rows
+        ech = space.echelon()
+        return not any(any(ech._reduce(self._integer_bracket(x, r)))
+                       for x in generators for r in space.rows)
 
     def is_abelian_space(self, space: Subspace) -> bool:
         return self.bracket_span(space, space).is_zero()
@@ -282,24 +335,47 @@ class LieAlgebra:
             s, derived = derived, self.bracket_span(derived, derived)
         return s.is_zero()
 
-    def solvable_radical(self) -> Subspace:
-        """Largest solvable ideal, certified before being returned.
+    def solvable_radical(
+        self,
+        sign: Optional[Sequence[int]] = None,
+        generators: Optional[Sequence[Sequence[int]]] = None,
+    ) -> Subspace:
+        """Largest solvable ideal, certified before being returned, and kept.
 
         In characteristic zero this is the Killing-orthogonal complement
-        of the derived subalgebra; the ideal and solvability properties
-        are nevertheless re-checked on the computed space.
+        of the derived subalgebra.  `sign` holds the entries +-1 of a
+        diagonal automorphism sigma (default the identity; ValueError
+        when the map does not preserve the bracket), which grades both:
+        K(x, y) = K(sigma x, sigma y) vanishes between the two
+        eigenspaces, and [g, g] is the sum of its parts in them
+        (`_derived_parts`).  So the radical's part in each eigenspace is
+        the kernel of K's block there against [g, g]'s part, computed in
+        that eigenspace's coordinates, and the radical is their direct
+        sum, with no elimination across the two.  The ideal and
+        solvability properties are nevertheless re-checked on the
+        computed space; the ideal test brackets it with `generators`,
+        integer rows generating g (`is_ideal`).
         """
+        n = self.dim
+        if sign is None:
+            sign = [1] * n
+        elif len(sign) != n or not set(sign) <= {1, -1} or not self._graded(sign):
+            raise ValueError("sign is not a +-1 grading of the bracket")
         if self._radical is None:
-            derived = self.derived_subalgebra()
-            if derived.is_zero():
-                rad = Subspace.full(self.dim)
-            else:
-                killing = self.killing_form()
-                rad = _integer_kernel(self.dim, (
-                    _sparse(killing._integer_apply(d)) for d in derived.rows
-                ))
+            killing = self.killing_form()._integer[1]
+            rad = Subspace.zero(n)
+            for idx, derived in self._derived_parts(sign).values():
+                pos = {i: k for k, i in enumerate(idx)}
+                # K's rows on this block; K vanishes off the blocks
+                block = [[(pos[j], x) for j, x in killing[i]] for i in idx]
+                if len(derived.rows) < derived.width:
+                    # K d for each row d of the part, K being symmetric
+                    block = [_sparse([sum(x * d[j] for j, x in row) for row in block])
+                             for d in derived.rows]
+                part = _integer_kernel(len(idx), block)
+                rad = rad.direct_sum(Subspace.coordinate(n, idx).embed(part))
             # kept, printed in the report (radical-abelian gives its dimension)
-            if not self.is_ideal(rad):
+            if not self.is_ideal(rad, generators):
                 raise InternalFault(
                     "computed radical is not an ideal",
                     {"radical_basis": rad.basis},

@@ -43,9 +43,11 @@ class Rep:
     """A Lie algebra representation given by one matrix per basis element.
 
     The defining condition rho([e_i, e_j]) = rho(e_i) rho(e_j) -
-    rho(e_j) rho(e_i) is checked on all basis pairs at construction.
-    `mats` is a tuple that nothing reassigns, so what is computed from it
-    alone is kept on the module once built: the standard basis that every
+    rho(e_j) rho(e_i) is checked on all basis pairs at construction when
+    `check` is set.  `mats` is a sequence that nothing reassigns: a tuple, or for a module
+    derived from another (`_derived_rep`) a `_Matrices`, which builds a
+    matrix on its first read.  What is computed from the matrices alone
+    is kept on the module once built: the standard basis that every
     `hom_space` out of it solves over, and the enveloping algebra.
     """
 
@@ -56,10 +58,15 @@ class Rep:
         check: bool = True,
         dim: Optional[int] = None,
     ):
-        mats = tuple(mats)
+        lazy = isinstance(mats, _Matrices)
+        if not lazy:
+            mats = tuple(mats)
         if len(mats) != algebra.dim:
             raise RepError("need exactly one matrix per basis element")
-        if mats:
+        if lazy:
+            # `_derived_rep` builds every matrix at the declared dimension
+            d = dim
+        elif mats:
             d = mats[0].rows
             for m in mats:
                 if m.rows != d or m.cols != d:
@@ -130,14 +137,61 @@ class Simplicity:
 # ---------------------------------------------------------------------------
 # basic constructions
 
+class _Matrices:
+    """The matrices of a module derived from a source module: the one at
+    basis index i is build(the source's matrix at i).  `_derived_rep`
+    builds the Lie generators' at once; any other is built on its first
+    read and kept.  build returns None when the source's matrix does not
+    preserve a subspace; the generators' matrices preserving it, so does
+    every basis element's, as the source is a module, so None there is a
+    failed theorem and raises InternalFault."""
+
+    __slots__ = ("_source", "_build", "_built")
+
+    def __init__(self, source: Sequence[Mat], build, built: list):
+        self._source = source
+        self._build = build
+        self._built = built
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, i: int) -> Mat:
+        m = self._built[i]
+        if m is None:
+            m = self._build(self._source[i])
+            if m is None:
+                raise InternalFault("a subspace invariant under the Lie generators "
+                                    "is not invariant under a basis element", {"index": i})
+            self._built[i] = m
+        return m
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._built)))
+
+
+def _derived_rep(rep: Rep, dim: int, build) -> Optional[Rep]:
+    """The module of dimension `dim` whose matrix at each basis index is
+    build(rep's matrix there), or None when build returns None for a Lie
+    generator: a subspace invariant under rho(x) and rho(y) is invariant
+    under rho([x, y]), so the generators decide invariance, and the other
+    matrices are built only when read (`_Matrices`)."""
+    built: list = [None] * rep.algebra.dim
+    for i in rep.algebra.generators():
+        built[i] = build(rep.mats[i])
+        if built[i] is None:
+            return None
+    return Rep(rep.algebra, _Matrices(rep.mats, build, built), check=False, dim=dim)
+
+
 def rep_on_subspace(rep: Rep, space: Subspace) -> Rep:
     """Restriction of `rep` to an invariant subspace, in its echelon basis."""
     if space.is_zero():
         raise ValueError("restriction to the zero subspace")
-    mats = [space.matrix_of(m) for m in rep.mats]
-    if None in mats:
+    sub = _derived_rep(rep, space.dim, space.matrix_of)
+    if sub is None:
         raise ValueError("subspace is not invariant")
-    return Rep(rep.algebra, mats, check=False, dim=space.dim)
+    return sub
 
 
 def wedge_square(rep: Rep) -> Rep:
@@ -160,8 +214,7 @@ def wedge_square(rep: Rep) -> Rep:
         elif a > b:
             out[index[(b, a)]][col] -= coeff
 
-    mats = []
-    for m in rep.mats:
+    def wedge(m: Mat) -> Mat:
         # m e_i = sum_k M[k][i] e_k / den, read off the columns of the view
         den, view = m._integer
         mcols = [[] for _ in range(d)]
@@ -174,8 +227,9 @@ def wedge_square(rep: Rep) -> Rep:
                 wedge_coord(out, col, k, j, x)
             for k, x in mcols[j]:
                 wedge_coord(out, col, i, k, x)
-        mats.append(_integer_mat(n2, den, tuple(map(_sparse, out))))
-    return Rep(rep.algebra, mats, check=False, dim=n2)
+        return _integer_mat(n2, den, tuple(map(_sparse, out)))
+
+    return _derived_rep(rep, n2, wedge)
 
 
 def is_faithful(rep: Rep) -> bool:
@@ -291,7 +345,8 @@ def hom_space(rep1: Rep, rep2: Rep) -> List[Mat]:
         commuting with the generators, and T commuting with rho(x) and
         rho(y) commutes with rho([x, y]), so with every basis element.
     `_is_isomorphism`, which re-checks the intertwiners that certify
-    simplicity, still tests every matrix, as a guard against a bug here.
+    simplicity, tests the rank and the generators' matrices, as a guard
+    against a bug here.
     Both modules must be of the same algebra object, whose generating set
     is used.
     """
@@ -357,7 +412,7 @@ def invariant_symmetric_forms(rep: Rep) -> List[Mat]:
     their subspace of Q^(d^2), with B read row by row.
     """
     d = rep.dim
-    dual = Rep(rep.algebra, [-m.transpose() for m in rep.mats], check=False, dim=d)
+    dual = _derived_rep(rep, d, lambda m: -m.transpose())
     homs = hom_space(rep, dual)
     # sum c_i H_i is symmetric exactly when sum c_i (H_i - H_i^T) = 0
     symmetric = solve_combination([h - h.transpose() for h in homs]).kernel
@@ -486,17 +541,17 @@ def _conic_point(a, b) -> Optional[Tuple[Fraction, Fraction, Fraction]]:
 
 
 def _certify_reducible(rep: Rep, space: Subspace):
-    """(False, space), `space` checked proper and invariant; the action on
-    it that the check computes is kept as `rep.witness`."""
+    """(False, space), `space` checked proper and invariant under the Lie
+    generators' matrices, so under every matrix; the action on it that the
+    check computes is kept as `rep.witness`."""
     if space.is_zero() or space.is_full():
         raise InternalFault("reducibility certificate is not proper", {})
-    mats = [space.matrix_of(m) for m in rep.mats]
-    if None in mats:
+    rep.witness = _derived_rep(rep, space.dim, space.matrix_of)
+    if rep.witness is None:
         raise InternalFault(
             "reducibility certificate is not invariant",
             {"basis": space.basis},
         )
-    rep.witness = Rep(rep.algebra, mats, check=False, dim=space.dim)
     return False, space
 
 
@@ -511,7 +566,7 @@ def _kernel_probe(rep: Rep, a: Mat, spun: set) -> Optional[Subspace]:
     already seen to spin to the whole module, which are skipped; each new
     one is added.  A subspace invariant under rho(x) and rho(y) is
     invariant under rho([x, y]); `_certify_reducible` still checks a
-    proper closure against every matrix."""
+    proper closure against the generators' matrices."""
     gens = _generator_mats(rep)
     for w in kernel(a).rows:
         if w not in spun:
@@ -591,6 +646,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     1. Kernel spins: the kernel vectors of each nonzero basis matrix, in
        index order, are spun once each (`_kernel_probe`); the first
        proper spin is the witness, so it depends only on the matrices.
+       A matrix of a derived module is built when the walk reaches it.
     2. Semisimplicity: by Weyl's theorem when the algebra is semisimple.
        Otherwise the enveloping algebra is spun from the identity
        (`enveloping_basis`): a scalar one leaves a line invariant, and a
@@ -617,7 +673,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
             if closure is not None:
                 return _certify_reducible(rep, closure)
 
-    if not _semisimple(rep.algebra):
+    if not rep.algebra.is_semisimple():
         env = enveloping_basis(rep)
         witness = Subspace.coordinate(d, [0]) if len(env) == 1 else _radical_image(env, d)
         if not witness.is_zero():
@@ -645,25 +701,24 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
     )
 
 
-def _semisimple(algebra: LieAlgebra) -> bool:
-    """The algebra is nonzero with a nondegenerate Killing form: Cartan's
-    criterion for semisimplicity, the hypothesis of Weyl's theorem."""
-    return 0 < algebra.dim == rank(algebra.killing_form())
-
-
 def _is_isomorphism(source: Rep, target: Rep, t: Mat) -> bool:
-    # kept as a cheap guard against a bug in the code (hom_space uses generators)
+    """t is invertible and intertwines the Lie generators' matrices, so
+    every basis element's; kept as a cheap guard against a bug in the
+    solve of `hom_space`.  False for modules of two algebra objects."""
     return (
-        t.rows == target.dim
+        source.algebra is target.algebra
+        and t.rows == target.dim
         and t.cols == source.dim
         and rank(t) == source.dim == target.dim
-        and all(t @ a == b @ t for a, b in zip(source.mats, target.mats))
+        and all(t @ a == b @ t
+                for a, b in zip(_generator_mats(source), _generator_mats(target)))
     )
 
 
 def check_simplicity(rep: Rep) -> bool:
     """Re-verify the evidence recorded in `rep.simplicity`: the recorded
-    elements commute with the action, the module is semisimple, E has the
+    elements commute with the Lie generators' matrices, so with the
+    action, the module is semisimple, E has the
     dimension its kind needs, and the polynomial or conic that makes E a
     division algebra is solved again.  The module's standard basis and
     envelope are reused, not spun again: they are functions of its
@@ -679,7 +734,8 @@ def check_simplicity(rep: Rep) -> bool:
         return check_simplicity(cert.source) and _is_isomorphism(
             cert.source, rep, cert.mats[0]
         )
-    if not all(x @ m == m @ x for x in cert.mats for m in rep.mats):
+    gens = _generator_mats(rep)
+    if not all(x @ m == m @ x for x in cert.mats for m in gens):
         return False
     # the recorded elements span a division algebra (Q for "commutant"),
     # which is all of E when their dimensions agree
@@ -695,7 +751,7 @@ def check_simplicity(rep: Rep) -> bool:
         return False
     # V is semisimple by Weyl's theorem, else by Dickson's criterion
     return division and len(hom_space(rep, rep)) == dim and (
-        _semisimple(rep.algebra) or _radical_image(enveloping_basis(rep), rep.dim).is_zero()
+        rep.algebra.is_semisimple() or _radical_image(enveloping_basis(rep), rep.dim).is_zero()
     )
 
 
@@ -848,7 +904,7 @@ def simple_decomposition(rep: Rep) -> Decomposition:
     to fill the piece with W, and `embed` is injective.
     """
     d = rep.dim
-    weyl = _semisimple(rep.algebra)
+    weyl = rep.algebra.is_semisimple()
     parts = Decomposition()
     searched: List[Rep] = []
     # each piece with the action on it, when known, in its echelon basis

@@ -289,12 +289,12 @@ def dense_block(rng, k):
             return rows
 
 
-def dense_rebase(alg, roles, rng):
+def dense_rebase(alg, roles, rng, mixing=None):
     """(pairs, lam) as `bench/workloads.rebase` returns them with
-    `dense_block` as its mixing block: the same draws from rng and the
-    same structure constants, bracketed in integers through the algebra's
-    table instead of in Fractions, which takes about 0.8 s a draw at
-    d = 6."""
+    `mixing` as its mixing block (default `dense_block`): the same draws
+    from rng and the same structure constants, bracketed in integers
+    through the algebra's table instead of in Fractions, which takes
+    about 0.8 s a draw at d = 6."""
     (z,), s_idx, p_idx = roles
     lam = rng.choice((2, 3)) * rng.choice((1, -1))
     n = alg.dim
@@ -302,7 +302,7 @@ def dense_rebase(alg, roles, rng):
     m = [[0] * n for _ in range(n)]
     m[z][z] = lam
     for idx in (s_idx, p_idx):
-        block = dense_block(rng, len(idx))
+        block = (mixing or dense_block)(rng, len(idx))
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
                 m[i][j] = block[a][b]

@@ -214,6 +214,40 @@ class TestSubspace:
         assert intersection(xy, yz) == Subspace.span(3, [(0, 1, 0)])
         assert intersection(xy, Subspace.zero(3)).is_zero()
 
+    def test_direct_sum_across_disjoint_coordinates_seeded(self):
+        # two subspaces living on complementary index sets: the union of
+        # their rows sorted by pivot is what sum_with eliminates to
+        rng = random.Random(34)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            sign = [rng.choice((1, -1)) for _ in range(n)]
+            spaces = []
+            for eps in (1, -1):
+                idx = [i for i in range(n) if sign[i] == eps]
+                vectors = [[rng.randint(-3, 3) if i in idx else 0 for i in range(n)]
+                           for _ in range(rng.randint(0, len(idx)))]
+                spaces.append(Subspace.span(n, vectors))
+            a, b = spaces
+            assert a.direct_sum(b) == a.sum_with(b) == b.direct_sum(a)
+            assert a.direct_sum(b)._support == a.sum_with(b)._support
+        with pytest.raises(ValueError):
+            Subspace.span(3, [(1, 1, 0)]).direct_sum(Subspace.span(3, [(0, 1, 1)]))
+        with pytest.raises(ValueError):
+            Subspace.span(3, [(1, 0, 0)]).direct_sum(Subspace.span(2, [(1, 0)]))
+
+    def test_embedding_in_a_coordinate_subspace_seeded(self):
+        # rows moved to the coordinate subspace's indices are the echelon
+        # form that combining the basis vectors gives
+        rng = random.Random(35)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            idx = sorted(rng.sample(range(n), rng.randint(0, n)))
+            coord = Subspace.coordinate(n, idx)
+            sub = Subspace.span(len(idx), [[rng.randint(-3, 3) for _ in idx]
+                                           for _ in range(rng.randint(0, len(idx)))])
+            assert coord.embed(sub) == coord._image(sub.rows)
+            assert coord.embed(sub).pivots == coord._image(sub.rows).pivots
+
     def test_containment_order(self):
         big = Subspace.full(3)
         small = Subspace.span(3, [(1, 2, 3)])

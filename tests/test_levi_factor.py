@@ -21,11 +21,13 @@ import pytest
 from conftest import (
     bench_workloads, count_calls, dense_rebase, euclidean_twin, intersection,
 )
-from kinsila import catalog
-from kinsila.errors import NonAbelianRadicalError, ValidationError
-from kinsila.exactla import Subspace
+from kinsila import catalog, kinematics
+from kinsila.errors import InternalFault, NonAbelianRadicalError, ValidationError
+from kinsila.exactla import Mat, Subspace, kernel
 from kinsila.kinematics import (
+    _generating_rows,
     _levi_factor,
+    _sigma_signs,
     classify,
     omega_and_radical,
     poincare_certificate,
@@ -141,3 +143,48 @@ def test_no_levi_factor_unless_the_radical_meets_h_in_a_line_outside_s(names):
     assert (levi, pl, pr_rep) == (None, None, None)
     p_idx = st.p_space.pivots
     assert pr == Subspace.coordinate(len(p_idx), [p_idx.index(i) for i in indices if i in p_idx])
+
+
+def ungraded_radical(alg):
+    """rad g as the Killing-orthogonal complement of [g, g], from the
+    public Fraction boundary: the kernel of the rows K d, d in [g, g]."""
+    killing = alg.killing_form()
+    derived = alg.bracket_span(Subspace.full(alg.dim), Subspace.full(alg.dim))
+    if derived.is_zero():
+        return Subspace.full(alg.dim)
+    return kernel(Mat([killing.apply(d) for d in derived.basis], cols=alg.dim))
+
+
+@pytest.mark.parametrize("build", [b for _, b in INPUTS], ids=[name for name, _ in INPUTS])
+def test_the_blockwise_radical_is_the_ungraded_one(build):
+    # the certificate's radical: one block per eigenspace of sigma, its
+    # ideal guard bracketing s's generators, Z and a vector of each summand
+    alg, roles = build()
+    try:
+        st = validate(alg, *roles)
+    except ValidationError as exc:
+        assert exc.code == "WEDGE_CONDITION_FAILS"
+        return
+    rad = alg.solvable_radical(_sigma_signs(st), _generating_rows(st))
+    assert rad == ungraded_radical(alg)
+    assert alg.is_ideal(rad)
+    # the rows generate g
+    gens = _generating_rows(st)
+    closed = Subspace.span(alg.dim, gens)
+    while True:
+        grown = closed.sum_with(alg.bracket_span(closed, closed))
+        if grown == closed:
+            break
+        closed = grown
+    assert closed.is_full()
+
+
+def test_a_failed_levi_solve_is_a_fault(monkeypatch):
+    # once R meets h in a line outside s and pr is nonzero, beta = -omega/2
+    # on the summand solves, so a failed solve is a failed theorem
+    alg, roles = catalog_poincare(4)
+    st = validate(alg, *roles)
+    sym = omega_and_radical(st)
+    monkeypatch.setattr(kinematics, "solve_combination", lambda *args: None)
+    with pytest.raises(InternalFault, match="no Lagrangian invariant complement"):
+        poincare_certificate(st, sym, z_action_split(st), transvection_and_holonomy(st))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    ad_matrix,
     assert_greedy_generators,
     restricted,
     so_algebra_and_rep,
@@ -114,6 +115,36 @@ class TestDerivedObjects:
         assert g.solvable_radical() == Subspace.span(
             5, [unit_vec(5, 3), unit_vec(5, 4)]
         )
+
+    def test_killing_form_is_the_trace_of_ad_products(self):
+        algebras = [sl2(), heisenberg(), sl2_on_plane()]
+        algebras += [catalog.make(f, d).algebra for f in catalog.FAMILIES for d in (1, 2, 3)]
+        rng = random.Random(5)
+        algebras.append(change_basis(sl2_on_plane(), unit_triangular(rng, 5, True).entries))
+        for g in algebras:
+            ads = [ad_matrix(g, unit_vec(g.dim, i)) for i in range(g.dim)]
+            assert g.killing_form() == Mat(
+                [[(x @ y).trace() for y in ads] for x in ads], cols=g.dim)
+
+    def test_radical_by_blocks_of_a_grading(self):
+        # sl2 on the plane is graded by -1 on the plane: the radical is
+        # computed on h, e, f and on x, y apart
+        g = sl2_on_plane()
+        assert g.solvable_radical([1, 1, 1, -1, -1]) == Subspace.span(
+            5, [unit_vec(5, 3), unit_vec(5, 4)])
+        for sign in ([1, 1, -1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 2, 2]):
+            with pytest.raises(ValueError):
+                g.solvable_radical(sign)
+
+    def test_ideal_guard_on_generators(self):
+        # e, f and x generate sl2 on the plane; span(y) is preserved by e
+        # alone, and the guard on the generators refuses it as on the basis
+        g = sl2_on_plane()
+        gens = [unit_vec(5, i) for i in (1, 2, 3)]
+        rad = g.solvable_radical()
+        assert g.is_ideal(rad, gens) and g.is_ideal(rad)
+        line = Subspace.span(5, [unit_vec(5, 4)])
+        assert not g.is_ideal(line, gens) and not g.is_ideal(line)
 
 
 class TestPredicates:

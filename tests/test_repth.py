@@ -839,7 +839,7 @@ class TestWeylHypothesis:
     ):
         m = affine_line_module()
         assert len(hom_space(m, m)) == 1
-        assert not repth._semisimple(m.algebra)
+        assert not m.algebra.is_semisimple()
         assert is_simple(m) == (False, Subspace.span(2, [(1, 0)]))
         m.simplicity = Simplicity("commutant")
         assert not check_simplicity(m)
@@ -856,7 +856,7 @@ class TestWeylHypothesis:
     def test_forged_commutant_on_a_double_fails(self):
         _, v = so_algebra_and_rep(4)
         p = doubled(v)
-        assert repth._semisimple(p.algebra)
+        assert p.algebra.is_semisimple()
         assert len(hom_space(p, p)) == 4
         p.simplicity = Simplicity("commutant")
         assert not check_simplicity(p)
