@@ -45,13 +45,15 @@ def _mark(ok: bool, color: bool) -> str:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}")
 
 
 def _report_lines(name: str, result: ClassificationResult, color: bool):
@@ -267,6 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # coefficients and reports are exact rationals of any size, so the
+    # interpreter's int <-> str digit limit is lifted for the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except DocumentError as exc:
@@ -287,6 +294,9 @@ def main(argv=None) -> int:
         if isinstance(exc, InternalFault) and exc.certificate:
             print(f"certificate: {exc.certificate}", file=sys.stderr)
         return EXIT_FAULT
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -177,6 +177,8 @@ def parse_text(text: str) -> ParsedInput:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nested too deeply") from exc
     return parse_document(obj)
 
 

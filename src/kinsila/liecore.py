@@ -26,6 +26,7 @@ from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
     _dense,
     _fractions,
+    _integer_echelon,
     _integer_kernel,
     _integer_mat,
     _integer_row,
@@ -436,39 +437,20 @@ class LieAlgebra:
         sigma: Optional[Mat] = None,
         contain: Optional[Subspace] = None,
     ) -> Optional[Subspace]:
-        """A subalgebra complementing the solvable radical.
+        """A subalgebra complementing the solvable radical (de Graaf, Lie
+        Algebras: Theory and Algorithms, 2000, section 4.13).
 
         Requires the radical to be abelian (NonAbelianRadicalError
         otherwise).  The result is stable under `sigma`, the diagonal map
         with entries +-1 of a grading of the bracket (default the identity;
         ValueError for any other map), and contains `contain`, a
-        subalgebra meeting the radical trivially (default zero).  Starting
-        from any complement of the radical, the correction making it a
-        subalgebra is a linear system in a map from the complement into
-        the radical; with the radical abelian the system is exactly the
-        closure condition.  Returns None when the constrained system is
-        unsolvable; the unconstrained system always has a solution, so an
-        unconstrained call never returns None.
-
-        The eigenspaces of sigma are coordinate subspaces, so the radical
-        and `contain` are split, and the result checked stable, by the
-        support of their rows (`_sign_parts`).  The complement vectors
-        spanning `contain` are pinned and the others free; the system has
-        one block of rows per pair u, v, saying that [u', v'] lies in the
-        corrected span.  Only blocks that constrain anything are built:
-        pinned pairs give zero rows, since `contain` is a subalgebra;
-        pinned vectors meet the free ones only through a greedy generating
-        set of `contain` (by Jacobi, the elements whose brackets keep the
-        corrected span in itself form a subalgebra); and ad is built only
-        for the vectors of kept pairs.  A free vector's correction has
-        unknowns only in the radical's part of its own sign, which the
-        full system's rows on sigma force the others to leave at zero.
-        The cut system has the full one's solutions, those unknowns aside,
-        and a consistent system's rows [T | w] span every affine equation
-        its solutions satisfy, so both have the same reduced echelon form
-        there, from which `_solve` reads the particular solution: the
-        complement is the full system's (de Graaf, Lie Algebras: Theory
-        and Algorithms, 2000, section 4.13).
+        subalgebra meeting the radical trivially (default zero); None when
+        there is none, which an unconstrained call never returns.  The
+        complement W is made of sigma eigenvectors: `contain`'s rows,
+        pinned, and coordinate vectors, free, each corrected by the
+        radical's part of its own sign.  With the radical abelian, the
+        corrections that make W a subalgebra solve one linear system, with
+        a block of rows for every pair of W's basis.
         """
         n = self.dim
         rad = self.solvable_radical()
@@ -479,8 +461,7 @@ class LieAlgebra:
         unconstrained = sigma is None and contain is None
         if contain is None:
             contain = Subspace.zero(n)
-        gens, closed_dim = self._greedy_generators(contain.rows)
-        if closed_dim != contain.dim:
+        if not self.is_subalgebra(contain):
             raise ValueError("contain is not a subalgebra")
         # the two spaces meet in zero exactly when their dimensions add
         if contain.sum_with(rad).dim != contain.dim + rad.dim:
@@ -496,130 +477,79 @@ class LieAlgebra:
 
         rad_parts = _sign_parts(rad, sign)
         if rad_parts is None:
-            raise InternalFault(
-                "radical not split by an involutive automorphism",
-                {"rad_dim": rad.dim},
-            )
+            raise InternalFault("radical not split by an involutive automorphism",
+                                {"rad_dim": rad.dim})
         contain_parts = _sign_parts(contain, sign)
         if contain_parts is None:
             raise ValueError("contain is not spanned by sigma eigenvectors")
-        # complement basis as integer rows, with signs and pinned flags
-        wdata = []
+        # W as integer rows, each sign's pinned vectors before its free ones;
+        # unknown (a, r) is the coefficient of b_r = R_r / h_r in the
+        # correction of free vector a, R_r a radical row of a's sign
+        wvecs, unknowns = [], []
         for eps in (1, -1):
             part = contain_parts[eps]
-            wdata += [(c, eps, True) for c in part.rows]
+            wvecs += part.rows
             cur = part.echelon()
             for r in rad_parts[eps].rows:
                 cur.add_integer(list(r))
-            side = Subspace.coordinate(n, [i for i in range(n) if sign[i] == eps])
-            for v in side.rows:
+            own = [r for r, p in enumerate(rad.pivots) if sign[p] == eps]
+            for v in Subspace.coordinate(n, [i for i in range(n) if sign[i] == eps]).rows:
                 if cur.add_integer(list(v)) is not None:
-                    wdata.append((v, eps, False))
-
-        k = len(wdata)
-        d = rad.dim
-        if k != n - d:
-            raise InternalFault(
-                "complement construction produced the wrong dimension",
-                {"expected": n - d, "got": k},
-            )
-        wvecs = [w for (w, _, _) in wdata]
+                    unknowns += [(len(wvecs), r) for r in own]
+                    wvecs.append(v)
+        column = {u: j for j, u in enumerate(unknowns)}
+        k, d = len(wvecs), rad.dim
         heads = [row[p] for row, p in zip(rad.rows, rad.pivots)]
-        # each free vector's unknowns: the radical rows of its sign, with columns
-        column = itertools.count()
-        unknown = {a: {r: next(column) for r, p in enumerate(rad.pivots) if sign[p] == eps}
-                   for a, (_, eps, pin) in enumerate(wdata) if not pin}
-        width = next(column)
-        at_row = [[(e, own[r]) for e, own in unknown.items() if r in own]
-                  for r in range(d)]
 
-        # the kept pairs (s, t) of `ends`, the generators of contain and
-        # then the free vectors, each with its unknowns (None when
-        # pinned): every pair whose second vector is free
-        ends = [(contain.rows[i], None) for i in gens]
-        ends += [(wvecs[a], own) for a, own in unknown.items()]
-        pairs = [
-            (s, t) for t in range(len(gens), len(ends)) for s in range(t)
-        ]
-
-        # coordinates relative to the columns (complement | radical rows),
-        # c / (den D) = M^-1 [u, v]; the radical part is rescaled to the
-        # radical's basis b_s = R_s / h_s, in which the unknowns are taken
-        cols = wvecs + list(rad.rows)
-        minv = inverse(_integer_mat(n, 1, tuple(
-            _sparse([col[i] for col in cols]) for i in range(n)
-        )))
+        # c / (den D) = M^-1 [u, v], the coordinates in the columns (W | R);
+        # the radical part is rescaled to the basis b of the unknowns
+        minv = inverse(_integer_mat(n, 1, tuple(map(_sparse, zip(*wvecs, *rad.rows)))))
         cden = minv._integer[0] * self._den
+        # ad of each vector of W on the radical, in the basis b
+        pmats = [rad.matrix_of(self._integer_ad(w, 1))._integer for w in wvecs]
 
-        # action of each kept vector on the radical, rad coordinates
-        pmats = [
-            rad.matrix_of(self._integer_ad(u, 1)) for u, _ in ends
-        ] if pairs else []
-        if None in pmats:
-            raise InternalFault(
-                "radical escaped under bracket with complement",
-                {"vector": list(ends[pmats.index(None)][0])},
-            )
-
-        # the augmented rows [T | w] of the system, each over its own
+        # the augmented rows [T | w] of the system, each block over its own
         # denominator: P_u x_v - P_v x_u - sum_e c_e x_e = -r for
-        # [u, v] = sum_e c_e w_e + r
+        # [u, v] = sum_e c_e w_e + r, a pinned vector's x being zero
         rows = []
-        for s, t in pairs:
-            (u, ou), (v, ov) = ends[s], ends[t]
-            c = minv._integer_apply(self._integer_bracket(u, v))
-            cvec, rvec = c[:k], [x * h for x, h in zip(c[k:], heads)]
-            du, urows = pmats[s]._integer
-            dv, vrows = pmats[t]._integer
-            lcm = math.lcm(du, dv, cden)
-            fu, fv, fc = lcm // du, lcm // dv, lcm // cden
-            for r in range(d):
-                row = [0] * (width + 1)
-                for j, x in urows[r]:
-                    if j in ov:
-                        row[ov[j]] += fu * x
-                if ou is not None:
-                    for j, x in vrows[r]:
-                        if j in ou:
-                            row[ou[j]] -= fv * x
-                for e, col in at_row[r]:
-                    row[col] -= fc * cvec[e]
-                row[width] = -fc * rvec[r]
+        for a, b in itertools.combinations(range(k), 2):
+            c = minv._integer_apply(self._integer_bracket(wvecs[a], wvecs[b]))
+            (da, arows), (db, brows) = pmats[a], pmats[b]
+            lcm = math.lcm(da, db, cden)
+            fa, fb, fc = lcm // da, lcm // db, lcm // cden
+            for t in range(d):
+                row = [0] * (len(column) + 1)
+                for u, x in ([((b, r), fa * x) for r, x in arows[t]]
+                             + [((a, r), -fb * x) for r, x in brows[t]]
+                             + [((e, t), -fc * x) for e, x in enumerate(c[:k]) if x]):
+                    if u in column:
+                        row[column[u]] += x
+                row[-1] = -fc * c[k + t] * heads[t]
                 rows.append(_sparse(row))
 
-        res = _solve(width, rows)
+        res = _solve(len(column), rows)
         if res is None:
             if unconstrained:
-                raise InternalFault(
-                    "unconstrained complement correction has no solution"
-                )
+                raise InternalFault("unconstrained complement correction has no solution")
             return None
-        x = res.particular
-
-        corrected = Echelon(n)
-        for a, w in enumerate(wvecs):
-            if a in unknown:
-                # w + sum_r x_r R_r / h_r, times the lcm of the denominators
-                coeffs = [(x[col] / heads[r], rad.rows[r]) for r, col in unknown[a].items()]
-                lcm = math.lcm(*[c.denominator for c, _ in coeffs])
-                w = [lcm * y for y in w]
-                for c, r in coeffs:
-                    f = c.numerator * (lcm // c.denominator)
-                    for j, y in enumerate(r):
-                        w[j] += f * y
-            corrected.add_integer(list(w))
-        levi = corrected.subspace()
+        # D L (w + sum_r x_r b_r) for each vector w of W, with x = X / D and
+        # L b_r the integer rows of the radical's basis
+        xden, xs = _integer_row(res.particular)
+        bden, basis = rad.basis_mat()._integer
+        corrected = [[xden * bden * y for y in w] for w in wvecs]
+        for (a, r), x in zip(unknowns, xs):
+            for j, z in basis[r]:
+                corrected[a][j] += x * z
+        levi = _integer_echelon(n, map(_sparse, corrected)).subspace()
 
         def fault(message):
             raise InternalFault(message, {"levi_basis": levi.basis})
 
         if levi.dim != k:
             fault("complement corrections are dependent")
-        total = levi.sum_with(rad)
-        if total.dim != levi.dim + rad.dim:
+        # k + d = n, so the two span g exactly when they meet in zero
+        if not levi.sum_with(rad).is_full():
             fault("complement meets the radical")
-        if not total.is_full():
-            fault("complement plus radical is not everything")
         if not self.is_subalgebra(levi):
             fault("corrected complement is not closed")
         if _sign_parts(levi, sign) is None:

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -315,6 +316,13 @@ def dense_rebase(alg, roles, rng, mixing=None):
             if any(new):
                 pairs[(i, j)] = new
     return pairs, lam
+
+
+def dense_draw(alg, roles, seed):
+    """(algebra, roles) after the dense role-preserving change of basis
+    that `dense_rebase` draws from the generator seeded "seed:poincare"."""
+    pairs, _ = dense_rebase(alg, roles, random.Random(f"{seed}:poincare"))
+    return LieAlgebra(alg.dim, pairs, list(alg.labels)), roles
 
 
 def structure_pairs(alg):

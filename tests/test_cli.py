@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -240,6 +241,69 @@ def test_cli_document_error_exit_2(tmp_path, capsys):
 
 def test_cli_missing_file_exit_2(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "absent.json")]) == 2
+
+
+def test_cli_invalid_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    assert main(["classify", str(path), "--json"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["classify", str(path), "--json"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+# 10^4999: 5,000 digits, past the interpreter's default limit of 4,300
+# digits for converting between int and str
+BIG = "1" + "0" * 4999
+
+
+def int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("as_integer", [True, False], ids=["json-integer", "pq-string"])
+def test_cli_coefficient_past_the_digit_limit_exit_0(as_integer, tmp_path, capsys):
+    # carroll at d = 4 with H rescaled: [B_i, P_i] = H becomes 10^4999 H'
+    # (H' = H / 10^4999), written as a JSON integer, or 10^-4999 H'
+    # (H' = 10^4999 H), written as a p/q string
+    doc = entry_to_document(catalog.make("carroll", 4))
+    for item in doc["brackets"]:
+        for term in item["result"]:
+            if term["basis"] == "H":
+                assert term["coeff"] == "1"
+                term["coeff"] = "@BIG@" if as_integer else f"1/{BIG}"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"@BIG@"', BIG))
+    limit = int_str_limit()
+    assert main(["classify", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "flat-other"
+    # lifted for the call only
+    assert int_str_limit() == limit
+
+
+def test_cli_report_past_the_digit_limit_exit_0(tmp_path, capsys):
+    # de Sitter at d = 4 in the basis H' = 10^2500 H: every coefficient
+    # has at most 2,501 digits, but mu = (10^2500)^2 has 5,001
+    lam = 10 ** 2500
+    doc = entry_to_document(catalog.make("de_sitter", 4))
+    for item in doc["brackets"]:
+        scale = lam ** [item["x"], item["y"]].count("H")
+        for term in item["result"]:
+            c = Fraction(term["coeff"]) * scale / (lam if term["basis"] == "H" else 1)
+            term["coeff"] = str(c)
+    path = write_doc(tmp_path, doc)
+    assert main(["classify", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["label"] == "three-graded-para-kahler"
+    assert payload["mu_sign"] == 1
+    assert payload["mu"] == "1" + "0" * 5000
+    assert main(["classify", path]) == 0
+    assert f"square of the central action: 1{'0' * 5000}\n" in capsys.readouterr().out
 
 
 def test_cli_jacobi_failure_exit_1(tmp_path, capsys):

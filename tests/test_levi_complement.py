@@ -1,12 +1,15 @@
-"""`LieAlgebra.levi_complement` builds only the rows of its correction
-system that constrain anything; its answer must be the one the full
-system over every pair of complement vectors gives.
+"""`LieAlgebra.levi_complement` writes one block of rows of its
+correction system for every pair of complement vectors, with unknowns on
+the radical's part of each free vector's sign; its answer must be the one
+`all_pairs_levi` gives, an independent build of the system with unknowns
+on the whole radical and rows asking each correction to be an eigenvector
+of sigma.
 
 The pins are sha256 digests of ``json.dumps`` of the integer rows of the
 complement, through s, that is stable under the grading involution, for
 the catalog's poincare entries at d = 2..6 and the draws of the `rebased`
 benchmark workload that it names ``poincare_d4#k`` at seed 11.  They were
-recorded with the full system, before its rows were cut.
+recorded with the all-pairs system.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import random
 
 import pytest
 
-from conftest import bench_workloads, structure_pairs
+from conftest import bench_workloads, dense_draw, euclidean_twin, structure_pairs
 from kinsila import catalog
 from kinsila.exactla import (
     Echelon,
@@ -187,13 +190,13 @@ def sl2_on_plane_with_constraints():
     return alg, sigma, Subspace.span(5, [unit_vec(5, 0), unit_vec(5, 1)])
 
 
-def test_cut_system_matches_the_all_pairs_reference():
+def test_levi_complement_matches_the_all_pairs_reference():
     inputs = [poincare_input(4), poincare_input(5)]
     inputs += [rebased_poincare_input(REBASED_SEED, k) for k in (0, 2)]
     for alg, roles in inputs:
         sigma, contain = graded_constraints(alg, roles)
         # s = so(d) is generated by fewer vectors than its dimension, so
-        # pinned pairs beyond the generators are left out of the system
+        # the system holds pinned pairs outside any generating set of s
         gens, closed = alg._greedy_generators(contain.rows)
         assert closed == contain.dim and 0 < len(gens) < contain.dim
         want = all_pairs_levi(alg, sigma, contain)
@@ -203,6 +206,24 @@ def test_cut_system_matches_the_all_pairs_reference():
     assert alg.is_automorphism(sigma)
     want = all_pairs_levi(alg, sigma, contain)
     assert want is not None and want.contains_space(contain)
+    assert alg.levi_complement(sigma, contain) == want
+
+
+DENSE_INPUTS = (
+    [(f"dense_d{d}_s{seed}", lambda d=d, seed=seed: dense_draw(*poincare_input(d), seed))
+     for d in (2, 4) for seed in (0, 1, 7)]
+    + [(f"twin_d{d}", lambda d=d: euclidean_twin(d)) for d in (2, 4)]
+    + [(f"dense_twin_d2_s{seed}", lambda seed=seed: dense_draw(*euclidean_twin(2), seed))
+       for seed in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in DENSE_INPUTS], ids=[n for n, _ in DENSE_INPUTS])
+def test_dense_draws_and_twins_match_the_all_pairs_reference(build):
+    alg, roles = build()
+    sigma, contain = graded_constraints(alg, roles)
+    want = all_pairs_levi(alg, sigma, contain)
+    assert want is not None
     assert alg.levi_complement(sigma, contain) == want
 
 

@@ -14,12 +14,10 @@ the graph map found is zero.  At d = 2, End_s(V) = Q(i), and the dense
 draws need a nonzero one.
 """
 
-import random
-
 import pytest
 
 from conftest import (
-    bench_workloads, count_calls, dense_rebase, euclidean_twin, intersection,
+    bench_workloads, count_calls, dense_draw, euclidean_twin, intersection,
 )
 from kinsila import catalog, kinematics
 from kinsila.errors import InternalFault, NonAbelianRadicalError, ValidationError
@@ -51,19 +49,14 @@ def rebased_poincare(seed, k):
     return workload.prepare(op)
 
 
-def dense(alg, roles, seed):
-    pairs, _ = dense_rebase(alg, roles, random.Random(f"{seed}:poincare"))
-    return LieAlgebra(alg.dim, pairs, list(alg.labels)), roles
-
-
 INPUTS = (
     [(f"catalog_d{d}", lambda d=d: catalog_poincare(d)) for d in range(1, 7)]
     + [(f"rebased_s{seed}#{k}", lambda seed=seed, k=k: rebased_poincare(seed, k))
        for seed in range(10) for k in range(4)]
-    + [(f"dense_d{d}_s{seed}", lambda d=d, seed=seed: dense(*catalog_poincare(d), seed))
+    + [(f"dense_d{d}_s{seed}", lambda d=d, seed=seed: dense_draw(*catalog_poincare(d), seed))
        for d in (2, 4) for seed in (0, 1, 7)]
     + [(f"twin_d{d}", lambda d=d: euclidean_twin(d)) for d in (2, 4)]
-    + [(f"dense_twin_d2_s{seed}", lambda seed=seed: dense(*euclidean_twin(2), seed))
+    + [(f"dense_twin_d2_s{seed}", lambda seed=seed: dense_draw(*euclidean_twin(2), seed))
        for seed in (0, 1)]
 )
 
