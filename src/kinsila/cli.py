@@ -23,6 +23,7 @@ from .errors import (
     SimplicityUndecided,
     ValidationError,
 )
+from .exactla import _unlimited_digits
 from .kinematics import ClassificationResult, classify
 
 EXIT_OK = 0
@@ -269,34 +270,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # coefficients and reports are exact rationals of any size, so the
-    # interpreter's int <-> str digit limit is lifted for the call
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return args.func(args)
-    except DocumentError as exc:
-        print(f"document error: {exc}", file=sys.stderr)
-        return EXIT_DOCUMENT
-    except ValidationError as exc:
-        print(f"not a generalized kinematical algebra: {exc.code}",
-              file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        for check, ok in exc.items:
-            print(f"  {'[x]' if ok else '[ ]'} {check}", file=sys.stderr)
-        return EXIT_INVALID
-    except JacobiError as exc:
-        print(f"not a Lie algebra: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (InternalFault, SimplicityUndecided) as exc:
-        print(f"internal fault: {exc}", file=sys.stderr)
-        if isinstance(exc, InternalFault) and exc.certificate:
-            print(f"certificate: {exc.certificate}", file=sys.stderr)
-        return EXIT_FAULT
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    # coefficients, reports and fault certificates are exact rationals of
+    # any size
+    with _unlimited_digits():
+        try:
+            return args.func(args)
+        except DocumentError as exc:
+            print(f"document error: {exc}", file=sys.stderr)
+            return EXIT_DOCUMENT
+        except ValidationError as exc:
+            print(f"not a generalized kinematical algebra: {exc.code}",
+                  file=sys.stderr)
+            print(str(exc), file=sys.stderr)
+            for check, ok in exc.items:
+                print(f"  {'[x]' if ok else '[ ]'} {check}", file=sys.stderr)
+            return EXIT_INVALID
+        except JacobiError as exc:
+            print(f"not a Lie algebra: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except (InternalFault, SimplicityUndecided) as exc:
+            print(f"internal fault: {exc}", file=sys.stderr)
+            if isinstance(exc, InternalFault) and exc.certificate:
+                print(f"certificate: {exc.certificate}", file=sys.stderr)
+            return EXIT_FAULT
 
 
 if __name__ == "__main__":

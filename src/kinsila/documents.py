@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import DocumentError
-from .exactla import zero_vec
+from .exactla import _unlimited_digits, zero_vec
 from .liecore import LieAlgebra
 
 RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -65,6 +65,7 @@ def _string_list(value, where: str) -> List[str]:
     return value
 
 
+@_unlimited_digits()
 def parse_document(obj) -> ParsedInput:
     """Turn a decoded JSON object into an algebra plus role indices.
 
@@ -172,6 +173,7 @@ def parse_document(obj) -> ParsedInput:
     )
 
 
+@_unlimited_digits()
 def parse_text(text: str) -> ParsedInput:
     try:
         obj = json.loads(text)

@@ -23,6 +23,8 @@ Nothing here rounds, samples, or depends on floating point.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -59,6 +61,21 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _FRACTION_ONLY = frozenset((Fraction,))
+
+
+@contextmanager
+def _unlimited_digits():
+    """Lift the interpreter's limit on the digits of an int read from or
+    written as text for the block, and put it back after: exact values
+    have any size.  A limit of 0 is none, as before Python 3.11."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def q(value) -> Fraction:

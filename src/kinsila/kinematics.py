@@ -74,6 +74,7 @@ from .exactla import (
     _integer_kernel,
     _integer_mat,
     _sparse,
+    _unlimited_digits,
     Echelon,
     Mat,
     Subspace,
@@ -88,10 +89,8 @@ from .exactla import (
 from .liecore import LieAlgebra, _sign_parts
 from .repth import (
     Rep,
-    Simplicity,
     _combination,
     _generator_mats,
-    _is_isomorphism,
     certify_copy,
     check_simplicity,
     hom_space,
@@ -190,6 +189,7 @@ class ClassificationResult:
     poincare_items: Optional[List[Tuple[str, bool, str]]] = None
     notes: List[str] = field(default_factory=list)
 
+    @_unlimited_digits()
     def to_dict(self) -> dict:
         def enc(x):
             if isinstance(x, Fraction):
@@ -736,11 +736,11 @@ def _levi_factor(
     phi -> beta identifies Hom_s(L0, pr) with the s-invariant bilinear
     forms on L0, among which beta = -omega|L0 / 2 solves.  A failed solve
     is a failed theorem and raises InternalFault; so once R_h is a line
-    outside s and pr is nonzero, l exists.  pr has L0's dimension, so by
-    Schur's lemma the first element of the same Hom_s(L0, pr), checked
-    invertible as `certify_copy` checks it, certifies pr as a copy of L0.
-    That L meets pr in zero, is invariant under the generators' matrices
-    and has omega = 0 on it is re-checked; a failure raises InternalFault.
+    outside s and pr is nonzero, l exists.  Hom_s(L0, pr) is solved by
+    `certify_copy`, which, pr having L0's dimension, certifies pr as a copy
+    of L0 by its first element (Schur's lemma).  That L meets pr in zero,
+    is invariant under the generators' matrices and has omega = 0 on it is
+    re-checked; a failure raises InternalFault.
     """
     n, dp = structure.algebra.dim, structure.p_space.dim
     meet, pr = _p_part(structure, rad)
@@ -759,12 +759,7 @@ def _levi_factor(
     else:
         raise InternalFault("no summand of P complements its meet with the radical",
                             {"pr_dim": pr.dim})
-    homs = hom_space(base_rep, pr_rep)
-    if homs:
-        if not _is_isomorphism(base_rep, pr_rep, homs[0]):
-            raise InternalFault("a nonzero intertwiner out of a simple module is not "
-                                "invertible", {"intertwiner": homs[0].entries})
-        pr_rep.simplicity = Simplicity("intertwiner", (homs[0],), source=base_rep)
+    homs = certify_copy(base_rep, pr_rep)
     b, c = base.basis_mat(), pr.basis_mat()
     w = b @ omega
     # sum_h x_h (M_h - M_h^T) = -(omega(b_i, b_j)) for M_h = (omega(b_i, c_r)) h,

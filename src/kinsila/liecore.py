@@ -281,11 +281,6 @@ class LieAlgebra:
                         ech.add_integer(_dense([(pos[m], c) for m, c in row], ech.width))
         return {eps: (idx, ech) for eps, (idx, _, ech) in blocks.items()}
 
-    def derived_subalgebra(self) -> Subspace:
-        """[g, g]: the span of the brackets of the basis pairs."""
-        _, derived = self._derived_parts([1] * self.dim)[1]
-        return derived.subspace()
-
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
         """[a, b]: the echelon rows of a and b bracketed in integers into
         one `Echelon`, until it holds all of g."""

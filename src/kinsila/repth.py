@@ -755,42 +755,34 @@ def check_simplicity(rep: Rep) -> bool:
     )
 
 
-def _schur_isomorphism(simple: Rep, module: Rep) -> Optional[Mat]:
-    """The first Hom basis element from a simple module, checked invertible.
-
-    None when the dimensions differ or no nonzero intertwiner exists.  By
-    Schur's lemma a nonzero intertwiner out of a simple module into one of
-    the same dimension is invertible; if it fails the exact intertwining
-    and rank check, a theorem has failed and InternalFault is raised.
-    """
-    if simple.dim != module.dim:
-        return None
+def _schur_homs(simple: Rep, module: Rep) -> List[Mat]:
+    """Hom_s(simple, module) for a simple module `simple`.  By Schur's
+    lemma a nonzero intertwiner out of it is injective: so [] with no solve
+    when `module` is smaller, and when the dimensions agree the first basis
+    element is invertible, else a theorem has failed (InternalFault)."""
+    if simple.dim > module.dim:
+        return []
     homs = hom_space(simple, module)
-    if not homs:
-        return None
-    t = homs[0]
-    if not _is_isomorphism(simple, module, t):
+    if homs and simple.dim == module.dim and not _is_isomorphism(simple, module, homs[0]):
         raise InternalFault(
             "a nonzero intertwiner out of a simple module is not invertible",
-            {"intertwiner": t.entries},
+            {"intertwiner": homs[0].entries},
         )
-    return t
+    return homs
 
 
-def certify_copy(simple: Rep, module: Rep) -> Optional[Mat]:
-    """Prove `module` simple as an isomorphic copy of a simple module.
-
-    `simple` must already carry simplicity evidence.  Returns an
-    invertible intertwiner from `simple` onto `module`, recorded as
-    `module.simplicity`, or None when the two are not isomorphic
-    (see `_schur_isomorphism`).
-    """
+def certify_copy(simple: Rep, module: Rep) -> List[Mat]:
+    """Hom_s(simple, module) (`_schur_homs`) for a module `simple` that
+    carries simplicity evidence, else ValueError with nothing recorded.
+    When the dimensions agree, a first element, invertible, is recorded as
+    `module.simplicity`; from a smaller `simple`, its image is a copy of
+    `simple` inside `module`."""
     if simple.simplicity is None:
         raise ValueError("the source module carries no simplicity evidence")
-    t = _schur_isomorphism(simple, module)
-    if t is not None:
-        module.simplicity = Simplicity("intertwiner", (t,), source=simple)
-    return t
+    homs = _schur_homs(simple, module)
+    if homs and simple.dim == module.dim:
+        module.simplicity = Simplicity("intertwiner", (homs[0],), source=simple)
+    return homs
 
 
 # ---------------------------------------------------------------------------
@@ -870,36 +862,25 @@ class Decomposition(list):
         self.modules: List[Rep] = []
 
 
-def _transported_copy(simples: Sequence[Rep], module: Rep) -> Optional[Subspace]:
-    """The image in `module` of a nonzero intertwiner h from the first
-    smaller simple module that has one, or None: invariant, proper, and a
-    copy of that simple module, as h is injective by Schur's lemma."""
-    for v in simples:
-        homs = hom_space(v, module) if v.dim < module.dim else []
-        if homs:
-            # h's columns are the rows of its transpose
-            return _integer_echelon(module.dim, homs[0].transpose()._integer[1]).subspace()
-    return None
-
-
 def simple_decomposition(rep: Rep) -> Decomposition:
     """Split the module into simple invariant summands.
 
-    Pieces are taken depth first.  A piece that `certify_copy` can reach
-    from a summand already certified is simple by an invertible
-    intertwiner, so each isomorphism type of summand is certified once.
-    Otherwise a certified summand of smaller dimension with a nonzero
-    intertwiner into the piece gives, as its image, a copy to split along
-    (`_transported_copy`).  Failing that, when the algebra is semisimple,
-    a piece cut off by a split is certified by a scalar commutant (the
-    "commutant" kind of `Simplicity`); the module as a whole, and every
-    piece otherwise, runs is_simple.  A reducible piece is split along the
-    invariant subspace found and the complement `_spun_complement` gives,
-    the smaller of the two taken first, the invariant subspace when their
-    dimensions agree.  Raises DecompositionError when the module is not
-    semisimple and SimplicityUndecided when irreducibility of a piece
-    cannot be certified.  The returned subspaces are independent and span
-    the module with no further check: each split is a piece W plus a
+    Pieces are taken depth first.  Each summand already certified, of at
+    most the piece's dimension, is offered the piece once (`certify_copy`)
+    until one has a nonzero intertwiner into it.  One of the piece's
+    dimension certifies the piece as a copy, so each isomorphism type of
+    summand is certified once; a smaller one gives the image of its first
+    intertwiner, a copy of it, to split along.  Failing that, when the
+    algebra is semisimple, a piece cut off by a split is certified by a
+    scalar commutant (the "commutant" kind of `Simplicity`); the module as
+    a whole, and every piece otherwise, runs is_simple.  A reducible piece
+    is split along the invariant subspace found and the complement
+    `_spun_complement` gives, the smaller of the two taken first, the
+    invariant subspace when their dimensions agree.  Raises
+    DecompositionError when the module is not semisimple and
+    SimplicityUndecided when irreducibility of a piece cannot be
+    certified.  The returned subspaces are independent and span the
+    module with no further check: each split is a piece W plus a
     complement that `_spun_complement` or `invariant_complement` checked
     to fill the piece with W, and `embed` is injective.
     """
@@ -914,13 +895,17 @@ def simple_decomposition(rep: Rep) -> Decomposition:
         whole = piece.is_full()
         if sub is None:
             sub = rep_on_subspace(rep, piece)
-        if not any(certify_copy(v, sub) is not None for v in searched):
-            wit = _transported_copy(searched, sub)
-            if wit is None:
-                if weyl and not whole and len(hom_space(sub, sub)) == 1:
-                    sub.simplicity = Simplicity("commutant")
-                else:
-                    simple, wit = is_simple(sub)
+        # Hom_s(V, piece) for the first certified V with a nonzero one
+        homs = next(filter(None, (certify_copy(v, sub) for v in searched)), [])
+        if not homs or homs[0].cols < sub.dim:
+            if homs:
+                # V's image: h's columns are the rows of its transpose
+                wit = _integer_echelon(sub.dim, homs[0].transpose()._integer[1]).subspace()
+            elif weyl and not whole and len(hom_space(sub, sub)) == 1:
+                sub.simplicity = Simplicity("commutant")
+                wit = None
+            else:
+                simple, wit = is_simple(sub)
             if wit is not None:
                 comp = _spun_complement(sub, wit)
                 # the whole module's witness embeds as itself; the stack
@@ -948,8 +933,8 @@ def match_decompositions(
     modules in their echelon coordinates.  Raises ValueError when no
     perfect matching exists (the decompositions then do not describe
     isomorphic module lists).  The summands must be simple: an isomorphism
-    is taken by Schur's lemma as in `certify_copy`, and a singular one
-    raises InternalFault.
+    is taken by Schur's lemma (`_schur_homs`, as in `certify_copy`), and a
+    singular one raises InternalFault.
     """
     if len(parts1) != len(parts2):
         raise ValueError("decompositions have different lengths")
@@ -961,11 +946,11 @@ def match_decompositions(
         for j, s2 in enumerate(subs2):
             if j in perm:
                 continue
-            iso = _schur_isomorphism(s1, s2)
-            if iso is not None:
+            homs = _schur_homs(s1, s2) if s1.dim == s2.dim else []
+            if homs:
                 break
         else:
             raise ValueError(f"summand {i} matches nothing on the other side")
         perm.append(j)
-        isos.append(iso)
+        isos.append(homs[0])
     return perm, isos

@@ -76,6 +76,13 @@ def generated_subalgebra(alg, indices):
         space = grown
 
 
+def derived_subalgebra(alg):
+    """[g, g]: the span of the brackets of the basis pairs, read off the
+    one-block grading of `LieAlgebra._derived_parts`."""
+    _, derived = alg._derived_parts([1] * alg.dim)[1]
+    return derived.subspace()
+
+
 def intersection(u, w):
     """u meet w from the kernel of [U^T | -W^T], U and W the two Fraction
     bases: the U half of each solution holds coefficients in u's basis."""
@@ -126,18 +133,23 @@ def assert_greedy_generators(alg):
     return gens
 
 
-def doubled(rep):
-    """Block-diagonal direct sum of a representation with itself."""
+def block_copies(rep, k):
+    """Block-diagonal direct sum of k copies of a representation."""
     d = rep.dim
     mats = []
     for m in rep.mats:
-        rows = [[0] * (2 * d) for _ in range(2 * d)]
-        for i in range(d):
-            for j in range(d):
-                rows[i][j] = m[i, j]
-                rows[d + i][d + j] = m[i, j]
+        rows = [[0] * (k * d) for _ in range(k * d)]
+        for c in range(k):
+            for i in range(d):
+                for j in range(d):
+                    rows[c * d + i][c * d + j] = m[i, j]
         mats.append(Mat(rows))
     return Rep(rep.algebra, mats)
+
+
+def doubled(rep):
+    """Block-diagonal direct sum of a representation with itself."""
+    return block_copies(rep, 2)
 
 
 def count_calls(monkeypatch, name, owner=repth):

@@ -266,19 +266,49 @@ def int_str_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
-@pytest.mark.parametrize("as_integer", [True, False], ids=["json-integer", "pq-string"])
-def test_cli_coefficient_past_the_digit_limit_exit_0(as_integer, tmp_path, capsys):
-    # carroll at d = 4 with H rescaled: [B_i, P_i] = H becomes 10^4999 H'
-    # (H' = H / 10^4999), written as a JSON integer, or 10^-4999 H'
-    # (H' = 10^4999 H), written as a p/q string
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default digit limit, set for the test, or None
+    where the interpreter has no limit; the limit before is put back."""
+    before = int_str_limit()
+    if before is None:
+        yield None
+        return
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield int_str_limit()
+    sys.set_int_max_str_digits(before)
+
+
+def big_coefficient_text(as_integer):
+    """carroll at d = 4 with H rescaled: [B_i, P_i] = H becomes 10^4999 H'
+    (H' = H / 10^4999), written as a JSON integer, or 10^-4999 H'
+    (H' = 10^4999 H), written as a p/q string."""
     doc = entry_to_document(catalog.make("carroll", 4))
     for item in doc["brackets"]:
         for term in item["result"]:
             if term["basis"] == "H":
                 assert term["coeff"] == "1"
                 term["coeff"] = "@BIG@" if as_integer else f"1/{BIG}"
+    return json.dumps(doc).replace('"@BIG@"', BIG)
+
+
+def big_mu_document():
+    """de Sitter at d = 4 in the basis H' = 10^2500 H: every coefficient
+    has at most 2,501 digits, but mu = (10^2500)^2 has 5,001."""
+    lam = 10 ** 2500
+    doc = entry_to_document(catalog.make("de_sitter", 4))
+    for item in doc["brackets"]:
+        scale = lam ** [item["x"], item["y"]].count("H")
+        for term in item["result"]:
+            c = Fraction(term["coeff"]) * scale / (lam if term["basis"] == "H" else 1)
+            term["coeff"] = str(c)
+    return doc
+
+
+@pytest.mark.parametrize("as_integer", [True, False], ids=["json-integer", "pq-string"])
+def test_cli_coefficient_past_the_digit_limit_exit_0(as_integer, tmp_path, capsys):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc).replace('"@BIG@"', BIG))
+    path.write_text(big_coefficient_text(as_integer))
     limit = int_str_limit()
     assert main(["classify", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["label"] == "flat-other"
@@ -287,16 +317,7 @@ def test_cli_coefficient_past_the_digit_limit_exit_0(as_integer, tmp_path, capsy
 
 
 def test_cli_report_past_the_digit_limit_exit_0(tmp_path, capsys):
-    # de Sitter at d = 4 in the basis H' = 10^2500 H: every coefficient
-    # has at most 2,501 digits, but mu = (10^2500)^2 has 5,001
-    lam = 10 ** 2500
-    doc = entry_to_document(catalog.make("de_sitter", 4))
-    for item in doc["brackets"]:
-        scale = lam ** [item["x"], item["y"]].count("H")
-        for term in item["result"]:
-            c = Fraction(term["coeff"]) * scale / (lam if term["basis"] == "H" else 1)
-            term["coeff"] = str(c)
-    path = write_doc(tmp_path, doc)
+    path = write_doc(tmp_path, big_mu_document())
     assert main(["classify", path, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["label"] == "three-graded-para-kahler"
@@ -304,6 +325,33 @@ def test_cli_report_past_the_digit_limit_exit_0(tmp_path, capsys):
     assert payload["mu"] == "1" + "0" * 5000
     assert main(["classify", path]) == 0
     assert f"square of the central action: 1{'0' * 5000}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("as_integer", [True, False], ids=["json-integer", "pq-string"])
+def test_parse_text_past_the_digit_limit(as_integer, default_digit_limit):
+    parsed = parse_text(big_coefficient_text(as_integer))
+    assert int_str_limit() == default_digit_limit
+    result = classify(parsed.algebra, parsed.z_indices, parsed.s_indices, parsed.p_indices)
+    assert result.label == "flat-other"
+
+
+def test_parse_document_past_the_digit_limit(default_digit_limit):
+    # the p/q string is read as text; the JSON integer arrives as an int
+    parsed = parse_document(json.loads(big_coefficient_text(False)))
+    assert int_str_limit() == default_digit_limit
+    h = parsed.algebra.labels.index("H")
+    b, p = (parsed.algebra.labels.index(x) for x in ("B1", "P1"))
+    assert parsed.algebra.structure_constant(b, p)[h] == Fraction(1, 10 ** 4999)
+
+
+def test_report_past_the_digit_limit(default_digit_limit):
+    parsed = parse_document(big_mu_document())
+    result = classify(parsed.algebra, parsed.z_indices, parsed.s_indices, parsed.p_indices)
+    assert result.mu == 10 ** 5000
+    report = result.to_dict()
+    assert int_str_limit() == default_digit_limit
+    assert report["mu"] == "1" + "0" * 5000
+    assert report["mu_sign"] == 1
 
 
 def test_cli_jacobi_failure_exit_1(tmp_path, capsys):

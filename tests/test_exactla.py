@@ -979,26 +979,56 @@ def names_loaded(tree, own=False):
     return found
 
 
-def test_every_public_name_is_used_in_the_package():
-    package = Path(exactla.__file__).parent
+# public names of liecore and repth, and public methods of their classes,
+# that no code of the package loads, each with the reason it is kept
+KEPT_UNUSED = {
+    "LieAlgebra.bracket": "the Fraction boundary: the bracket of a caller's vectors",
+    "LieAlgebra.levi_complement": "the tests' oracle for the Levi factor; "
+                                  "bench/spans.py traces it",
+    "LieAlgebra.is_automorphism": "the tests' oracle for sigma; bench/spans.py traces it",
+    "match_decompositions": "test_acceptance.py, criterion 9",
+}
+
+
+def unused_public_names(module, classes):
+    """The public names of `module` (its `__all__`, else the functions and
+    classes it defines) that no module of the package loads, and the
+    public methods of `classes` whose name no module reads as an
+    attribute.  The owner of an attribute is not resolved, so a read
+    through any object counts."""
+    package = Path(module.__file__).parent
+    own = Path(module.__file__).name
     loaded, attributes = set(), set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
-        loaded |= names_loaded(tree, own=path.name == "exactla.py")
+        loaded |= names_loaded(tree, own=path.name == own)
         attributes |= {
             node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         }
-    unused = set(exactla.__all__) - loaded
-    assert unused == set(CALLED_ONLY_BY_CRITERIA)
-    # a method is used when an attribute of its name is read anywhere in
-    # the package: the owner is not resolved, so a read through any object
-    # counts
+    names = getattr(module, "__all__", None) or [
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and isinstance(value, (FunctionType, type))
+        and value.__module__ == module.__name__
+    ]
     methods = {
         f"{cls.__name__}.{name}"
-        for cls in (Mat, Echelon, Subspace)
+        for cls in classes
         for name, member in vars(cls).items()
         if not name.startswith("_")
         and isinstance(member, (FunctionType, property, staticmethod))
     }
-    assert {m for m in methods if m.split(".")[1] not in attributes} == set(KEPT_METHODS)
+    return set(names) - loaded, {m for m in methods if m.split(".")[1] not in attributes}
+
+
+def test_every_public_name_is_used_in_the_package():
+    unused, methods = unused_public_names(exactla, (Mat, Echelon, Subspace))
+    assert unused == set(CALLED_ONLY_BY_CRITERIA)
+    assert methods == set(KEPT_METHODS)
+    kept = set()
+    for module in (liecore, repth):
+        classes = [v for v in vars(module).values()
+                   if isinstance(v, type) and v.__module__ == module.__name__]
+        unused, methods = unused_public_names(module, classes)
+        kept |= unused | methods
+    assert kept == set(KEPT_UNUSED)

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import doubled, so_algebra_and_rep, unimodular_conjugate
+from conftest import derived_subalgebra, doubled, so_algebra_and_rep, unimodular_conjugate
 from kinsila import catalog
 from kinsila.errors import JacobiError
 from kinsila.exactla import Mat, Subspace, inverse, kernel, q, rank, solve
@@ -513,7 +513,7 @@ def test_bracket_span_matches_fraction_brackets_seeded():
                 )
                 assert alg.bracket_span(x, y) == want
         full = Subspace.full(n)
-        assert alg.bracket_span(full, full) == alg.derived_subalgebra()
+        assert alg.bracket_span(full, full) == derived_subalgebra(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +639,7 @@ def test_ad_and_its_matrix_on_subspaces_match_fraction_brackets_seeded():
         alg = LieAlgebra(n, pairs)
         t = ref_tensor(n, pairs)
         full = Subspace.full(n)
-        derived = alg.derived_subalgebra()
+        derived = derived_subalgebra(alg)
         for x in vectors(rng, n):
             # ad x from x times the lcm of its denominators
             dx = math.lcm(*(F(c).denominator for c in x))

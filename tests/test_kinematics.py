@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import count_calls, euclidean_twin, heisenberg_document, heisenberg_like
-from kinsila import catalog, kinematics
+from kinsila import catalog, kinematics, repth
 from kinsila.documents import parse_document
 from kinsila.errors import InternalFault, ValidationError
 from kinsila.exactla import Mat, Subspace, solve, unit_vec
@@ -304,15 +304,15 @@ def test_kahler_split_brackets_only_the_eigenspaces(monkeypatch):
 
 
 def test_poincare_pieces_are_certified_once(monkeypatch):
-    # the Levi factor's search solves Hom_s(V, pr) once and certifies the
-    # radical piece pr by its first element; the central action maps the
-    # complement piece onto pr as s-modules, so no piece is compared with V
-    # again
+    # the Levi factor's search solves Hom_s(V, pr) once, through
+    # certify_copy, which certifies the radical piece pr by its first
+    # element; the central action maps the complement piece onto pr as
+    # s-modules, so no piece is compared with V again
     copies, solved = [], []
-    original_copy, original_hom = kinematics.certify_copy, kinematics.hom_space
+    original_copy, original_hom = kinematics.certify_copy, repth.hom_space
 
     def counted_copy(simple, module):
-        copies.append(module.dim)
+        copies.append((simple, module, len(solved)))
         return original_copy(simple, module)
 
     def counted_hom(rep1, rep2):
@@ -321,14 +321,15 @@ def test_poincare_pieces_are_certified_once(monkeypatch):
 
     monkeypatch.setattr(kinematics, "certify_copy", counted_copy)
     monkeypatch.setattr(kinematics, "hom_space", counted_hom)
+    monkeypatch.setattr(repth, "hom_space", counted_hom)
     result, _ = classify_entry("poincare", 5)
     items = {name: ok for name, ok, _ in result.poincare_items}
     assert items["pieces-isomorphic-to-v"]
     assert items["z-action-maps-one-piece-onto-the-other"]
-    assert copies == []
-    into_pieces = [(rep1, rep2) for rep1, rep2 in solved if rep2.dim == 5]
-    assert len(into_pieces) == 1
-    v, pr = into_pieces[0]
+    assert [module.dim for _, module, _ in copies] == [5]
+    v, pr, before = copies[0]
+    # from the certificate on, exactly one solve into a piece: Hom_s(V, pr)
+    assert solved[before:] == [(v, pr)]
     assert pr.simplicity.kind == "intertwiner" and pr.simplicity.source is v
 
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     ad_matrix,
     bench_workloads,
+    block_copies,
     count_calls,
     dense_rebase,
     doubled,
@@ -810,8 +811,39 @@ class TestCertifiedSimplicity:
         one = Rep(alg, [Mat([[0, -1], [1, 0]])])
         two = Rep(alg, [Mat([[0, -2], [2, 0]])])
         assert is_simple(one)[0]
-        assert certify_copy(one, two) is None
+        assert certify_copy(one, two) == []
         assert two.simplicity is None
+
+    def test_source_without_evidence_is_refused(self):
+        _, v = so_algebra_and_rep(4)
+        copy = Rep(v.algebra, v.mats)
+        with pytest.raises(ValueError):
+            certify_copy(v, copy)
+        assert v.simplicity is None and copy.simplicity is None
+
+    def test_three_copies_are_certified_or_split_along_an_image(self, monkeypatch):
+        # V + V + V for so(4)'s V in its own basis: is_simple splits off V,
+        # whose complement V + V is split along the image of V, and each
+        # further piece is an intertwiner copy of V.  Five solves: the
+        # complement of the first V, its commutant, Hom(V, V + V) and one
+        # Hom(V, piece) per further copy
+        _, v = so_algebra_and_rep(4)
+        solved = []
+        original = repth.hom_space
+
+        def counted(rep1, rep2):
+            solved.append((rep1.dim, rep2.dim))
+            return original(rep1, rep2)
+
+        monkeypatch.setattr(repth, "hom_space", counted)
+        parts = simple_decomposition(block_copies(v, 3))
+        assert [q.dim for q in parts] == [4, 4, 4]
+        assert solved == [(12, 4), (4, 4), (4, 8), (4, 4), (4, 4)]
+        first, *rest = parts.modules
+        assert first.simplicity.kind == "commutant"
+        for m in rest:
+            assert m.simplicity.kind == "intertwiner" and m.simplicity.source is first
+            assert check_simplicity(m)
 
     def test_singular_intertwiner_from_forged_evidence_is_a_fault(self):
         # the zero action on a plane is not simple; claiming it is makes
