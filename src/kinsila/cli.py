@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from . import __version__, catalog
 from .documents import entry_to_document, parse_text
@@ -191,6 +190,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_schema(_args) -> int:
+    from importlib import resources  # here, its only user, as `csv` in batch
     text = (
         resources.files("kinsila")
         .joinpath("data/input_document.schema.json")

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import DocumentError
 from .exactla import _unlimited_digits, zero_vec
@@ -26,8 +25,7 @@ _TOP_KEYS = {"name", "basis", "brackets", "roles"}
 _ROLE_KEYS = {"Z", "s", "P"}
 
 
-@dataclass
-class ParsedInput:
+class ParsedInput(NamedTuple):
     name: str
     algebra: LieAlgebra
     z_indices: Tuple[int, ...]

@@ -474,16 +474,23 @@ class Echelon:
         pivots of the rows already done; those are zero before their own
         pivots, so the pivot stays where it is.
         """
+        done = self._reduced()
+        return done.rows[::-1], done.pivots[::-1]
+
+    def _reduced(self) -> "Echelon":
+        """The reduced rows of `reduced_rows`, stored last pivot first."""
         done = Echelon(self.width)
         for _, row in sorted(zip(self.pivots, self.rows), reverse=True):
             done._store(done._reduce(list(row)))
-        return done.rows[::-1], done.pivots[::-1]
+        return done
 
     def subspace(self) -> "Subspace":
-        """The row span as a Subspace, which takes the primitive reduced
-        rows as they are; no Fraction is built."""
-        rows, pivots = self.reduced_rows()
-        return Subspace(self.width, tuple(rows), tuple(pivots))
+        """The row span as a Subspace, which takes the primitive reduced rows
+        and the supports `_store` found for them as they are; no Fraction is built."""
+        done = self._reduced()
+        space = object.__new__(Subspace)
+        space._set(self.width, *(tuple(x[::-1]) for x in (done.rows, done.pivots, done.support)))
+        return space
 
 
 class Subspace:
@@ -503,13 +510,15 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots", "_support", "_basis")
 
     def __init__(self, ambient_dim: int, rows: tuple, pivots: tuple):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_support", tuple(
+        self._set(ambient_dim, rows, pivots, tuple(
             tuple(compress(range(p + 1, ambient_dim), row[p + 1:]))
             for row, p in zip(rows, pivots)
         ))
+
+    def _set(self, *values) -> None:
+        """Fill ambient_dim, rows, pivots and _support, the nonzero columns after each pivot."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")

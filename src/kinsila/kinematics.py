@@ -57,9 +57,8 @@ solve over Hom_s (`_levi_factor`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DecompositionError,
@@ -113,8 +112,7 @@ LABELS = frozenset({
 })
 
 
-@dataclass
-class KinStructure:
+class KinStructure(NamedTuple):
     """A validated decomposition plus everything derived during validation."""
 
     algebra: LieAlgebra
@@ -131,15 +129,13 @@ class KinStructure:
     items: Tuple[Tuple[str, bool], ...]
 
 
-@dataclass
-class SymplecticData:
+class SymplecticData(NamedTuple):
     omega: Mat                    # in P coordinates
     radical: Subspace             # in P coordinates
     radical_case: str             # "zero" | "module" | "all"
 
 
-@dataclass
-class TransvectionData:
+class TransvectionData(NamedTuple):
     pp: Subspace                  # [P, P], ambient
     transvection: Subspace        # [P, P] + P, ambient
     derived: Subspace             # [T, T] for T the transvection algebra, ambient
@@ -148,8 +144,7 @@ class TransvectionData:
     flat: bool
 
 
-@dataclass
-class ZActionData:
+class ZActionData(NamedTuple):
     a_matrix: Mat                 # ad of the central vector on P, P coordinates
     s_part: Mat
     n_part: Mat
@@ -158,23 +153,20 @@ class ZActionData:
     mu: Fraction                  # trace(square) / dim P: the scalar, if square is one
 
 
-@dataclass
-class KahlerData:
+class KahlerData(NamedTuple):
     label: str
     mu: Fraction
     certificates: Dict[str, object]
-    notes: List[str] = field(default_factory=list)
+    notes: List[str]
 
 
-@dataclass
-class PoincareData:
+class PoincareData(NamedTuple):
     passed: bool
     items: List[Tuple[str, bool, str]]
     levi: Optional[Subspace] = None   # the sigma-stable Levi factor through s, ambient
 
 
-@dataclass
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     label: str
     validation_items: Tuple[Tuple[str, bool], ...]
     radical_case: str
@@ -183,11 +175,11 @@ class ClassificationResult:
     holonomy_dim: int
     flat: bool
     indecomposable: Optional[bool]
+    certificates: Dict[str, object]
+    notes: List[str]
     omega: Optional[Mat] = None
     mu: Optional[Fraction] = None
-    certificates: Dict[str, object] = field(default_factory=dict)
     poincare_items: Optional[List[Tuple[str, bool, str]]] = None
-    notes: List[str] = field(default_factory=list)
 
     @_unlimited_digits()
     def to_dict(self) -> dict:
@@ -854,10 +846,10 @@ def poincare_certificate(
         # `_levi_factor` certified pr as a copy of the summand it solved
         # from, V or V's certified copy; with amap_ok, a restricted to pl is
         # an exactly checked s-isomorphism onto pr, so pl, a copy of pr
-        # along a, is a copy of V exactly when pr is
-        iso_ok = dims_ok and pr_rep.simplicity is not None and (
+        # along a, is a copy of V exactly when pr is.  Otherwise, pl being
+        # of V's dimension, a nonzero element of Hom_s(V, pl) is one
+        iso_ok = dims_ok and pr_rep.simplicity is not None and bool(
             amap_ok or certify_copy(structure.v_rep, rep_on_subspace(structure.p_rep, pl))
-            is not None
         )
         items.append((
             "pieces-isomorphic-to-v",
@@ -1015,6 +1007,7 @@ def classify(
             notes.append("all brackets of momenta act trivially on momenta")
         return ClassificationResult(
             label="flat-other",
+            certificates={},
             notes=notes,
             **base,
         )
@@ -1034,6 +1027,7 @@ def classify(
     if pdata.passed:
         return ClassificationResult(
             label="poincare-type",
+            certificates={},
             poincare_items=pdata.items,
             notes=[
                 "annotation, recorded and not computed: the associated "
@@ -1046,6 +1040,7 @@ def classify(
         )
     return ClassificationResult(
         label="unclassified",
+        certificates={},
         poincare_items=pdata.items,
         notes=[
             "the central action is nilpotent and the two-form is "

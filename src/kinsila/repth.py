@@ -11,10 +11,9 @@ no candidate element of the commutant decides it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, InternalFault, RepError, SimplicityUndecided
 from .exactla import (
@@ -108,8 +107,7 @@ class Rep:
         return f"Rep(dim {self.dim} of algebra dim {self.algebra.dim})"
 
 
-@dataclass(frozen=True)
-class Simplicity:
+class Simplicity(NamedTuple):
     """How a module was proved simple; `check_simplicity` re-verifies it.
 
     A module proved semisimple is simple exactly when its commutant

@@ -145,9 +145,7 @@ def test_mixed_action_with_a_nondegenerate_form_is_a_fault(monkeypatch):
     entry = catalog.make("poincare", 4)
 
     def mixed(structure):
-        zd = z_action_split(structure)
-        zd.kind = "mixed"
-        return zd
+        return z_action_split(structure)._replace(kind="mixed")
 
     monkeypatch.setattr(kinematics, "z_action_split", mixed)
     with pytest.raises(InternalFault, match="both a semisimple and a nilpotent"):

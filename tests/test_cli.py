@@ -55,6 +55,28 @@ def test_cli_import_leaves_csv_unloaded():
     assert not loaded_by_cli_import("csv")
 
 
+def test_cold_classify_loads_only_what_it_uses(tmp_path):
+    # a fresh `classify` compiles and runs every module it imports: its
+    # records are NamedTuples, and csv and the schema's resource loader
+    # belong to other commands; -S keeps site's own imports out of the count
+    path = tmp_path / "poincare_d4.json"
+    path.write_text(json.dumps(entry_to_document(catalog.make("poincare", 4))))
+    unused = ("dataclasses", "inspect", "csv", "sympy", "importlib.resources")
+    code = (
+        "import sys\n"
+        "from kinsila.cli import main\n"
+        f"code = main(['classify', {str(path)!r}, '--json'])\n"
+        f"print(code, [m for m in {unused!r} if m in sys.modules], file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout)["label"] == "poincare-type"
+    assert out.stderr == "0 []\n"
+
+
 # ---------------------------------------------------------------------------
 # document parsing
 

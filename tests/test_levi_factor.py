@@ -181,3 +181,26 @@ def test_a_failed_levi_solve_is_a_fault(monkeypatch):
     monkeypatch.setattr(kinematics, "solve_combination", lambda *args: None)
     with pytest.raises(InternalFault, match="no Lagrangian invariant complement"):
         poincare_certificate(st, sym, z_action_split(st), transvection_and_holonomy(st))
+
+
+def test_a_piece_without_an_intertwiner_from_v_is_not_a_copy(monkeypatch):
+    # with a = id the central action does not carry pl onto pr, so the
+    # item rests on Hom_s(V, pl) alone, and an empty Hom must read False
+    alg, roles = catalog_poincare(4)
+    st = validate(alg, *roles)
+    sym = omega_and_radical(st)
+    identity = z_action_split(st)._replace(a_matrix=Mat.identity(st.p_space.dim))
+    real, calls = kinematics.certify_copy, []
+
+    def no_hom_after_the_levi_factor(simple, module):
+        # the first call is `_levi_factor` certifying pr
+        calls.append(module)
+        return real(simple, module) if len(calls) == 1 else []
+
+    monkeypatch.setattr(kinematics, "certify_copy", no_hom_after_the_levi_factor)
+    items = poincare_certificate(st, sym, identity, transvection_and_holonomy(st)).items
+    by_name = {name: ok for name, ok, _ in items}
+    assert len(calls) == 2
+    assert by_name["sigma-stable-levi-containing-s"] is True
+    assert by_name["z-action-maps-one-piece-onto-the-other"] is False
+    assert by_name["pieces-isomorphic-to-v"] is False

@@ -2,8 +2,6 @@
 basis of `hom_space`'s source and the enveloping algebra, and the
 transvection algebra read off the action of [P, P] on P."""
 
-import dataclasses
-
 import pytest
 
 from conftest import bench_workloads
@@ -168,7 +166,7 @@ def test_a_bracket_of_momenta_in_p_is_a_fault():
     structure = validate(e.algebra, *bench_workloads().entry_roles(e))
     ungraded = LieAlgebra(3, {(0, 1): (1, 0, 0)}, labels=list(e.algebra.labels))
     with pytest.raises(InternalFault):
-        transvection_and_holonomy(dataclasses.replace(structure, algebra=ungraded))
+        transvection_and_holonomy(structure._replace(algebra=ungraded))
 
 
 def test_an_undecided_momentum_module_with_a_commutant_of_four_dimensions(monkeypatch):
