@@ -2,13 +2,14 @@
 
 Exit codes: 0 classification produced (including the unclassified label),
 1 the input fails a defining condition or the Jacobi identity, 2 the
-document is malformed, 3 an internal re-check failed or a simplicity
-question could not be settled.
+document is malformed or a file cannot be read or written, 3 an internal
+re-check failed or a simplicity question could not be settled.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -56,6 +57,21 @@ def _read(path: str) -> str:
         raise DocumentError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}")
 
 
+def _write(path: str, text: str, newline=None) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror}")
+
+
+def _make_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror}")
+
+
 def _report_lines(name: str, result: ClassificationResult, color: bool):
     lines = [f"name: {name}", f"label: {result.label}"]
     lines.append("validation checks:")
@@ -99,8 +115,7 @@ def _cmd_classify(args) -> int:
         parsed.algebra, parsed.z_indices, parsed.s_indices, parsed.p_indices
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_render(parsed.name, result, args.json, color=False))
+        _write(args.out, _render(parsed.name, result, args.json, color=False))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(
@@ -123,7 +138,7 @@ def _cmd_batch(args) -> int:
     families = args.families or list(catalog.FAMILIES)
     dims = args.dims or [4, 5]
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
+        _make_dir(args.out_dir)
     rows = []
     fault = False
     for fam in families:
@@ -149,21 +164,15 @@ def _cmd_batch(args) -> int:
                 payload = {"name": name, "fault": str(exc)}
             rows.append((fam, d, outcome))
             if args.out_dir:
-                path = os.path.join(args.out_dir, f"{name}.report.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True, indent=2)
-                    fh.write("\n")
+                _write(os.path.join(args.out_dir, f"{name}.report.json"),
+                       json.dumps(payload, sort_keys=True, indent=2) + "\n")
     table = _format_table(rows)
     sys.stdout.write(table)
     if args.out_dir:
-        with open(os.path.join(args.out_dir, "summary.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(table)
-        with open(os.path.join(args.out_dir, "summary.csv"), "w",
-                  encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["family", "dim", "label"])
-            writer.writerows(rows)
+        _write(os.path.join(args.out_dir, "summary.txt"), table)
+        buf = io.StringIO()
+        csv.writer(buf).writerows([("family", "dim", "label"), *rows])
+        _write(os.path.join(args.out_dir, "summary.csv"), buf.getvalue(), newline="")
     return EXIT_FAULT if fault else EXIT_OK
 
 
@@ -175,12 +184,10 @@ def _cmd_catalog(args) -> int:
         for fam in families for d in dims
     ]
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_dir(args.out)
         for doc in docs:
             path = os.path.join(args.out, f"{doc['name']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
             print(f"wrote {path}")
     elif len(docs) == 1:
         print(json.dumps(docs[0], sort_keys=True, indent=2))

@@ -81,7 +81,7 @@ class InternalFault(KinsilaError):
 
 
 class DocumentError(KinsilaError):
-    """Input document cannot be parsed into a Lie algebra."""
+    """A document cannot be parsed, or a file read or written."""
 
     def __init__(self, message, location=None):
         self.location = location

@@ -10,6 +10,7 @@ The exceptions are the Jacobi identity, checked when the LieAlgebra was
 built, on s (its s x s block once s closes) and on the action of s on P
 (the bracket condition, once ad s maps P into P): neither is checked a
 second time.  Nor are these, each established before it is used:
+  - V is simple (step 6): step 5 recorded its proof as `Rep.simplicity`;
   - the two-form is antisymmetric: every `LieAlgebra` constructor fills
     its table antisymmetrically;
   - the radical of the two-form brackets P into s: step 10 puts [P, P]
@@ -91,7 +92,6 @@ from .repth import (
     _combination,
     _generator_mats,
     certify_copy,
-    check_simplicity,
     hom_space,
     invariant_complement,
     is_faithful,
@@ -389,9 +389,9 @@ def validate(
         fail(5, "the two simple pieces of the momentum module are not isomorphic")
     ok(5)
 
-    # 6: the summand is simple: re-check the decomposition's certificate
-    if not check_simplicity(v_rep):
-        fail(6, "a decomposition summand failed its own simplicity certificate")
+    # 6: the summand is simple, as proved by the decomposition (step 5)
+    if v_rep.simplicity is None:
+        raise InternalFault("validate step 6: V has no simplicity certificate")
     ok(6)
 
     # 7: the action on the summand is faithful, asked of P (module docstring)

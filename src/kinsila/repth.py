@@ -47,7 +47,7 @@ class Rep:
     derived from another (`_derived_rep`) a `_Matrices`, which builds a
     matrix on its first read.  What is computed from the matrices alone
     is kept on the module once built: the standard basis that every
-    `hom_space` out of it solves over, and the enveloping algebra.
+    `hom_space` out of it solves over.
     """
 
     def __init__(
@@ -85,10 +85,8 @@ class Rep:
         self.simplicity: Optional[Simplicity] = None
         # the action on the invariant subspace is_simple returned, once found
         self.witness: Optional[Rep] = None
-        # the spin basis that every hom_space out of the module solves
-        # over, and the enveloping algebra's basis, each once it is built
+        # the spin basis that every hom_space out of it solves over, once built
         self.standard_basis: Optional[_StandardBasis] = None
-        self.envelope: Optional[Tuple[Mat, ...]] = None
         if check:
             self._validate()
 
@@ -108,7 +106,7 @@ class Rep:
 
 
 class Simplicity(NamedTuple):
-    """How a module was proved simple; `check_simplicity` re-verifies it.
+    """How a module was proved simple, recorded when it was proved.
 
     A module proved semisimple is simple exactly when its commutant
     E = End_s(V) is a division algebra.  kind is one of
@@ -124,7 +122,7 @@ class Simplicity(NamedTuple):
                        a module proved simple (Schur's lemma).
     Semisimplicity is Weyl's theorem when the algebra has a nondegenerate
     Killing form (Cartan's criterion), else Dickson's criterion on the
-    enveloping algebra; it and E are computed again on every re-check.
+    enveloping algebra.
     """
 
     kind: str
@@ -463,10 +461,7 @@ def enveloping_basis(rep: Rep) -> Tuple[Mat, ...]:
     the span of the words in the Lie generators' matrices, since rho([x, y])
     is a word in rho(x) and rho(y).  It is spun from the identity under left
     multiplication by those matrices, until no product is new or the basis
-    spans all of End(V).  The spin depends only on the module's matrices,
-    so it runs once per `Rep`; the basis is kept as `Rep.envelope`."""
-    if rep.envelope is not None:
-        return rep.envelope
+    spans all of End(V)."""
     d = rep.dim
     gens = _generator_mats(rep)
     found = Echelon(d * d)
@@ -478,8 +473,7 @@ def enveloping_basis(rep: Rep) -> Tuple[Mat, ...]:
             if len(elements) == d * d:
                 # all of End(V): no further product can be new
                 break
-    rep.envelope = tuple(elements)
-    return rep.envelope
+    return tuple(elements)
 
 
 def _factor_over_q(p: Poly) -> List[Tuple[Poly, int]]:
@@ -638,8 +632,7 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
 
     Returns (True, None) or (False, W) with W a verified proper nonzero
     invariant subspace.  A True verdict records its evidence as
-    `rep.simplicity` (see `Simplicity`), which `check_simplicity`
-    re-verifies.
+    `rep.simplicity` (see `Simplicity`).
 
     1. Kernel spins: the kernel vectors of each nonzero basis matrix, in
        index order, are spun once each (`_kernel_probe`); the first
@@ -710,46 +703,6 @@ def _is_isomorphism(source: Rep, target: Rep, t: Mat) -> bool:
         and rank(t) == source.dim == target.dim
         and all(t @ a == b @ t
                 for a, b in zip(_generator_mats(source), _generator_mats(target)))
-    )
-
-
-def check_simplicity(rep: Rep) -> bool:
-    """Re-verify the evidence recorded in `rep.simplicity`: the recorded
-    elements commute with the Lie generators' matrices, so with the
-    action, the module is semisimple, E has the
-    dimension its kind needs, and the polynomial or conic that makes E a
-    division algebra is solved again.  The module's standard basis and
-    envelope are reused, not spun again: they are functions of its
-    matrices alone, while the equations for E and the trace form's radical
-    are solved on every call.  False when no evidence is recorded or the
-    check fails."""
-    cert = rep.simplicity
-    if cert is None:
-        return False
-    if cert.kind == "dimension-one":
-        return rep.dim == 1
-    if cert.kind == "intertwiner":
-        return check_simplicity(cert.source) and _is_isomorphism(
-            cert.source, rep, cert.mats[0]
-        )
-    gens = _generator_mats(rep)
-    if not all(x @ m == m @ x for x in cert.mats for m in gens):
-        return False
-    # the recorded elements span a division algebra (Q for "commutant"),
-    # which is all of E when their dimensions agree
-    if cert.kind == "commutant":
-        dim, division = 1, True
-    elif cert.kind == "field":
-        mp = min_poly(cert.mats[0])
-        dim, division = mp.degree, _factor_over_q(mp) == [(mp, 1)]
-    elif cert.kind == "quaternion":
-        squares = _quaternion_squares(*cert.mats)
-        dim, division = 4, squares is not None and _conic_point(*squares) is None
-    else:
-        return False
-    # V is semisimple by Weyl's theorem, else by Dickson's criterion
-    return division and len(hom_space(rep, rep)) == dim and (
-        rep.algebra.is_semisimple() or _radical_image(enveloping_basis(rep), rep.dim).is_zero()
     )
 
 

@@ -7,11 +7,21 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from kinsila import catalog, repth
+from kinsila import catalog, kinematics, repth
 from kinsila.documents import entry_to_document
-from kinsila.exactla import Mat, Subspace, inverse, kernel, rank, unit_vec
+from kinsila.exactla import Mat, Subspace, inverse, kernel, min_poly, rank, unit_vec
 from kinsila.liecore import LieAlgebra
-from kinsila.repth import Rep
+from kinsila.repth import (
+    Rep,
+    _conic_point,
+    _factor_over_q,
+    _generator_mats,
+    _is_isomorphism,
+    _quaternion_squares,
+    _radical_image,
+    enveloping_basis,
+    hom_space,
+)
 
 
 def so_algebra_and_rep(d):
@@ -150,6 +160,63 @@ def block_copies(rep, k):
 def doubled(rep):
     """Block-diagonal direct sum of a representation with itself."""
     return block_copies(rep, 2)
+
+
+def check_simplicity(rep: Rep) -> bool:
+    """Re-verify the evidence recorded in `rep.simplicity`: the recorded
+    elements commute with the Lie generators' matrices, so with the
+    action, the module is semisimple, E has the
+    dimension its kind needs, and the polynomial or conic that makes E a
+    division algebra is solved again.  The module's standard basis is
+    reused, not spun again: it is a function of its matrices alone, while
+    the equations for E, the envelope and the trace form's radical are
+    computed on every call.  False when no evidence is recorded or the
+    check fails.  The tests' oracle for `Rep.simplicity`, which `classify`
+    records once and does not prove again."""
+    cert = rep.simplicity
+    if cert is None:
+        return False
+    if cert.kind == "dimension-one":
+        return rep.dim == 1
+    if cert.kind == "intertwiner":
+        return check_simplicity(cert.source) and _is_isomorphism(
+            cert.source, rep, cert.mats[0]
+        )
+    gens = _generator_mats(rep)
+    if not all(x @ m == m @ x for x in cert.mats for m in gens):
+        return False
+    # the recorded elements span a division algebra (Q for "commutant"),
+    # which is all of E when their dimensions agree
+    if cert.kind == "commutant":
+        dim, division = 1, True
+    elif cert.kind == "field":
+        mp = min_poly(cert.mats[0])
+        dim, division = mp.degree, _factor_over_q(mp) == [(mp, 1)]
+    elif cert.kind == "quaternion":
+        squares = _quaternion_squares(*cert.mats)
+        dim, division = 4, squares is not None and _conic_point(*squares) is None
+    else:
+        return False
+    # V is semisimple by Weyl's theorem, else by Dickson's criterion
+    return division and len(hom_space(rep, rep)) == dim and (
+        rep.algebra.is_semisimple() or _radical_image(enveloping_basis(rep), rep.dim).is_zero()
+    )
+
+
+def record_hom_spaces(monkeypatch):
+    """Patch `hom_space` where it is called; returns the list that each
+    call appends (source, target, answer) to."""
+    solved = []
+    original = repth.hom_space
+
+    def recorded(rep1, rep2):
+        out = original(rep1, rep2)
+        solved.append((rep1, rep2, out))
+        return out
+
+    monkeypatch.setattr(repth, "hom_space", recorded)
+    monkeypatch.setattr(kinematics, "hom_space", recorded)
+    return solved
 
 
 def count_calls(monkeypatch, name, owner=repth):

@@ -239,6 +239,26 @@ def test_cli_classify_out_file(tmp_path, capsys):
         assert json.load(fh)["label"] == "flat-rad-equals-P"
 
 
+def unwritable(tmp_path, name):
+    """A path under a regular file, which no user can create or write."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker / name)
+
+
+def assert_cannot_write(capsys, path):
+    captured = capsys.readouterr()
+    assert captured.err == f"document error: cannot write {path}: Not a directory\n"
+    return captured.out
+
+
+def test_cli_classify_unwritable_out_exit_2(tmp_path, capsys):
+    doc_path = write_doc(tmp_path, entry_to_document(catalog.make("static", 4)))
+    out_path = unwritable(tmp_path, "report.json")
+    assert main(["classify", doc_path, "--json", "--out", out_path]) == 2
+    assert assert_cannot_write(capsys, out_path) == ""
+
+
 def test_cli_repeated_runs_identical(tmp_path, capsys):
     path = write_doc(tmp_path, entry_to_document(catalog.make("carroll", 4)))
     main(["classify", path, "--json"])
@@ -598,6 +618,13 @@ def test_cli_batch_out_dir(tmp_path, capsys):
     assert ["carroll", "4", "flat-other"] in rows
 
 
+def test_cli_batch_unwritable_out_dir_exit_2(tmp_path, capsys):
+    out = unwritable(tmp_path, "reports")
+    code = main(["batch", "--families", "poincare", "--dims", "4", "--out-dir", out])
+    assert code == 2
+    assert assert_cannot_write(capsys, out) == ""
+
+
 # the two failures that exit 3, with the stderr lines `main` prints for them
 FAULTS = {
     "undecided": (
@@ -673,6 +700,12 @@ def test_cli_catalog_out_dir(tmp_path, capsys):
     with open(os.path.join(out, "de_sitter_d5.json")) as fh:
         parsed = parse_document(json.load(fh))
     assert parsed.algebra.dim == catalog.dim_formula(5)
+
+
+def test_cli_catalog_unwritable_out_exit_2(tmp_path, capsys):
+    out = unwritable(tmp_path, "exports")
+    assert main(["catalog", "export", "--family", "static", "--out", out]) == 2
+    assert assert_cannot_write(capsys, out) == ""
 
 
 def test_cli_schema_output(capsys):

@@ -6,14 +6,19 @@ A subspace invariant under rho(x) and rho(y) is invariant under
 rho([x, y]), so the generators decide invariance; a lazily built matrix
 that fails it is a failed theorem.  The matrices built this way are
 checked here against the Fraction coordinates of the source's matrices,
-for every derived module that `classify` builds."""
+for every derived module that `classify` builds.  The same sweep checks
+that V is proved simple once: the certificates of both summands of P
+hold (`conftest.check_simplicity`), and no Hom is solved twice."""
 
 import random
 
 import pytest
 
-from conftest import bench_workloads, dense_rebase, so_algebra_and_rep
-from kinsila import catalog, repth
+from conftest import (
+    bench_workloads, check_simplicity, dense_draw, dense_rebase, record_hom_spaces,
+    so_algebra_and_rep,
+)
+from kinsila import catalog, kinematics, repth
 from kinsila.errors import InternalFault, ValidationError
 from kinsila.exactla import Mat, Subspace
 from kinsila.kinematics import classify
@@ -82,6 +87,21 @@ def test_the_integer_draws_are_the_workloads():
         assert algebra._struct == workload.prepare(op)[0]._struct
 
 
+def record_decompositions(monkeypatch):
+    """Patch the decomposition of P in `validate`; returns the list of
+    the decompositions it returned."""
+    made = []
+    original = kinematics.simple_decomposition
+
+    def recorded(rep):
+        out = original(rep)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(kinematics, "simple_decomposition", recorded)
+    return made
+
+
 def inputs():
     for d in range(1, 7):
         for family in catalog.FAMILIES:
@@ -90,18 +110,33 @@ def inputs():
     for seed in range(10):
         for name in bench_workloads().Rebased().op_names():
             yield f"{name}@{seed}", *rebased_draw(name, seed)
+    for seed in range(3):
+        for family in catalog.FAMILIES:
+            e = catalog.make(family, 4)
+            yield f"{family}_d4 dense@{seed}", *dense_draw(e.algebra, e.roles(), seed)
 
 
 def test_every_lazily_built_matrix_is_the_sources_on_the_subspace(monkeypatch):
+    # and V is proved simple once: the certificates of both summands hold,
+    # and no Hom is solved twice in one classify
     made = record_derived(monkeypatch)
+    solved = record_hom_spaces(monkeypatch)
+    decompositions = record_decompositions(monkeypatch)
     kinds = set()
     for name, algebra, roles in inputs():
-        del made[:]
+        del made[:], solved[:], decompositions[:]
         try:
             classify(algebra, *roles)
         except ValidationError as exc:
             # the only catalog entries that are not kinematical algebras
             assert exc.code == "WEDGE_CONDITION_FAILS", name
+        else:
+            (parts,) = decompositions
+            assert all(check_simplicity(m) for m in parts.modules), name
+            # the modules themselves, kept alive by `solved`: a freed
+            # temporary's id() may be reused by a later module
+            pairs = [(rep1, rep2) for rep1, rep2, _ in solved]
+            assert len(set(pairs)) == len(pairs), name
         for source, build, module in made:
             gens = set(source.algebra.generators())
             lazy = [i for i, m in enumerate(module.mats._built) if m is None]

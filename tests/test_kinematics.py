@@ -68,6 +68,22 @@ def test_validate_items_order_on_good_input():
     assert st.invariant_form is not None
 
 
+def test_a_summand_without_a_certificate_is_a_fault_of_step_6(monkeypatch):
+    # step 6 reads the certificate that the decomposition of step 5
+    # recorded; only a bug leaves it out, so no input raises V_NOT_SIMPLE
+    original = kinematics.simple_decomposition
+
+    def uncertified(rep):
+        parts = original(rep)
+        parts.modules[0].simplicity = None
+        return parts
+
+    monkeypatch.setattr(kinematics, "simple_decomposition", uncertified)
+    e = catalog.make("poincare", 4)
+    with pytest.raises(InternalFault, match="validate step 6"):
+        validate(e.algebra, *entry_roles(e))
+
+
 def test_validate_zero_rotation_algebra():
     # a valid input with no rotations at all: V is a line
     a = alg(3, {(1, 2): (1, 0, 0)}, labels=["H", "B1", "P1"])

@@ -10,6 +10,7 @@ from conftest import (
     ad_matrix,
     bench_workloads,
     block_copies,
+    check_simplicity,
     count_calls,
     dense_rebase,
     doubled,
@@ -28,7 +29,6 @@ from kinsila.repth import (
     Rep,
     Simplicity,
     certify_copy,
-    check_simplicity,
     enveloping_basis,
     hom_space,
     invariant_complement,
