@@ -43,7 +43,13 @@ class SimplicityUndecided(KinsilaError):
     the scalars or a quaternion algebra, nor when a candidate (E's basis,
     then pairwise sums and differences) has a reducible minimal
     polynomial or, in a commutative E, an irreducible one of degree dim E.
+    ``module`` is the module asked about and ``commutant`` is dim E.
     """
+
+    def __init__(self, message, module=None, commutant=None):
+        self.module = module
+        self.commutant = commutant
+        super().__init__(message)
 
 
 class DecompositionError(KinsilaError):

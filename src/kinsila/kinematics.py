@@ -368,10 +368,11 @@ def validate(
         parts = simple_decomposition(p_rep)
     except DecompositionError as exc:
         fail(5, f"the momentum module does not split: {exc}")
-    except SimplicityUndecided:
+    except SimplicityUndecided as exc:
         # V + V for a simple V has the commutant M_2(End_s V), of dimension
-        # 4 dim End_s V; any other dimension proves P is not two copies
-        commutant = len(hom_space(p_rep, p_rep))
+        # 4 dim End_s V; any other dimension proves P is not two copies.
+        # is_simple(P) raises with dim End_s P, and a piece's raise does not
+        commutant = exc.commutant if exc.module is p_rep else len(hom_space(p_rep, p_rep))
         if commutant % 4:
             fail(5, f"the momentum module has a commutant of dimension "
                     f"{commutant}, which two copies of a simple module never have")

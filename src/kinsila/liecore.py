@@ -24,7 +24,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalFault, JacobiError, NonAbelianRadicalError
 from .exactla import (
+    _ZERO,
     _dense,
+    _exact,
     _fractions,
     _integer_echelon,
     _integer_kernel,
@@ -36,7 +38,6 @@ from .exactla import (
     Mat,
     Subspace,
     inverse,
-    q,
     rank,
 )
 
@@ -62,13 +63,17 @@ class LieAlgebra:
         for (i, j), v in pairs.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket pairs must have 0 <= i < j < dim")
-            vv = tuple(q(x) for x in v)
-            if len(vv) != dim:
+            v = _exact(tuple(v))
+            if len(v) != dim:
                 raise ValueError("bracket value has wrong length")
-            values[(i, j)] = vv
-        # the integer view of the matrix whose rows are the brackets
-        den, rows = Mat(list(values.values()), cols=dim)._integer
-        self._integer_table(labels, den, dict(zip(values, rows)))
+            # the nonzero entries; the shared _ZERO is skipped by identity
+            values[(i, j)] = [(m, x) for m, x in enumerate(v) if x is not _ZERO and x]
+        # the rows as integers over the lcm of every denominator
+        den = math.lcm(*[x.denominator for row in values.values() for _, x in row])
+        self._integer_table(labels, den, {
+            ij: tuple([(m, x.numerator * (den // x.denominator)) for m, x in row])
+            for ij, row in values.items()
+        })
 
     @classmethod
     def _from_integers(cls, labels: list, den: int, pairs: Dict[Tuple[int, int], tuple]
@@ -114,6 +119,7 @@ class LieAlgebra:
         self._killing: Optional[Mat] = None
         self._semisimple: Optional[bool] = None
         self._radical: Optional[Subspace] = None
+        self._radical_abelian: Optional[bool] = None
         self._generators: Optional[tuple] = None
 
     # -- construction-time validation -----------------------------------
@@ -121,32 +127,73 @@ class LieAlgebra:
         """Recompute every cyclic bracket sum from the structure constants.
 
         Returns None when all sums vanish exactly, otherwise the first
-        violating (i, j, k) with its defect vector.  Construction rejects
-        violators, so on a live instance this is a re-verification.  The
-        sums are taken in integers over D^2.
+        violating (i, j, k), i < j < k in lexicographic order, with its
+        defect vector.  Construction rejects violators, so on a live
+        instance this is a re-verification.  The sums are taken in
+        integers over D^2.
+
+        The triples are grouped by their smallest index i, and each
+        nonzero product is visited once: [e_i, [e_j, e_k]] through the
+        nonzero columns of ad e_i and the pairs (j, k) indexed by the
+        support of [e_j, e_k], and the other two orders as [e_a, [e_i,
+        e_b]] for each nonzero [e_i, e_b].  A defect entry is a sum of at
+        most 3n products of two constants, so each bracket [e_a, e_m] is
+        packed into one integer with its entry r at bits r w, w wide
+        enough for any such sum with its sign; adding a multiple of a
+        bracket is then one integer operation, and a packed sum is zero
+        exactly when every entry is.  The sums of one i sit in one list
+        at j n + k, which every i leaves zero unless it reports.
         """
         n = self.dim
         struct = self._struct
+        big = max((abs(c) for s in struct for row in s.values() for _, c in row), default=0)
+        w = (6 * n * big * big).bit_length()
+        # packed[a][m] is [e_a, e_m]; pairs[m] holds (j n + k, c) for each
+        # [e_j, e_k] = c e_m + ..., j < k, in descending order
+        packed = [{} for _ in range(n)]
+        pairs = [[] for _ in range(n)]
+        for j in range(n - 1, -1, -1):
+            sj = struct[j]
+            for k in sorted(sj, reverse=True):
+                if k > j:
+                    x = 0
+                    for m, c in sj[k]:
+                        pairs[m].append((j * n + k, c))
+                        x += c << (m * w)
+                    packed[j][k] = x
+                    packed[k][j] = -x
+        # rows[m] is packed[m]'s (a, [e_m, e_a]) in descending a
+        rows = [sorted(p.items(), reverse=True) for p in packed]
+        acc = [0] * (n * n)
         for i in range(n):
-            si = struct[i]
-            for j in range(i + 1, n):
-                sj = struct[j]
-                for k in range(j + 1, n):
-                    sk = struct[k]
-                    defect = None
-                    # [e_a, [e_b, e_c]] over the three cyclic orders
-                    for sa, bc in ((si, sj.get(k)), (sj, sk.get(i)), (sk, si.get(j))):
-                        if bc is None:
-                            continue
-                        if defect is None:
-                            defect = [0] * n
-                        for m, c in bc:
-                            am = sa.get(m)
-                            if am is not None:
-                                for r, e in am:
-                                    defect[r] += c * e
-                    if defect is not None and any(defect):
-                        return (i, j, k), _fractions(defect, self._den ** 2)
+            low = (i + 1) * n
+            # [e_i, [e_j, e_k]] = sum of c [e_i, e_m]
+            for m, x in packed[i].items():
+                for key, c in pairs[m]:
+                    if key < low:
+                        break
+                    acc[key] += c * x
+            # [e_a, [e_i, e_b]] = -sum of c [e_m, e_a]: the term of (i, a, b)
+            # with sign -1 when a < b, and of (i, b, a) when b < a
+            for b, row in struct[i].items():
+                if b > i:
+                    for m, c in row:
+                        for a, x in rows[m]:
+                            if a <= i:
+                                break
+                            if a < b:
+                                acc[a * n + b] += c * x
+                            elif a > b:
+                                acc[b * n + a] -= c * x
+            if any(acc[low:]):
+                key = next(key for key in range(low, n * n) if acc[key])
+                x, defect = acc[key], []
+                half = 1 << (w - 1)
+                for _ in range(n):
+                    e = ((x + half) & ((1 << w) - 1)) - half
+                    defect.append(e)
+                    x = (x - e) >> w
+                return (i, *divmod(key, n)), _fractions(defect, self._den ** 2)
         return None
 
     # -- bracket ---------------------------------------------------------
@@ -312,15 +359,20 @@ class LieAlgebra:
                        for x in generators for r in space.rows)
 
     def is_abelian_space(self, space: Subspace) -> bool:
+        """[space, space] = 0, read for the kept solvable radical off the
+        first derived space that certified it."""
+        if space is self._radical:
+            return self._radical_abelian
         return self.bracket_span(space, space).is_zero()
 
-    def is_solvable_space(self, space: Subspace) -> bool:
+    def is_solvable_space(self, space: Subspace, derived: Optional[Subspace] = None) -> bool:
         """Derived series of a subalgebra terminates at zero.
 
-        [space, space] is bracketed once: it is the subalgebra test and
-        the first derived step.
+        [space, space] is bracketed once, or given as `derived`: it is the
+        subalgebra test and the first derived step.
         """
-        derived = self.bracket_span(space, space)
+        if derived is None:
+            derived = self.bracket_span(space, space)
         if not space.contains_space(derived):
             raise ValueError("solvability asked of a non-subalgebra")
         s = space
@@ -350,7 +402,9 @@ class LieAlgebra:
         sum, with no elimination across the two.  The ideal and
         solvability properties are nevertheless re-checked on the
         computed space; the ideal test brackets it with `generators`,
-        integer rows generating g (`is_ideal`).
+        integer rows generating g (`is_ideal`).  The solvability test's
+        first step, [rad, rad], also tells whether the radical is abelian,
+        which `is_abelian_space` then reads without bracketing again.
         """
         n = self.dim
         if sign is None:
@@ -377,12 +431,14 @@ class LieAlgebra:
                     {"radical_basis": rad.basis},
                 )
             # kept, printed in the report (radical-abelian calls it solvable)
-            if not self.is_solvable_space(rad):
+            derived = self.bracket_span(rad, rad)
+            if not self.is_solvable_space(rad, derived):
                 raise InternalFault(
                     "computed radical is not solvable",
                     {"radical_basis": rad.basis},
                 )
             self._radical = rad
+            self._radical_abelian = derived.is_zero()
         return self._radical
 
     # -- maps ---------------------------------------------------------------

@@ -688,7 +688,8 @@ def is_simple(rep: Rep) -> Tuple[bool, Optional[Subspace]]:
             return _proved(rep, "field", x)
     raise SimplicityUndecided(
         f"no certificate found for a module of dimension {d} "
-        f"with a commutant of dimension {len(homs)}"
+        f"with a commutant of dimension {len(homs)}",
+        rep, len(homs),
     )
 
 
@@ -820,20 +821,22 @@ def simple_decomposition(rep: Rep) -> Decomposition:
     most the piece's dimension, is offered the piece once (`certify_copy`)
     until one has a nonzero intertwiner into it.  One of the piece's
     dimension certifies the piece as a copy, so each isomorphism type of
-    summand is certified once; a smaller one gives the image of its first
-    intertwiner, a copy of it, to split along.  Failing that, when the
-    algebra is semisimple, a piece cut off by a split is certified by a
-    scalar commutant (the "commutant" kind of `Simplicity`); the module as
-    a whole, and every piece otherwise, runs is_simple.  A reducible piece
-    is split along the invariant subspace found and the complement
-    `_spun_complement` gives, the smaller of the two taken first, the
-    invariant subspace when their dimensions agree.  Raises
-    DecompositionError when the module is not semisimple and
-    SimplicityUndecided when irreducibility of a piece cannot be
-    certified.  The returned subspaces are independent and span the
-    module with no further check: each split is a piece W plus a
-    complement that `_spun_complement` or `invariant_complement` checked
-    to fill the piece with W, and `embed` is injective.
+    summand is certified once; a smaller one V gives the image W of its
+    first intertwiner h to split along, a copy of V by Schur's lemma,
+    which carries h, read in W's basis, as its certificate and is not
+    offered to V again.  Failing that, when the algebra is semisimple, a
+    piece cut off by a split is certified by a scalar commutant (the
+    "commutant" kind of `Simplicity`); the module as a whole, and every
+    piece otherwise, runs is_simple.  A reducible piece is split along
+    the invariant subspace found and the complement `_spun_complement`
+    gives, the smaller of the two taken first, the invariant subspace
+    when their dimensions agree.  Raises DecompositionError when the
+    module is not semisimple and SimplicityUndecided when irreducibility
+    of a piece cannot be certified.  The returned subspaces are
+    independent and span the module with no further check: each split is
+    a piece W plus a complement that `_spun_complement` or
+    `invariant_complement` checked to fill the piece with W, and `embed`
+    is injective.
     """
     d = rep.dim
     weyl = rep.algebra.is_semisimple()
@@ -846,23 +849,39 @@ def simple_decomposition(rep: Rep) -> Decomposition:
         whole = piece.is_full()
         if sub is None:
             sub = rep_on_subspace(rep, piece)
-        # Hom_s(V, piece) for the first certified V with a nonzero one
-        homs = next(filter(None, (certify_copy(v, sub) for v in searched)), [])
-        if not homs or homs[0].cols < sub.dim:
+        # a copy of V split along an image arrives certified; any other
+        # piece takes Hom_s(V, piece) for the first V with a nonzero one
+        certified = not whole and sub.simplicity is not None
+        homs = []
+        for source in () if certified else searched:
+            homs = certify_copy(source, sub)
+            if homs:
+                break
+        if not certified and (not homs or homs[0].cols < sub.dim):
+            image = None
             if homs:
                 # V's image: h's columns are the rows of its transpose
                 wit = _integer_echelon(sub.dim, homs[0].transpose()._integer[1]).subspace()
+                if wit.dim != source.dim:
+                    raise InternalFault("a nonzero intertwiner out of a simple module "
+                                        "is not injective", {"intertwiner": homs[0].entries})
+                # h in W's echelon basis: the entries of its columns at W's pivots
+                den, rows = homs[0]._integer
+                image = rep_on_subspace(sub, wit)
+                image.simplicity = Simplicity("intertwiner", (_integer_mat(
+                    source.dim, den, tuple(rows[p] for p in wit.pivots)),), source=source)
             elif weyl and not whole and len(hom_space(sub, sub)) == 1:
                 sub.simplicity = Simplicity("commutant")
                 wit = None
             else:
                 simple, wit = is_simple(sub)
+                image = sub.witness if whole else None
             if wit is not None:
                 comp = _spun_complement(sub, wit)
-                # the whole module's witness embeds as itself; the stack
-                # pops the last piece first, and the sort is stable
-                split = [(piece.embed(comp), None),
-                         (piece.embed(wit), sub.witness if whole else None)]
+                # a witness is the action on W in W's echelon basis, which
+                # `embed` carries to piece.embed(W)'s; the stack pops the
+                # last piece first, and the sort is stable
+                split = [(piece.embed(comp), None), (piece.embed(wit), image)]
                 pending += sorted(split, key=lambda p: -p[0].dim)
                 continue
             searched.append(sub)

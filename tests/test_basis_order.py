@@ -24,6 +24,7 @@ from conftest import (
     bench_workloads,
     heisenberg_like,
     structure_pairs,
+    workload_rebase,
 )
 from kinsila import catalog
 from kinsila.cli import main
@@ -118,14 +119,12 @@ def rebased(family):
     """(catalog d = 4 entry, roles, the entry's algebra after the seeded
     change of basis Z' = lam Z, s' = A s, P' = B P with unimodular
     {-1, 0, 1} blocks A, B, lam)."""
-    workloads = bench_workloads()
     entry = catalog.make(family, 4)
     alg = entry.algebra
-    roles = workloads.entry_roles(entry)
-    pairs = structure_pairs(alg)
+    roles = entry.roles()
     rng = random.Random(f"{SEED}-rebase-{family}")
-    moved_pairs, lam = workloads.rebase(alg.dim, pairs, roles, rng)
-    assert moved_pairs != pairs
+    moved_pairs, lam = workload_rebase(alg, roles, rng)
+    assert moved_pairs != structure_pairs(alg)
     return entry, roles, LieAlgebra(alg.dim, moved_pairs, list(alg.labels)), lam
 
 
@@ -147,10 +146,9 @@ def test_change_of_basis_keeps_the_heisenberg_certificates_seeded():
     # choice satisfies the four certificate checks
     alg = heisenberg_like()
     roles = ([0], [1], [2, 3, 4, 5])
-    pairs = structure_pairs(alg)
     rng = random.Random(f"{SEED}-rebase-heisenberg")
     for _ in range(5):
-        moved_pairs, _ = bench_workloads().rebase(alg.dim, pairs, roles, rng)
+        moved_pairs, _ = workload_rebase(alg, roles, rng)
         r = classify(LieAlgebra(alg.dim, moved_pairs, list(alg.labels)), *roles)
         assert r.label == "flat-heisenberg"
         assert r.radical_dim == 2

@@ -19,15 +19,14 @@ import pytest
 from conftest import (
     ad_matrix,
     bench_workloads,
+    rebased_draw,
     static_with_central_action,
-    structure_pairs,
 )
 from kinsila import catalog, kinematics
 from kinsila.documents import parse_document
 from kinsila.errors import InternalFault
 from kinsila.exactla import Mat, Subspace, inverse, sn_decomposition, unit_vec
 from kinsila.kinematics import classify, validate, z_action_split
-from kinsila.liecore import LieAlgebra
 
 REBASED_SEEDS = (5, 11, 23)
 
@@ -75,13 +74,7 @@ def test_catalog_kind_matches_split(family, d):
 @pytest.mark.parametrize("family", catalog.FAMILIES)
 @pytest.mark.parametrize("seed", REBASED_SEEDS)
 def test_rebased_kind_matches_split(family, seed):
-    workloads = bench_workloads()
-    entry = catalog.make(family, 4)
-    alg = entry.algebra
-    roles = workloads.entry_roles(entry)
-    rng = random.Random(f"{seed}:{family}:0")
-    pairs, _ = workloads.rebase(alg.dim, structure_pairs(alg), roles, rng)
-    rebased = LieAlgebra(alg.dim, pairs, list(alg.labels))
+    rebased, roles = rebased_draw(f"{family}_d4#0", seed)
     assert_matches_reference(z_action_split(central_structure(rebased, roles)))
 
 

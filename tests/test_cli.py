@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    dense_rebase, heisenberg_document, so_algebra_and_rep, static_with_central_action,
+    dense_rebase, heisenberg_document, record_hom_spaces, so_algebra_and_rep,
+    static_with_central_action,
 )
 from kinsila import catalog, repth
 from kinsila.cli import main
@@ -535,11 +536,13 @@ def test_cli_three_copies_split_along_an_intertwiner(seed, tmp_path, capsys, mon
 # End_s(P) = M_3(Q) has dimension 9, and no candidate element's minimal
 # polynomial factors, so is_simple(P) raises SimplicityUndecided.  9 is
 # not 4 dim D for a division algebra D, so E is not M_2(D), which proves
-# P not two copies
-def test_cli_three_copies_with_an_undecided_commutant_exit_1(tmp_path, capsys):
+# P not two copies.  The raise carries dim E, so Hom_s(P, P) is solved once
+def test_cli_three_copies_with_an_undecided_commutant_exit_1(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, three_copy_document(1))
+    solved = record_hom_spaces(monkeypatch)
     assert main(["classify", path]) == 1
     assert "P_NOT_TWO_COPIES" in capsys.readouterr().err
+    assert [(rep1.dim, rep2.dim, len(homs)) for rep1, rep2, homs in solved] == [(12, 12, 9)]
 
 
 def test_cli_mixed_central_action_exit_0(tmp_path, capsys):

@@ -10,19 +10,16 @@ for every derived module that `classify` builds.  The same sweep checks
 that V is proved simple once: the certificates of both summands of P
 hold (`conftest.check_simplicity`), and no Hom is solved twice."""
 
-import random
-
 import pytest
 
 from conftest import (
-    bench_workloads, check_simplicity, dense_draw, dense_rebase, record_hom_spaces,
+    bench_workloads, check_simplicity, dense_draw, rebased_draw, record_hom_spaces,
     so_algebra_and_rep,
 )
 from kinsila import catalog, kinematics, repth
 from kinsila.errors import InternalFault, ValidationError
 from kinsila.exactla import Mat, Subspace
 from kinsila.kinematics import classify
-from kinsila.liecore import LieAlgebra
 from kinsila.repth import Rep, rep_on_subspace
 
 
@@ -66,25 +63,14 @@ def wedge_coordinates(m):
     return Mat([[col[r] for col in cols] for r in range(len(pairs))], cols=len(pairs))
 
 
-def rebased_draw(name, seed):
-    """The `rebased` workload's input `name` at this seed, its change of
-    basis bracketed in integers (`dense_rebase` with the workload's own
-    mixing block)."""
-    bench = bench_workloads()
-    family, k = name.split("_d4#")
-    e = catalog.make(family, 4)
-    roles = bench.entry_roles(e)
-    pairs, _ = dense_rebase(e.algebra, roles, random.Random(f"{seed}:{family}:{k}"),
-                            bench.mixing_block)
-    return LieAlgebra(e.algebra.dim, pairs, list(e.algebra.labels)), roles
-
-
 def test_the_integer_draws_are_the_workloads():
     workload = bench_workloads().Rebased()
-    names = workload.op_names()[:8]
-    for op in workload.setup(names, 0):
-        algebra, _ = rebased_draw(op.name, 0)
-        assert algebra._struct == workload.prepare(op)[0]._struct
+    for seed in (0, 11):
+        for op in workload.setup(workload.op_names(), seed):
+            algebra, roles = rebased_draw(op.name, seed)
+            prepared, op_roles = workload.prepare(op)
+            assert algebra._struct == prepared._struct and roles == op_roles, op.name
+            assert algebra._den == prepared._den and algebra.labels == prepared.labels
 
 
 def record_decompositions(monkeypatch):

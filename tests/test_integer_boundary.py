@@ -15,11 +15,9 @@ to raise: their central actions square to 0 or to a scalar, so their
 kind is read off the square and no split is computed.
 """
 
-import random
-
 import pytest
 
-from conftest import bench_workloads, structure_pairs
+from conftest import bench_workloads, rebased_draw, structure_pairs
 from kinsila import catalog, exactla, kinematics
 from kinsila.exactla import Mat, Subspace, is_nilpotent
 from kinsila.kinematics import classify, validate
@@ -31,15 +29,11 @@ REBASED_SEED = 11
 def algebra_and_roles(family, d, rebased):
     """A new LieAlgebra, so that no lazily cached member of the catalog's
     shared instance hides a path."""
-    workloads = bench_workloads()
+    if rebased:
+        return rebased_draw(f"{family}_d4#0", REBASED_SEED)
     entry = catalog.make(family, d)
     alg = entry.algebra
-    roles = workloads.entry_roles(entry)
-    pairs = structure_pairs(alg)
-    if rebased:
-        rng = random.Random(f"{REBASED_SEED}:{family}:0")
-        pairs, _ = workloads.rebase(alg.dim, pairs, roles, rng)
-    return LieAlgebra(alg.dim, pairs, list(alg.labels)), roles
+    return LieAlgebra(alg.dim, structure_pairs(alg), list(alg.labels)), entry.roles()
 
 
 @pytest.fixture

@@ -16,7 +16,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import derived_subalgebra, doubled, so_algebra_and_rep, unimodular_conjugate
+from conftest import (
+    dense_draw, derived_subalgebra, doubled, so_algebra_and_rep, structure_pairs,
+    unimodular_conjugate,
+)
 from kinsila import catalog
 from kinsila.errors import JacobiError
 from kinsila.exactla import Mat, Subspace, inverse, kernel, q, rank, solve
@@ -54,7 +57,9 @@ def ref_bracket(t, x, y):
     return tuple(out)
 
 
-def ref_jacobi_defect(t):
+def ref_jacobi_defects(t):
+    """Every violating triple i < j < k with its defect, in lexicographic
+    order."""
     n = len(t)
     for i in range(n):
         for j in range(i + 1, n):
@@ -69,8 +74,11 @@ def ref_jacobi_defect(t):
                     else:
                         defect = [x + y for x, y in zip(defect, term)]
                 if defect is not None and any(defect):
-                    return (i, j, k), tuple(defect)
-    return None
+                    yield (i, j, k), tuple(defect)
+
+
+def ref_jacobi_defect(t):
+    return next(ref_jacobi_defects(t), None)
 
 
 def ref_killing(t):
@@ -244,6 +252,92 @@ def test_jacobi_violations_match_fraction_arithmetic_seeded():
         assert (exc.value.triple, exc.value.defect) == want
         exact(exc.value.defect)
     assert violations >= 10
+
+
+def perturbed_sum(rng, first, second, count):
+    """(n, pairs): the direct sum of the algebras first and second, with
+    `count` constants of second's brackets moved, each by a small or a
+    70-bit Fraction, and the basis then shuffled.  Every violation lies
+    in second, so the first one has a random smallest index, after
+    indices that have nonzero products whose sums vanish."""
+    n0, n = first.dim, first.dim + second.dim
+    pairs = {ij: tuple(v) + (0,) * second.dim for ij, v in structure_pairs(first).items()}
+    pairs.update({(n0 + i, n0 + j): (0,) * n0 + tuple(v)
+                  for (i, j), v in structure_pairs(second).items()})
+    for _ in range(count):
+        i, j = sorted(rng.sample(range(n0, n), 2))
+        v = list(pairs.get((i, j), (0,) * n))
+        v[rng.randrange(n0, n)] += F(rng.choice((1, -2, 3, -(2 ** 70) - 1)), rng.choice((1, 2, 5)))
+        pairs[(i, j)] = tuple(v)
+    perm = rng.sample(range(n), n)
+    shuffled = {}
+    for (i, j), v in pairs.items():
+        w = [0] * n
+        for m, x in enumerate(v):
+            w[perm[m]] = x
+        a, b = perm[i], perm[j]
+        shuffled[(a, b) if a < b else (b, a)] = tuple(w) if a < b else tuple(-x for x in w)
+    return n, shuffled
+
+
+def assert_jacobi_matches_reference(n, pairs):
+    """The constructor's JacobiError, or a clean table, as the reference
+    says: the same first triple and the same defect.  Returns the
+    reference's answer."""
+    want = ref_jacobi_defect(ref_tensor(n, pairs))
+    if want is None:
+        assert LieAlgebra(n, pairs).jacobi_defect() is None
+        return None
+    with pytest.raises(JacobiError) as exc:
+        LieAlgebra(n, pairs)
+    assert (exc.value.triple, exc.value.defect) == want
+    exact(exc.value.defect)
+    return want
+
+
+def test_perturbed_tables_report_the_reference_triple_seeded():
+    # every catalog entry at d = 1..6 and dense d = 4 draws, with one or
+    # two constants moved, each after a catalog entry at d = 2
+    rng = random.Random(9173)
+    algebras = [catalog.make(f, d).algebra for d in range(1, 7) for f in catalog.FAMILIES]
+    for family in catalog.FAMILIES:
+        e = catalog.make(family, 4)
+        algebras.append(dense_draw(e.algebra, e.roles(), 0)[0])
+    smallest = []
+    for second in algebras:
+        for count in (1, 2):
+            first = catalog.make(rng.choice(catalog.FAMILIES), 2).algebra
+            want = assert_jacobi_matches_reference(*perturbed_sum(rng, first, second, count))
+            if want is not None:
+                smallest.append(want[0][0])
+    # most tables violate, and most first violations come after index 0
+    assert len(smallest) >= 90 and sum(i > 0 for i in smallest) >= 40
+
+
+def test_several_violations_report_the_one_with_the_smallest_index():
+    # poincare d = 4 with [B1, P2] and [P4, H] moved: violations at two
+    # smallest indices, and at several pairs (j, k) for each
+    alg = catalog.make("poincare", 4).algebra
+    n, index = alg.dim, alg.labels.index
+    pairs = structure_pairs(alg)
+    for x, y, m in (("B1", "P2", "J1_2"), ("P4", "H", "B4")):
+        i, j = sorted((index(x), index(y)))
+        v = list(pairs.get((i, j), (0,) * n))
+        v[index(m)] += F(-3, 2)
+        pairs[(i, j)] = tuple(v)
+    violations = [triple for triple, _ in ref_jacobi_defects(ref_tensor(n, pairs))]
+    assert len({i for i, _, _ in violations}) >= 2
+    assert len([t for t in violations if t[0] == violations[0][0]]) >= 2
+    assert assert_jacobi_matches_reference(n, pairs)[0] == min(violations)
+
+
+def test_valid_tables_have_no_defect():
+    for d in range(1, 9):
+        for family in catalog.FAMILIES:
+            assert catalog.make(family, d).algebra.jacobi_defect() is None, (family, d)
+    for family in catalog.FAMILIES:
+        e = catalog.make(family, 6)
+        assert dense_draw(e.algebra, e.roles(), 0)[0].jacobi_defect() is None, family
 
 
 def rand_mat(rng, rows, cols):

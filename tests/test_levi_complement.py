@@ -15,11 +15,10 @@ recorded with the all-pairs system.
 import hashlib
 import json
 import math
-import random
 
 import pytest
 
-from conftest import bench_workloads, dense_draw, euclidean_twin, structure_pairs
+from conftest import bench_workloads, dense_draw, euclidean_twin, rebased_draw
 from kinsila import catalog
 from kinsila.exactla import (
     Echelon,
@@ -55,13 +54,6 @@ def poincare_input(d):
     return entry.algebra, bench_workloads().entry_roles(entry)
 
 
-def rebased_poincare_input(seed, k):
-    alg, roles = poincare_input(4)
-    rng = random.Random(f"{seed}:poincare:{k}")
-    pairs, _ = bench_workloads().rebase(alg.dim, structure_pairs(alg), roles, rng)
-    return LieAlgebra(alg.dim, pairs, list(alg.labels)), roles
-
-
 def graded_constraints(alg, roles):
     """(sigma, contain): the grading involution and the span of s."""
     _, s, p = roles
@@ -81,7 +73,7 @@ def test_catalog_poincare_levi_rows_match_pin(d):
 
 @pytest.mark.parametrize("k", range(len(REBASED_PINS)))
 def test_rebased_poincare_levi_rows_match_pin(k):
-    alg, roles = rebased_poincare_input(REBASED_SEED, k)
+    alg, roles = rebased_draw(f"poincare_d4#{k}", REBASED_SEED)
     levi = alg.levi_complement(*graded_constraints(alg, roles))
     assert rows_digest(levi) == REBASED_PINS[k]
 
@@ -192,7 +184,7 @@ def sl2_on_plane_with_constraints():
 
 def test_levi_complement_matches_the_all_pairs_reference():
     inputs = [poincare_input(4), poincare_input(5)]
-    inputs += [rebased_poincare_input(REBASED_SEED, k) for k in (0, 2)]
+    inputs += [rebased_draw(f"poincare_d4#{k}", REBASED_SEED) for k in (0, 2)]
     for alg, roles in inputs:
         sigma, contain = graded_constraints(alg, roles)
         # s = so(d) is generated by fewer vectors than its dimension, so

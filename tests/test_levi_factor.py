@@ -17,7 +17,7 @@ draws need a nonzero one.
 import pytest
 
 from conftest import (
-    bench_workloads, count_calls, dense_draw, euclidean_twin, intersection,
+    count_calls, dense_draw, euclidean_twin, intersection, rebased_draw, structure_pairs,
 )
 from kinsila import catalog, kinematics
 from kinsila.errors import InternalFault, NonAbelianRadicalError, ValidationError
@@ -41,17 +41,9 @@ def catalog_poincare(d):
     return entry.algebra, entry.roles()
 
 
-def rebased_poincare(seed, k):
-    """The poincare draw `poincare_d4#k` of the `rebased` workload at this
-    seed."""
-    workload = bench_workloads().Rebased()
-    (op,) = workload.setup([f"poincare_d4#{k}"], seed)
-    return workload.prepare(op)
-
-
 INPUTS = (
     [(f"catalog_d{d}", lambda d=d: catalog_poincare(d)) for d in range(1, 7)]
-    + [(f"rebased_s{seed}#{k}", lambda seed=seed, k=k: rebased_poincare(seed, k))
+    + [(f"rebased_s{seed}#{k}", lambda seed=seed, k=k: rebased_draw(f"poincare_d4#{k}", seed))
        for seed in range(10) for k in range(4)]
     + [(f"dense_d{d}_s{seed}", lambda d=d, seed=seed: dense_draw(*catalog_poincare(d), seed))
        for d in (2, 4) for seed in (0, 1, 7)]
@@ -113,6 +105,29 @@ def test_classify_never_runs_the_generic_search(monkeypatch):
         labels.append(classify(alg, *roles).label)
     assert labels.count("poincare-type") == 6
     assert calls == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog_poincare(1), lambda: catalog_poincare(4),
+    lambda: rebased_draw("poincare_d4#1", 5),
+], ids=["catalog_d1", "catalog_d4", "rebased_s5#1"])
+def test_the_radical_is_bracketed_with_itself_once(build, monkeypatch):
+    # the solvability check of the radical brackets it with itself, and
+    # the certificate's radical-abelian item reads that derived space
+    alg, roles = build()
+    alg = LieAlgebra(alg.dim, structure_pairs(alg), list(alg.labels))
+    brackets = []
+    original = LieAlgebra.bracket_span
+
+    def recorded(self, a, b):
+        brackets.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", recorded)
+    items = {name: ok for name, ok, _ in classify(alg, *roles).to_dict()["poincare_certificate"]}
+    rad = alg.solvable_radical()
+    assert sum(a == rad and b == rad for a, b in brackets) == 1
+    assert items["radical-abelian"] == original(alg, rad, rad).is_zero()
 
 
 @pytest.mark.parametrize("names", [

@@ -11,15 +11,13 @@ in the exact arithmetic that alters a single report byte fails here.
 
 import hashlib
 import json
-import random
 
 import pytest
 
-from conftest import bench_workloads, structure_pairs
+from conftest import rebased_draw
 from kinsila import catalog
 from kinsila.errors import ValidationError
 from kinsila.kinematics import classify
-from kinsila.liecore import LieAlgebra
 
 # per family, the pins for d = 1, ..., 6; "error:CODE" for a rejection
 REPORTS = {
@@ -157,13 +155,8 @@ def report_pin(family, d):
 def rebased_pin(family, seed):
     """The pin of the draw that the `rebased` workload names
     f"{family}_d4#0" at this seed."""
-    workloads = bench_workloads()
-    entry = catalog.make(family, 4)
-    alg = entry.algebra
-    roles = workloads.entry_roles(entry)
-    rng = random.Random(f"{seed}:{family}:0")
-    pairs, _ = workloads.rebase(alg.dim, structure_pairs(alg), roles, rng)
-    return digest(classify(LieAlgebra(alg.dim, pairs, list(alg.labels)), *roles))
+    algebra, roles = rebased_draw(f"{family}_d4#0", seed)
+    return digest(classify(algebra, *roles))
 
 
 def test_every_family_is_pinned():

@@ -824,9 +824,9 @@ class TestCertifiedSimplicity:
     def test_three_copies_are_certified_or_split_along_an_image(self, monkeypatch):
         # V + V + V for so(4)'s V in its own basis: is_simple splits off V,
         # whose complement V + V is split along the image of V, and each
-        # further piece is an intertwiner copy of V.  Five solves: the
-        # complement of the first V, its commutant, Hom(V, V + V) and one
-        # Hom(V, piece) per further copy
+        # further piece is an intertwiner copy of V.  Four solves: the
+        # complement of the first V, its commutant, Hom(V, V + V), whose
+        # first element certifies the image, and Hom(V, complement)
         _, v = so_algebra_and_rep(4)
         solved = []
         original = repth.hom_space
@@ -836,14 +836,18 @@ class TestCertifiedSimplicity:
             return original(rep1, rep2)
 
         monkeypatch.setattr(repth, "hom_space", counted)
-        parts = simple_decomposition(block_copies(v, 3))
+        whole = block_copies(v, 3)
+        parts = simple_decomposition(whole)
         assert [q.dim for q in parts] == [4, 4, 4]
-        assert solved == [(12, 4), (4, 4), (4, 8), (4, 4), (4, 4)]
+        assert solved == [(12, 4), (4, 4), (4, 8), (4, 4)]
         first, *rest = parts.modules
         assert first.simplicity.kind == "commutant"
         for m in rest:
             assert m.simplicity.kind == "intertwiner" and m.simplicity.source is first
             assert check_simplicity(m)
+        # each module is the action on its summand in the summand's basis
+        for part, m in zip(parts, parts.modules):
+            assert list(m.mats) == list(rep_on_subspace(whole, part).mats)
 
     def test_singular_intertwiner_from_forged_evidence_is_a_fault(self):
         # the zero action on a plane is not simple; claiming it is makes

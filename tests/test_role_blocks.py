@@ -38,7 +38,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import ad_matrix, bench_workloads, intersection, restricted, structure_pairs
+from conftest import (
+    ad_matrix, bench_workloads, intersection, rebased_draw, restricted, structure_pairs,
+)
 from kinsila import catalog
 from kinsila.errors import ValidationError
 from kinsila.exactla import Mat, Subspace, unit_vec
@@ -66,11 +68,7 @@ def catalog_input(family, d):
 def rebased_input(family, seed):
     """The d = 4 entry after the change of basis that `bench/run.py`
     draws as its first op of this family at this seed."""
-    workloads = bench_workloads()
-    alg, roles = catalog_input(family, 4)
-    rng = random.Random(f"{seed}:{family}:0")
-    pairs, _ = workloads.rebase(alg.dim, structure_pairs(alg), roles, rng)
-    return LieAlgebra(alg.dim, pairs, list(alg.labels)), roles
+    return rebased_draw(f"{family}_d4#0", seed)
 
 
 def reversed_roles(alg, roles):
